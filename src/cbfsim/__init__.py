@@ -13,12 +13,10 @@ from .arrays import (
     ArrayGeometry,
     BeamPattern,
     CompositePattern,
-    SteeringVector,
     WeightVector,
     beam_pattern,
     composite_pattern,
     pattern_variance,
-    steering_vector,
 )
 from .beams import (
     ComplementaryBeamSet,
@@ -28,17 +26,14 @@ from .beams import (
     find_complementary_triple,
     golay_construct,
     group_rf_chains,
-    random_beam,
 )
 from .channel import (
-    ChannelRealization,
     SnrPoint,
     SymbolFrame,
     awgn,
     awgn_qpsk_ber,
     qpsk_demodulate,
     qpsk_modulate,
-    rayleigh_block,
     rayleigh_qpsk_ber,
 )
 from .simulate import (
@@ -51,12 +46,6 @@ from .simulate import (
     transmit_rbf,
     transmit_single,
 )
-from .stbc import (
-    alamouti_encode,
-    composite_channel,
-    fallback_pattern,
-    mmse_decode,
-    receive,
-)
+from .stbc import fallback_pattern
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,5 +1,5 @@
-"""Uniform linear array geometry, steering vectors, beam patterns, and the
-angular flatness metric for sub-array beamforming.
+"""Uniform linear array geometry, beam patterns, and the angular flatness
+metric for sub-array beamforming.
 
 Conventions: element pitch is given in wavelengths, angles in radians from
 broadside, and every beam gain carries a 1/sqrt(N_s) scale so that one
@@ -19,7 +19,6 @@ __all__ = [
     "UNIT_MODULUS_TOL",
     "ArrayGeometry",
     "AngleGrid",
-    "SteeringVector",
     "WeightVector",
     "BeamPattern",
     "CompositePattern",
@@ -27,7 +26,7 @@ __all__ = [
     "gain_power",
     "element_gains",
     "subarray_gains",
-    "steering_vector",
+    "steering_basis",
     "beam_pattern",
     "composite_pattern",
     "pattern_variance",
@@ -50,14 +49,12 @@ def gain_power(gains) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ArrayGeometry:
-    """A ULA of isotropic elements split into equal sub-arrays, one RF chain
-    per sub-array.  The default partition assigns contiguous element blocks;
-    a custom partition maps each element index to its sub-array."""
+    """A ULA of isotropic elements split into equal contiguous sub-arrays,
+    one RF chain per sub-array."""
 
     total_elements: int
     num_subarrays: int
     spacing: float = 0.5
-    partition: tuple[int, ...] | None = None
 
     def __post_init__(self):
         n, m = self.total_elements, self.num_subarrays
@@ -67,14 +64,6 @@ class ArrayGeometry:
             raise ValueError(f"{n} elements cannot form {m} equal sub-arrays")
         if not self.spacing > 0:
             raise ValueError("element spacing must be positive")
-        if self.partition is not None:
-            part = tuple(int(p) for p in self.partition)
-            if len(part) != n:
-                raise ValueError("partition must assign every element exactly once")
-            counts = np.bincount(part, minlength=m)
-            if counts.size != m or not np.all(counts == n // m):
-                raise ValueError("every sub-array must receive exactly N_s elements")
-            object.__setattr__(self, "partition", part)
 
     @property
     def subarray_size(self) -> int:
@@ -86,10 +75,8 @@ class ArrayGeometry:
             raise ValueError(
                 f"sub-array index {subarray} outside 0..{self.num_subarrays - 1}"
             )
-        if self.partition is None:
-            start = subarray * self.subarray_size
-            return np.arange(start, start + self.subarray_size)
-        return np.flatnonzero(np.asarray(self.partition) == subarray)
+        start = subarray * self.subarray_size
+        return np.arange(start, start + self.subarray_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,17 +126,6 @@ def same_grid(a: AngleGrid, b: AngleGrid) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class SteeringVector:
-    """Plane-wave phase profile of one sub-array at a departure angle."""
-
-    angle: float
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _readonly(self.entries, dtype=complex))
-
-
-@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Analog phase-shifter settings for one sub-array; entries unit modulus."""
 
@@ -177,7 +153,6 @@ class BeamPattern:
 
     grid: AngleGrid
     gains: np.ndarray
-    normalization: float
 
     def __post_init__(self):
         g = _readonly(self.gains, dtype=complex)
@@ -202,16 +177,6 @@ class CompositePattern:
     @property
     def grid(self) -> AngleGrid:
         return self.members[0].grid
-
-
-def steering_vector(geometry: ArrayGeometry, subarray: int, angle: float) -> SteeringVector:
-    """Far-field steering vector of one sub-array, carrying the global element
-    offsets so inter-sub-array phase relationships stay physical."""
-    if abs(angle) > np.pi / 2:
-        raise ValueError("departure angle outside the ULA front half-plane")
-    offsets = geometry.subarray_offsets(subarray)
-    entries = np.exp(-2j * np.pi * geometry.spacing * offsets * np.sin(angle))
-    return SteeringVector(angle=float(angle), entries=entries)
 
 
 def steering_basis(offsets, spacing: float, angles) -> np.ndarray:
@@ -245,8 +210,7 @@ def beam_pattern(
             f"weight length {len(weights)} != sub-array size {geometry.subarray_size}"
         )
     gains = subarray_gains(weights.entries, geometry, subarray, grid.points)
-    return BeamPattern(grid=grid, gains=gains,
-                       normalization=1.0 / np.sqrt(geometry.subarray_size))
+    return BeamPattern(grid=grid, gains=gains)
 
 
 def composite_pattern(patterns) -> CompositePattern:

@@ -2,13 +2,15 @@
 
 Exhaustive codebook search with global-phase symmetry reduction, a
 Golay-doubling constructor for power-of-two sub-arrays, stochastic hill
-climbing for large instances, RF-chain grouping, and random beams for the
-time-averaging baseline.
+climbing for large instances, RF-chain grouping, and the beam-set JSON
+format.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +20,7 @@ from .arrays import (
     AngleGrid,
     ArrayGeometry,
     WeightVector,
+    _variance_of_power,
     beam_pattern,
     composite_pattern,
     gain_power,
@@ -33,7 +36,6 @@ __all__ = [
     "find_complementary_pair",
     "find_complementary_triple",
     "group_rf_chains",
-    "random_beam",
     "DEFAULT_CANDIDATE_CEILING",
     "DEFAULT_STOCHASTIC_BUDGET",
 ]
@@ -95,6 +97,15 @@ class ComplementaryBeamSet:
     accuracy: int | None = None
     phase_indices: tuple[tuple[int, ...], ...] | None = None
 
+    @classmethod
+    def from_weights(cls, geometry, weights, grid, meta, accuracy=None,
+                     phase_indices=None) -> "ComplementaryBeamSet":
+        """Beam set whose variance is that of its weights' composite on grid."""
+        beams = cls(geometry=geometry, weights=tuple(weights), variance=math.nan,
+                    grid=grid, meta=meta, accuracy=accuracy,
+                    phase_indices=phase_indices)
+        return dataclasses.replace(beams, variance=beams.composite().variance)
+
     def member_patterns(self):
         return [beam_pattern(w, self.geometry, m, self.grid)
                 for m, w in enumerate(self.weights)]
@@ -129,56 +140,74 @@ class ComplementaryBeamSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ComplementaryBeamSet":
-        geo = ArrayGeometry(
-            total_elements=int(doc["geometry"]["total_elements"]),
-            num_subarrays=int(doc["geometry"]["num_subarrays"]),
-            spacing=float(doc["geometry"]["spacing"]),
+        """Inverse of to_json_dict.  A missing or ill-typed field raises a
+        ValueError that names it."""
+        if not isinstance(doc, dict):
+            raise ValueError("a beam set must be a JSON object")
+        geo = _field(doc, "geometry", dict)
+        geometry = ArrayGeometry(
+            total_elements=_field(geo, "total_elements", int, "geometry"),
+            num_subarrays=_field(geo, "num_subarrays", int, "geometry"),
+            spacing=float(_field(geo, "spacing", _REAL, "geometry")),
         )
-        grid = _grid_from_spec(doc["grid"])
-        weights = tuple(
-            WeightVector(np.array([complex(re, im) for re, im in w["values"]]))
-            for w in doc["weights"]
-        )
-        indices = tuple(
-            tuple(int(i) for i in w["phase_indices"]) if w["phase_indices"] is not None
-            else None
-            for w in doc["weights"]
-        )
-        meta = SearchMeta(
-            method=str(doc["method"]),
-            candidates=int(doc["candidates"]),
-            seed=None if doc["seed"] is None else int(doc["seed"]),
-        )
-        out = cls(
-            geometry=geo,
-            weights=weights,
-            variance=float(doc["variance"]),
-            grid=grid,
-            meta=meta,
-            accuracy=None if doc["accuracy"] is None else int(doc["accuracy"]),
-            phase_indices=None if any(i is None for i in indices) else indices,
-        )
-        recomputed = out.composite().variance
-        if abs(recomputed - out.variance) > 1e-12:
+        weights, indices = [], []
+        for i, member in enumerate(_field(doc, "weights", list)):
+            where = f"weights[{i}]"
+            values = _field(member, "values", list, where)
+            idx = _field(member, "phase_indices", (list, type(None)), where)
+            try:
+                weights.append(WeightVector([complex(re, im) for re, im in values]))
+                indices.append(None if idx is None else tuple(int(k) for k in idx))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"beam set field {where!r}: {exc}") from None
+        meta = SearchMeta(method=_field(doc, "method", str),
+                          candidates=_field(doc, "candidates", int),
+                          seed=_field(doc, "seed", _INT_OR_NONE))
+        out = cls.from_weights(
+            geometry, weights, _grid_from_spec(_field(doc, "grid", dict)), meta,
+            _field(doc, "accuracy", _INT_OR_NONE),
+            None if None in indices else tuple(indices))
+        if abs(out.variance - _field(doc, "variance", _REAL)) > 1e-12:
             raise ValueError("beam set variance does not match its weights")
         return out
 
 
+_REAL = (int, float)
+_INT_OR_NONE = (int, type(None))
+
+
+def _field(obj, key: str, types, where: str = ""):
+    """obj[key] checked against types (a bool never passes); a missing or
+    ill-typed field raises a ValueError naming it as where.key."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"beam set lacks field {name!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"beam set field {name!r} has the wrong type")
+    return value
+
+
 def _grid_spec(grid: AngleGrid) -> dict:
-    spec = {"kind": grid.name or "explicit", "measure": grid.measure,
-            "num_points": len(grid)}
-    if grid.name is None:
+    # Only uniform-theta grids are rebuilt from their size; every other grid
+    # keeps its points, since e.g. uniform-psi depends on a spacing.
+    kind = grid.name or "explicit"
+    spec = {"kind": kind, "measure": grid.measure, "num_points": len(grid)}
+    if kind != "uniform-theta":
         spec["points"] = [float(p) for p in grid.points]
     return spec
 
 
 def _grid_from_spec(spec: dict) -> AngleGrid:
-    kind = spec["kind"]
+    kind = _field(spec, "kind", str, "grid")
     if kind == "uniform-theta":
-        return AngleGrid.uniform_theta(int(spec["num_points"]))
-    if kind == "uniform-psi":
-        return AngleGrid.uniform_psi(int(spec["num_points"]))
-    return AngleGrid(np.array(spec["points"], dtype=float), spec["measure"])
+        return AngleGrid.uniform_theta(_field(spec, "num_points", int, "grid"))
+    points = _field(spec, "points", list, "grid")
+    measure = _field(spec, "measure", str, "grid")
+    try:
+        return AngleGrid(points, measure, name=None if kind == "explicit" else kind)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"beam set field 'grid': {exc}") from None
 
 
 def golay_construct(length: int) -> tuple[WeightVector, WeightVector]:
@@ -207,13 +236,6 @@ def group_rf_chains(num_chains: int) -> list[tuple[int, ...]]:
         return [(i, i + 1) for i in range(0, num_chains, 2)]
     pairs = [(i, i + 1) for i in range(0, num_chains - 3, 2)]
     return pairs + [(num_chains - 3, num_chains - 2, num_chains - 1)]
-
-
-def random_beam(num_elements: int, rng: np.random.Generator) -> WeightVector:
-    """Unit-modulus weights with phases drawn uniformly on [0, 2*pi)."""
-    if num_elements < 1:
-        raise ValueError("a beam needs at least one element")
-    return WeightVector(np.exp(1j * rng.uniform(0.0, 2 * np.pi, num_elements)))
 
 
 def find_complementary_pair(
@@ -267,28 +289,13 @@ def _search(geometry, codebook, grid, method, group_size, seed, budget, ceiling)
         if group_size != 2:
             raise ValueError("the doubling construction only yields pairs")
         pair = golay_construct(geometry.subarray_size)
-        return _finish(geometry, pair, grid, SearchMeta("golay", 1, None),
-                       codebook.accuracy, None)
+        return ComplementaryBeamSet.from_weights(
+            geometry, pair, grid, SearchMeta("golay", 1, None), codebook.accuracy)
     if method == "exhaustive":
         return _exhaustive(geometry, codebook, grid, group_size, ceiling)
     if method == "stochastic":
         return _stochastic(geometry, codebook, grid, group_size, seed, budget)
     raise ValueError(f"unknown search method {method!r}")
-
-
-def _finish(geometry, weights, grid, meta, accuracy, indices):
-    comp = composite_pattern(
-        beam_pattern(w, geometry, m, grid) for m, w in enumerate(weights)
-    )
-    return ComplementaryBeamSet(
-        geometry=geometry,
-        weights=tuple(weights),
-        variance=comp.variance,
-        grid=grid,
-        meta=meta,
-        accuracy=accuracy,
-        phase_indices=indices,
-    )
 
 
 def _member_bases(geometry, group_size, grid):
@@ -353,9 +360,9 @@ def _exhaustive(geometry, codebook, grid, group_size, ceiling):
 
     weights = tuple(WeightVector(vectors[ix]) for ix in best_idx)
     indices = tuple(index_tuples[ix] for ix in best_idx)
-    return _finish(geometry, weights, grid,
-                   SearchMeta("exhaustive", total, None),
-                   codebook.accuracy, indices)
+    return ComplementaryBeamSet.from_weights(
+        geometry, weights, grid, SearchMeta("exhaustive", total, None),
+        codebook.accuracy, indices)
 
 
 def _stochastic(geometry, codebook, grid, group_size, seed, budget):
@@ -380,9 +387,7 @@ def _stochastic(geometry, codebook, grid, group_size, seed, budget):
         total = member_power(0, tuples[0])
         for m in range(1, group_size):
             total = total + member_power(m, tuples[m])
-        power = total / group_size
-        mean = power.mean()
-        return float(((power - mean) ** 2).mean())
+        return _variance_of_power(total / group_size)
 
     evals = 0
     best_var = np.inf
@@ -421,6 +426,6 @@ def _stochastic(geometry, codebook, grid, group_size, seed, budget):
                     break
 
     weights = tuple(WeightVector(coeffs[list(t)]) for t in best)
-    return _finish(geometry, weights, grid,
-                   SearchMeta("stochastic", evals, seed),
-                   codebook.accuracy, best)
+    return ComplementaryBeamSet.from_weights(
+        geometry, weights, grid, SearchMeta("stochastic", evals, seed),
+        codebook.accuracy, best)

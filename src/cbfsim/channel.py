@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "BITS_PER_SYMBOL",
     "SymbolFrame",
-    "ChannelRealization",
     "SnrPoint",
     "qpsk_symbols",
     "qpsk_modulate",
@@ -23,7 +22,6 @@ __all__ = [
     "complex_noise",
     "awgn",
     "rayleigh_pair_gains",
-    "rayleigh_block",
     "q_function",
     "awgn_qpsk_ber",
     "rayleigh_qpsk_ber",
@@ -40,16 +38,6 @@ class SymbolFrame:
 
     symbols: np.ndarray
     bits: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One fading block: the two sub-array coefficients and its span in
-    symbol periods (h1 == h2 when the links are tied)."""
-
-    h1: complex
-    h2: complex
-    block_length: int = 2
 
 
 @dataclass(frozen=True)
@@ -136,14 +124,6 @@ def rayleigh_pair_gains(num_blocks: int, equal_subarrays: bool,
     h2 = math.sqrt(0.5) * (rng.standard_normal(num_blocks)
                            + 1j * rng.standard_normal(num_blocks))
     return h1, h2
-
-
-def rayleigh_block(num_blocks: int, equal_subarrays: bool,
-                   rng: np.random.Generator, block_length: int = 2):
-    """Draw block-fading realizations, one fresh pair per block."""
-    h1, h2 = rayleigh_pair_gains(num_blocks, equal_subarrays, rng)
-    return [ChannelRealization(complex(a), complex(b), block_length)
-            for a, b in zip(h1, h2)]
 
 
 def q_function(x: float) -> float:

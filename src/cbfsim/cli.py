@@ -25,7 +25,6 @@ from .arrays import (
     AngleGrid,
     ArrayGeometry,
     WeightVector,
-    beam_pattern,
     composite_pattern,
 )
 from .beams import (
@@ -293,16 +292,10 @@ def cmd_pattern(ns, parser) -> int:
                                  float(get("spacing")))
         grid_points = int(get("grid_points"))
         grid = AngleGrid.uniform_theta(grid_points)
-        weights = tuple(WeightVector(codebook.coefficients[list(ix)])
-                        for ix in indices)
-        comp = composite_pattern(
-            beam_pattern(w, geometry, m, grid) for m, w in enumerate(weights)
-        )
-        beams = ComplementaryBeamSet(
-            geometry=geometry, weights=weights, variance=comp.variance,
-            grid=grid, meta=SearchMeta("explicit", 0, None),
-            accuracy=codebook.accuracy, phase_indices=tuple(indices),
-        )
+        weights = [WeightVector(codebook.coefficients[list(ix)]) for ix in indices]
+        beams = ComplementaryBeamSet.from_weights(
+            geometry, weights, grid, SearchMeta("explicit", 0, None),
+            codebook.accuracy, tuple(indices))
     base = Path(get("out"))
     base.parent.mkdir(parents=True, exist_ok=True)
     written = [_write_pattern_csv(base, beams)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as chan
-from .arrays import ArrayGeometry, gain_power, subarray_gains
+from .arrays import ArrayGeometry, gain_power, steering_basis, subarray_gains
 from .beams import ComplementaryBeamSet
 from .stbc import mmse_decode_streams
 
@@ -79,6 +79,13 @@ class SchemeConfig:
             if self.rbf_block_symbols < 2 or self.rbf_block_symbols % 2:
                 raise ValueError("rbf block length must be even and >= 2")
 
+    @property
+    def block_bits(self) -> int:
+        """Bits per transmission block: one Alamouti codeword for cbf, one
+        random pattern for rbf, two symbols for single."""
+        symbols = self.rbf_block_symbols if self.kind == "rbf" else 2
+        return symbols * chan.BITS_PER_SYMBOL
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -109,6 +116,8 @@ class SimConfig:
             raise ValueError("min_bits must be at least 10000")
         if self.max_bits is not None and self.max_bits < self.min_bits:
             raise ValueError("max_bits must be >= min_bits")
+        if self.resolved_max_bits < self.scheme.block_bits:
+            raise ValueError("max_bits must hold at least one transmission block")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.workers < 1:
@@ -245,7 +254,7 @@ def transmit_rbf(frame: chan.SymbolFrame, geometry: ArrayGeometry, angle: float,
     blocks = s.size // block_symbols
     n_el = geometry.total_elements
     weights = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (blocks, n_el)))
-    steer = np.exp(-2j * np.pi * geometry.spacing * np.arange(n_el) * np.sin(angle))
+    steer = steering_basis(np.arange(n_el), geometry.spacing, angle)[0]
     g = (weights @ steer) / math.sqrt(n_el)
     h = link.scalar_gains(blocks)
     eff = np.repeat(g * h, block_symbols)
@@ -286,14 +295,9 @@ def _check_power(energy: float, frame: chan.SymbolFrame):
 
 
 def _run_batch(config: SimConfig, angle: float, noise_variance: float,
-               rng: np.random.Generator):
+               rng: np.random.Generator, n_bits: int) -> int:
+    """Simulate n_bits (whole blocks) and return the bit error count."""
     scheme = config.scheme
-    if scheme.kind == "cbf":
-        n_bits = (BATCH_BITS // 4) * 4
-    else:
-        block_bits = scheme.rbf_block_symbols * chan.BITS_PER_SYMBOL \
-            if scheme.kind == "rbf" else 2 * chan.BITS_PER_SYMBOL
-        n_bits = (BATCH_BITS // block_bits) * block_bits
     bits = rng.integers(0, 2, n_bits)
     frame = chan.qpsk_modulate(bits)
     link = LinkChannel(config.channel, noise_variance, rng, config.equal_subarrays)
@@ -313,16 +317,21 @@ def _run_batch(config: SimConfig, angle: float, noise_variance: float,
         estimates = decode_scalar(sig)
 
     decided = chan.qpsk_demodulate(estimates)
-    return n_bits, int(np.count_nonzero(decided != frame.bits))
+    return int(np.count_nonzero(decided != frame.bits))
 
 
 def run_ber(config: SimConfig) -> BerCurve:
     """Run the campaign over the (angle, SNR) lattice.
 
-    Each point simulates at least min_bits and keeps going (up to max_bits)
-    until target_errors bit errors are seen, then reports the error count,
-    the BER estimate, and its 95% normal-approximation half-width.
+    Each point simulates at least min_bits and keeps going until
+    target_errors bit errors are seen, then reports the error count, the BER
+    estimate, and its 95% normal-approximation half-width.  Batches hold
+    whole transmission blocks, and the last one is shortened so a point
+    never exceeds max_bits; it stops early once no further block fits.
     """
+    block = config.scheme.block_bits
+    full_batch = max(BATCH_BITS // block, 1) * block
+    cap = config.resolved_max_bits
     points = []
     for ai, angle in enumerate(config.angles):
         for si, snr_db in enumerate(config.snr_db):
@@ -330,17 +339,14 @@ def run_ber(config: SimConfig) -> BerCurve:
             bits = 0
             errors = 0
             batch = 0
-            while True:
-                rng = np.random.default_rng([config.seed, ai, si, batch])
-                n_bits, n_err = _run_batch(config, angle, noise_variance, rng)
-                bits += n_bits
-                errors += n_err
-                batch += 1
-                if bits >= config.min_bits and (
-                    errors >= config.target_errors
-                    or bits >= config.resolved_max_bits
-                ):
+            while bits < config.min_bits or errors < config.target_errors:
+                n_bits = min(full_batch, (cap - bits) // block * block)
+                if n_bits == 0:
                     break
+                rng = np.random.default_rng([config.seed, ai, si, batch])
+                errors += _run_batch(config, angle, noise_variance, rng, n_bits)
+                bits += n_bits
+                batch += 1
             ber = errors / bits
             ci95 = _CI95 * math.sqrt(ber * (1.0 - ber) / bits)
             points.append(BerPoint(angle=angle, eb_n0_db=snr_db, bits=bits,

@@ -1,8 +1,8 @@
 """Two-stream space-time block coding over complementary beams.
 
-Encoding, the effective 2x2 channel seen after conjugate restacking of the
-second receive sample, MMSE/zero-forcing detection, and the correlated-stream
-fallback pattern that motivates independent streams in the first place.
+Vectorised MMSE/zero-forcing decoding of Alamouti codewords, and the
+correlated-stream fallback pattern that motivates independent streams in the
+first place.
 """
 
 from __future__ import annotations
@@ -12,68 +12,20 @@ import numpy as np
 from .arrays import AngleGrid, ArrayGeometry, BeamPattern, WeightVector, element_gains
 
 __all__ = [
-    "alamouti_encode",
-    "composite_channel",
-    "receive",
-    "mmse_decode",
     "mmse_decode_streams",
     "fallback_pattern",
 ]
 
 
-def alamouti_encode(s1, s2) -> np.ndarray:
-    """2x2 codeword [[s1, -s2*], [s2, s1*]]: rows are streams (sub-arrays),
-    columns are consecutive symbol periods."""
-    s1, s2 = complex(s1), complex(s2)
-    return np.array([[s1, -np.conj(s2)], [s2, np.conj(s1)]])
-
-
-def composite_channel(g1, g2, h1, h2) -> np.ndarray:
-    """Effective 2x2 channel for the restacked receive vector [y1, y2*]^T.
-
-    Its Gram matrix is a nonnegative multiple of the identity, which is what
-    makes per-symbol detection decouple.
-    """
-    a = complex(g1) * complex(h1)
-    b = complex(g2) * complex(h2)
-    return np.array([[a, b], [np.conj(b), -np.conj(a)]])
-
-
-def receive(codeword: np.ndarray, g1, g2, h1, h2, noise=(0j, 0j)):
-    """Received samples over the two symbol periods of one codeword.
-
-    The channel (beam gain times fading coefficient per stream) is held
-    constant across both periods.
-    """
-    a = complex(g1) * complex(h1)
-    b = complex(g2) * complex(h2)
-    n1, n2 = noise
-    y1 = a * codeword[0, 0] + b * codeword[1, 0] + complex(n1)
-    y2 = a * codeword[0, 1] + b * codeword[1, 1] + complex(n2)
-    return y1, y2
-
-
-def mmse_decode(y, channel: np.ndarray, noise_variance: float = 0.0) -> np.ndarray:
-    """Soft symbol estimates (H^H H + sigma^2 I)^-1 H^H [y1, y2*]^T.
-
-    With sigma^2 = 0 this is exact zero forcing.  An all-zero channel with no
-    noise regularization raises numpy.linalg.LinAlgError.
-    """
-    if noise_variance < 0:
-        raise ValueError("noise variance must be >= 0")
-    h = np.asarray(channel, dtype=complex)
-    y1, y2 = y
-    stacked = np.array([complex(y1), np.conj(complex(y2))])
-    gram = h.conj().T @ h + noise_variance * np.eye(2)
-    return np.linalg.solve(gram, h.conj().T @ stacked)
-
-
 def mmse_decode_streams(y1, y2, a, b, noise_variance: float = 0.0):
-    """Vectorized closed form of mmse_decode for per-codeword stream gains.
+    """MMSE soft estimates (H^H H + sigma^2 I)^-1 H^H [y1, y2*]^T per codeword.
 
-    a and b are the effective gains of stream 1 and 2 (arrays or scalars);
-    because the channel columns are orthogonal the 2x2 solve collapses to a
-    scalar division by (|a|^2 + |b|^2 + sigma^2).
+    a and b are the effective gains of stream 1 and 2 (arrays or scalars) of
+    the Alamouti codeword [[s1, -s2*], [s2, s1*]].  Because the restacked
+    channel [[a, b], [b*, -a*]] has orthogonal columns, the 2x2 solve
+    collapses to a scalar division by (|a|^2 + |b|^2 + sigma^2); with
+    sigma^2 = 0 this is exact zero forcing.  The matrix form is kept as a
+    test oracle (``tests/oracles.py``).
     """
     if noise_variance < 0:
         raise ValueError("noise variance must be >= 0")
@@ -104,11 +56,7 @@ def fallback_pattern(
     ns = geometry.subarray_size
     if len(w1) != ns or len(w2) != ns:
         raise ValueError("weight lengths must match the sub-array size")
-    for m in (0, 1):
-        offs = geometry.subarray_offsets(m)
-        if not np.array_equal(offs, np.arange(offs[0], offs[0] + ns)):
-            raise ValueError("fallback needs contiguous sub-arrays")
     entries = np.concatenate([w1.entries, w2.entries])
     gains = element_gains(entries, np.arange(2 * ns), geometry.spacing,
                           grid.points, 1.0 / np.sqrt(ns))
-    return BeamPattern(grid=grid, gains=gains, normalization=1.0 / np.sqrt(ns))
+    return BeamPattern(grid=grid, gains=gains)

@@ -29,13 +29,8 @@ from cbfsim.simulate import (
     SimConfig,
     run_ber,
 )
-from cbfsim.stbc import (
-    alamouti_encode,
-    composite_channel,
-    fallback_pattern,
-    mmse_decode,
-    receive,
-)
+from cbfsim.stbc import fallback_pattern, mmse_decode_streams
+from oracles import alamouti_encode, composite_channel, mmse_decode, receive
 
 SEED = 20260810
 
@@ -211,6 +206,7 @@ def test_criterion_7_stbc_property_suite():
 
     worst_gram = 0.0
     worst_zf = 0.0
+    worst_streams = 0.0
     for _ in range(10_000):
         s1, s2, g1, g2, h1, h2 = draw(6)
         channel = composite_channel(g1, g2, h1, h2)
@@ -221,6 +217,10 @@ def test_criterion_7_stbc_property_suite():
         y = receive(alamouti_encode(s1, s2), g1, g2, h1, h2)
         estimate = mmse_decode(y, channel, 0.0)
         worst_zf = max(worst_zf, float(np.max(np.abs(estimate - [s1, s2]))))
+        # the vectorised decoder the simulator runs, against the matrix oracle
+        streams = mmse_decode_streams(*y, g1 * h1, g2 * h2, 0.0)
+        worst_streams = max(worst_streams,
+                            float(np.max(np.abs(np.array(streams) - estimate))))
 
     geometry = ArrayGeometry(8, 2)
     grid = AngleGrid.uniform_theta(512)
@@ -235,12 +235,14 @@ def test_criterion_7_stbc_property_suite():
                              float(np.max(np.abs(combined.gains - total))))
 
     ok = (worst_gram <= GRAM_TOL and worst_zf <= ZF_TOL
-          and worst_fallback <= FALLBACK_TOL)
+          and worst_streams <= ZF_TOL and worst_fallback <= FALLBACK_TOL)
     report(7, "stbc property suite", ok,
            f"gram dev={worst_gram:.1e}, zf dev={worst_zf:.1e}, "
+           f"streams vs oracle dev={worst_streams:.1e}, "
            f"fallback dev={worst_fallback:.1e}")
     assert worst_gram <= GRAM_TOL
     assert worst_zf <= ZF_TOL
+    assert worst_streams <= ZF_TOL
     assert worst_fallback <= FALLBACK_TOL
 
 

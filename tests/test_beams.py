@@ -22,7 +22,6 @@ from cbfsim.beams import (
     find_complementary_triple,
     golay_construct,
     group_rf_chains,
-    random_beam,
 )
 
 GRID = AngleGrid.uniform_theta(512)
@@ -264,15 +263,6 @@ class TestGroupRfChains:
 
 
 class TestRandomBeam:
-    def test_unit_modulus(self):
-        w = random_beam(1, np.random.default_rng(0))
-        assert abs(abs(w.entries[0]) - 1) < 1e-12
-
-    def test_deterministic_under_seed(self):
-        a = random_beam(8, np.random.default_rng(42))
-        b = random_beam(8, np.random.default_rng(42))
-        assert np.array_equal(a.entries, b.entries)
-
     def test_average_power_flat_over_angle(self):
         # Monte Carlo check that E[|g(theta)|^2] = 1 at every direction
         rng = np.random.default_rng(2024)
@@ -286,10 +276,6 @@ class TestRandomBeam:
         avg_power = (gains.real ** 2 + gains.imag ** 2).mean(axis=0)
         assert np.max(np.abs(avg_power - 1.0)) < 0.02
 
-    def test_needs_positive_size(self):
-        with pytest.raises(ValueError):
-            random_beam(0, np.random.default_rng(0))
-
 
 class TestBeamSetJson:
     def test_round_trip(self):
@@ -302,6 +288,18 @@ class TestBeamSetJson:
             assert np.array_equal(w1.entries, w2.entries)
         assert back.phase_indices == found.phase_indices
         assert back.meta == found.meta
+
+    @pytest.mark.parametrize("grid", [
+        AngleGrid.uniform_theta(64),
+        AngleGrid.uniform_psi(64, spacing=1.0),
+        AngleGrid(np.linspace(-1.0, 1.1, 40) ** 3),
+    ], ids=["uniform-theta", "uniform-psi-spacing-1", "explicit"])
+    def test_grid_round_trip(self, grid):
+        found = find_complementary_pair(ArrayGeometry(8, 2, spacing=1.0),
+                                        PhaseCodebook(2), grid, "golay")
+        back = ComplementaryBeamSet.from_json_dict(found.to_json_dict())
+        assert np.array_equal(back.grid.points, grid.points)
+        assert (back.grid.measure, back.grid.name) == (grid.measure, grid.name)
 
     def test_corrupt_variance_rejected(self):
         found = find_complementary_pair(ArrayGeometry(4, 2), PhaseCodebook(2),

@@ -150,6 +150,26 @@ class TestBerCommand:
                      "--out", str(tmp_path / "bs")])
         assert code == 0
 
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "grid"}, "'grid'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "weights"}, "'weights'"),
+        (lambda doc: [doc], "JSON object"),
+    ], ids=["missing-grid", "missing-weights", "not-an-object"])
+    def test_malformed_beamset_one_line_error(self, tmp_path, capsys, corrupt,
+                                              named):
+        assert main(["search", "--elements", "8", "--subarrays", "2",
+                     "--method", "golay", "--out", str(tmp_path / "s")]) == 0
+        doc = json.loads((tmp_path / "s.beams.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(corrupt(doc)))
+        capsys.readouterr()
+        code = main(["ber", "--scheme", "cbf", "--snr-db", "4", "--angles", "0",
+                     "--beamset", str(bad), "--out", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and named in err
+
     def test_invalid_scheme_usage_error(self):
         assert main(["ber", "--scheme", "mimo", "--snr-db", "4"]) == 2
 

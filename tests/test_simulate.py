@@ -72,6 +72,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(SchemeConfig("single", GEOM), "ricean", (0.0,), (4.0,))
 
+    def test_max_bits_must_hold_one_block(self):
+        # a 12,000-bit rbf block cannot fit under a 10,000-bit cap
+        with pytest.raises(ValueError):
+            SimConfig(SchemeConfig("rbf", GEOM, rbf_block_symbols=6_000), "awgn",
+                      (0.0,), (4.0,), min_bits=10_000, max_bits=10_000)
+
 
 class TestTransmitCbf:
     def test_noiseless_decode_exact_at_every_angle(self):
@@ -239,8 +245,21 @@ class TestRunBer:
                         min_bits=10_000, target_errors=10_000,
                         max_bits=20_000, seed=3)
         point = run_ber(cfg).points[0]
-        assert point.bits <= 200_000  # one batch granularity above the cap
+        assert point.bits <= 20_000
         assert point.errors < 10_000
+
+    def test_equal_min_and_max_bits_is_exact(self):
+        # a point never exceeds max_bits; with 12-bit rbf blocks, 9,996 bits
+        # is the most that fits in whole blocks
+        for scheme, bits in (
+            (SchemeConfig("single", ArrayGeometry(1, 1)), 10_000),
+            (SchemeConfig("cbf", GEOM, beams=BEAMS), 10_000),
+            (SchemeConfig("rbf", GEOM, rbf_block_symbols=6), 9_996),
+        ):
+            cfg = SimConfig(scheme=scheme, channel="awgn", angles=(0.0,),
+                            snr_db=(4.0,), min_bits=10_000, target_errors=0,
+                            max_bits=10_000, seed=3)
+            assert run_ber(cfg).points[0].bits == bits
 
     def test_lattice_ordering(self):
         cfg = SimConfig(scheme=SchemeConfig("single", ArrayGeometry(1, 1)),

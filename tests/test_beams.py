@@ -164,11 +164,37 @@ class TestFindComplementaryPair:
                                     GRID, "annealing")
 
     def test_variance_recomputes_bitwise(self):
+        geom = ArrayGeometry(8, 2)
         for method, kwargs in (("exhaustive", {}), ("golay", {}),
                                ("stochastic", {"seed": 5, "budget": 300})):
-            found = find_complementary_pair(ArrayGeometry(8, 2), PhaseCodebook(2),
-                                            GRID, method, **kwargs)
-            assert abs(found.variance - found.composite().variance) <= 1e-12
+            found = find_complementary_pair(geom, PhaseCodebook(2), GRID,
+                                            method, **kwargs)
+            recomputed = composite_pattern([beam_pattern(w, geom, m, GRID)
+                                            for m, w in enumerate(found.weights)])
+            assert found.variance == recomputed.variance
+            assert np.array_equal(found.composite.power, recomputed.power)
+
+    @pytest.mark.parametrize("elements,group_size", [(4, 2), (6, 3)],
+                             ids=["pair", "triple"])
+    def test_exhaustive_returns_first_of_ties(self, elements, group_size):
+        # scan the leading-phase-reduced candidates in lexicographic order and
+        # keep the first strict minimum; the search must return that one
+        geom = ArrayGeometry(elements, group_size)
+        cb = PhaseCodebook(2)
+        reduced = [(0,) + s for s in itertools.product(
+            range(cb.accuracy), repeat=geom.subarray_size - 1)]
+        scores = []
+        for combo in itertools.product(reduced, repeat=group_size):
+            members = [beam_pattern(WeightVector(cb.coefficients[list(idx)]),
+                                    geom, m, GRID)
+                       for m, idx in enumerate(combo)]
+            scores.append((composite_pattern(members).variance, combo))
+        best_var = min(var for var, _ in scores)
+        first = next(combo for var, combo in scores if var == best_var)
+        find = find_complementary_pair if group_size == 2 else find_complementary_triple
+        found = find(geom, cb, GRID, "exhaustive")
+        assert found.phase_indices == first
+        assert found.variance == best_var
 
     def test_codebook_closure(self):
         cb = PhaseCodebook(4)

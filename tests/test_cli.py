@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cbfsim.beams import DEFAULT_CANDIDATE_CEILING, DEFAULT_STOCHASTIC_BUDGET
 from cbfsim.channel import awgn_qpsk_ber
 from cbfsim.cli import main
 
@@ -29,7 +30,9 @@ class TestSearchCommand:
         assert float(out.split("=")[1]) < 1e-10
         assert (tmp_path / "run.beams.json").exists()
         assert (tmp_path / "run.pattern.csv").exists()
-        assert (tmp_path / "run.manifest.json").exists()
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert manifest["config"]["budget"] == DEFAULT_STOCHASTIC_BUDGET
+        assert manifest["config"]["ceiling"] == DEFAULT_CANDIDATE_CEILING
 
     def test_golay_sixteen_elements_flat_csv(self, tmp_path):
         code = main(["search", "--elements", "16", "--subarrays", "2",

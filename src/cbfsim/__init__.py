@@ -29,8 +29,6 @@ from .beams import (
 )
 from .channel import (
     SnrPoint,
-    SymbolFrame,
-    awgn,
     awgn_qpsk_ber,
     qpsk_demodulate,
     qpsk_modulate,

@@ -1,8 +1,10 @@
-"""QPSK mapping, AWGN, block Rayleigh fading, and Eb/N0 bookkeeping.
+"""QPSK mapping, complex Gaussian noise, block Rayleigh fading, and Eb/N0
+bookkeeping.
 
 Symbols have unit average energy by construction; noise levels are sized for
-that budget.  Closed-form reference BER curves live here too so simulations
-can be checked against them.
+that budget, and the transmit chains add ``complex_noise`` themselves.
+Closed-form reference BER curves live here too so simulations can be checked
+against them.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ import numpy as np
 
 __all__ = [
     "BITS_PER_SYMBOL",
-    "SymbolFrame",
     "SnrPoint",
-    "qpsk_symbols",
     "qpsk_modulate",
     "qpsk_demodulate",
     "complex_noise",
-    "awgn",
     "rayleigh_pair_gains",
     "q_function",
     "awgn_qpsk_ber",
@@ -30,14 +29,6 @@ __all__ = [
 BITS_PER_SYMBOL = 2
 
 _SCALE = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True, eq=False)
-class SymbolFrame:
-    """Gray-mapped QPSK symbols together with their source bits."""
-
-    symbols: np.ndarray
-    bits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ class SnrPoint:
         return 1.0 / (BITS_PER_SYMBOL * self.eb_n0)
 
 
-def qpsk_symbols(bits) -> np.ndarray:
+def qpsk_modulate(bits) -> np.ndarray:
     """Map bit pairs to (+/-1 +/- j)/sqrt(2); first bit sets the real sign,
     second the imaginary sign, so 00 -> (+1+j)/sqrt(2) and 11 -> (-1-j)/sqrt(2)."""
     bits = np.asarray(bits)
@@ -75,14 +66,6 @@ def qpsk_symbols(bits) -> np.ndarray:
     re = 1.0 - 2.0 * pairs[:, 0]
     im = 1.0 - 2.0 * pairs[:, 1]
     return (re + 1j * im) * _SCALE
-
-
-def qpsk_modulate(bits) -> SymbolFrame:
-    bits = np.array(bits, dtype=np.int64)
-    frame = SymbolFrame(symbols=qpsk_symbols(bits), bits=bits)
-    frame.bits.setflags(write=False)
-    frame.symbols.setflags(write=False)
-    return frame
 
 
 def qpsk_demodulate(soft) -> np.ndarray:
@@ -104,12 +87,6 @@ def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarra
         return np.zeros(shape, dtype=complex)
     scale = math.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def awgn(samples, noise_variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Add white circular complex Gaussian noise to the samples."""
-    samples = np.asarray(samples, dtype=complex)
-    return samples + complex_noise(samples.shape, noise_variance, rng)
 
 
 def rayleigh_pair_gains(num_blocks: int, equal_subarrays: bool,

@@ -116,10 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--seed", type=int)
     bp.add_argument("--workers", type=int)
     bp.add_argument("--out")
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(parser=command_parser)
     return parser
 
 
 def _load_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """The --config file's values for the command's flags, each converted
+    and checked as the flag converts and checks its argument."""
     path = getattr(ns, "config", None)
     if path is None:
         return {}
@@ -129,15 +133,40 @@ def _load_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) -
         parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         parser.error(f"config file {path} must hold a JSON object")
-    return doc
+    flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    return {key: _flag_value(parser, ns.command, flags[key], key, value)
+            for key, value in doc.items() if key in flags}
+
+
+def _flag_value(parser, command, action, key, value):
+    """``type`` applied to ``str(value)``, then ``choices``; an appending flag
+    takes a list of such values.  No flag takes a bool, and null stands only
+    for a flag whose built-in default is None."""
+    if value is None and _DEFAULTS[command].get(key, 0) is None:
+        return None
+    appends = isinstance(action, argparse._AppendAction)
+    items = value if appends else [value]
+    try:
+        if not isinstance(items, list) or any(
+                item is None or isinstance(item, (bool, list, dict)) for item in items):
+            raise ValueError
+        converted = [(action.type or str)(str(item)) for item in items]
+        if action.choices is not None and any(c not in action.choices for c in converted):
+            raise ValueError
+    except ValueError:
+        parser.error(f"config key {key!r}: invalid value {value!r}")
+    return converted if appends else converted[0]
 
 
 def _resolve(ns, file_config, command, key):
-    """Flag value if given, else config file, else built-in default."""
+    """Flag value if given, else config file, else built-in default; a flag
+    without a default is required."""
     if hasattr(ns, key):
         return getattr(ns, key)
     if key in file_config:
         return file_config[key]
+    if key not in _DEFAULTS[command]:
+        ns.parser.error(f"{command} requires --{key.replace('_', '-')}")
     return _DEFAULTS[command][key]
 
 
@@ -233,9 +262,7 @@ def _load_beamset(path: str) -> ComplementaryBeamSet:
 def cmd_search(ns, parser) -> int:
     cfg = _load_config_file(ns, parser)
     get = lambda key: _resolve(ns, cfg, "search", key)
-    if not hasattr(ns, "elements") and "elements" not in cfg:
-        parser.error("search requires --elements")
-    elements = int(getattr(ns, "elements", cfg.get("elements")))
+    elements = get("elements")
     subarrays = int(get("subarrays"))
     method = get("method")
     geometry = ArrayGeometry(elements, subarrays, float(get("spacing")))
@@ -305,20 +332,12 @@ def cmd_pattern(ns, parser) -> int:
 def cmd_ber(ns, parser) -> int:
     cfg = _load_config_file(ns, parser)
     get = lambda key: _resolve(ns, cfg, "ber", key)
-    if not hasattr(ns, "scheme") and "scheme" not in cfg:
-        parser.error("ber requires --scheme")
-    if not hasattr(ns, "snr_db") and "snr_db" not in cfg:
-        parser.error("ber requires --snr-db")
-    scheme_kind = getattr(ns, "scheme", cfg.get("scheme"))
-    snr_grid = _parse_snr_grid(str(getattr(ns, "snr_db", cfg.get("snr_db"))))
+    scheme_kind = get("scheme")
+    snr_grid = _parse_snr_grid(get("snr_db"))
     angles_text = get("angles")
-    if angles_text is None:
-        angles_deg = DEFAULT_ANGLES_DEG
-    else:
-        angles_deg = tuple(float(tok) for tok in str(angles_text).split(","))
-    seed = _resolve_seed(ns, cfg, "ber")
-    if seed is None:
-        seed = 0
+    angles_deg = DEFAULT_ANGLES_DEG if angles_text is None else tuple(
+        float(tok) for tok in angles_text.split(","))
+    seed = _resolve_seed(ns, cfg, "ber") or 0
     elements = int(get("elements"))
     spacing = float(get("spacing"))
 
@@ -333,7 +352,7 @@ def cmd_ber(ns, parser) -> int:
             )
         scheme = SchemeConfig(kind="cbf", geometry=geometry, beams=beams)
     elif scheme_kind == "rbf":
-        geometry = ArrayGeometry(elements, 2 if elements % 2 == 0 else 1, spacing)
+        geometry = ArrayGeometry(elements, 1, spacing)
         scheme = SchemeConfig(kind="rbf", geometry=geometry,
                               rbf_block_symbols=int(get("rbf_block")))
     else:
@@ -346,7 +365,7 @@ def cmd_ber(ns, parser) -> int:
         snr_db=snr_grid,
         min_bits=int(get("min_bits")),
         target_errors=int(get("target_errors")),
-        max_bits=None if get("max_bits") is None else int(get("max_bits")),
+        max_bits=get("max_bits"),
         seed=int(seed),
         workers=int(get("workers")),
         equal_subarrays=get("fading") == "equal",
@@ -375,7 +394,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        return _DISPATCH[ns.command](ns, parser)
+        return _DISPATCH[ns.command](ns, ns.parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, OSError, np.linalg.LinAlgError, RuntimeError) as exc:

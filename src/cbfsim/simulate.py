@@ -2,9 +2,12 @@
 
 "cbf" sends Alamouti-coded pairs over two complementary beams, "rbf" sends a
 single stream through a fresh random full-array pattern every block, and
-"single" is the one-element benchmark at the same power budget.  Campaigns
-are bit-identical for a fixed (config, seed, workers): work is partitioned
-into fixed-size batches, each driven by an rng stream keyed on
+"single" is the one-element benchmark at the same power budget.  A batch is
+one pipeline for all three: draw bits, map them to QPSK symbols, transmit
+(rbf and single share one scalar path), meter the radiated energy against
+the budget, decode with the signal's own ``decode``, demap and count errors.
+Campaigns are bit-identical for a fixed (config, seed, workers): work is
+partitioned into fixed-size batches, each driven by an rng stream keyed on
 (seed, angle index, SNR index, batch index), and results reduce by counter
 addition, so they do not depend on how batches are scheduled.
 """
@@ -12,7 +15,7 @@ addition, so they do not depend on how batches are scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -33,8 +36,6 @@ __all__ = [
     "transmit_cbf",
     "transmit_rbf",
     "transmit_single",
-    "decode_cbf",
-    "decode_scalar",
     "run_ber",
 ]
 
@@ -69,11 +70,7 @@ class SchemeConfig:
                 raise ValueError("cbf needs a two-sub-array geometry")
             if self.beams is None or len(self.beams.weights) != 2:
                 raise ValueError("cbf needs a complementary beam pair")
-            b = self.beams.geometry
-            g = self.geometry
-            if (b.total_elements, b.num_subarrays, b.spacing) != (
-                g.total_elements, g.num_subarrays, g.spacing
-            ):
+            if astuple(self.beams.geometry) != astuple(self.geometry):
                 raise ValueError("beam set geometry does not match the scheme geometry")
         if self.kind == "rbf":
             if self.rbf_block_symbols < 2 or self.rbf_block_symbols % 2:
@@ -167,8 +164,7 @@ class LinkChannel:
     def scalar_gains(self, num_blocks: int) -> np.ndarray:
         if self.kind == "awgn":
             return np.ones(num_blocks, dtype=complex)
-        h, _ = chan.rayleigh_pair_gains(num_blocks, True, self.rng)
-        return h
+        return chan.rayleigh_pair_gains(num_blocks, True, self.rng)[0]
 
     def noise(self, num_samples: int) -> np.ndarray:
         return chan.complex_noise(num_samples, self.noise_variance, self.rng)
@@ -184,6 +180,13 @@ class CbfSignal:
     gain2: np.ndarray
     energy_per_period: float
 
+    def decode(self, noise_variance: float) -> np.ndarray:
+        """MMSE soft estimates for a batch of codewords, re-interleaved into
+        the original symbol order."""
+        s1, s2 = mmse_decode_streams(self.y1, self.y2, self.gain1, self.gain2,
+                                     noise_variance)
+        return np.stack((s1, s2), axis=1).ravel()
+
 
 @dataclass(frozen=True, eq=False)
 class ScalarSignal:
@@ -194,104 +197,73 @@ class ScalarSignal:
     block_gains: np.ndarray | None
     energy_per_period: float
 
-
-def _frame_power(symbols: np.ndarray) -> float:
-    return float(np.mean(gain_power(symbols))) if symbols.size else 0.0
-
-
-def _beam_gain(beams: ComplementaryBeamSet, member: int, angle: float) -> complex:
-    entries = beams.weights[member].entries
-    return complex(subarray_gains(entries, beams.geometry, member, angle)[0])
+    def decode(self, noise_variance: float) -> np.ndarray:
+        """Coherent de-rotation by the known effective gain; the positive
+        scale left over is irrelevant to QPSK decisions."""
+        return self.y * np.conj(self.gains)
 
 
-def _weight_power_factor(entries: np.ndarray) -> float:
-    # ||w||^2 / N: exactly 1 for unit-modulus weights, measured rather than
-    # assumed so the energy meter catches any normalization slip.
-    return float(gain_power(entries).sum() / entries.size)
+def _energy(s: np.ndarray, weights=(), block: int = 1) -> float:
+    """Radiated energy per symbol period, mean |s|^2 * ||w||^2/N over the
+    N-element weights w each symbol leaves through: ``weights`` lists w's
+    sub-array parts, one row per block of ``block`` symbols (none: one unit
+    element).  ||w||^2/N is measured, not assumed, to catch scaling slips."""
+    p = gain_power(s)
+    if weights:
+        n = sum(w.shape[-1] for w in weights)
+        norm = sum(gain_power(w).sum(axis=-1) for w in weights) / n
+        p = p * np.repeat(norm, block)
+    return float(np.mean(p)) if s.size else 0.0
 
 
-def transmit_cbf(frame: chan.SymbolFrame, beams: ComplementaryBeamSet,
-                 angle: float, link: LinkChannel) -> CbfSignal:
+def transmit_cbf(s: np.ndarray, beams: ComplementaryBeamSet, angle: float,
+                 link: LinkChannel) -> CbfSignal:
     """Alamouti-encode symbol pairs and push the two streams through their
     complementary beams with an equal (1/sqrt(2) amplitude) power split."""
-    s = frame.symbols
     if s.size % 2:
         raise ValueError("cbf transmits whole symbol pairs")
     s1, s2 = s[0::2], s[1::2]
     n = s1.size
-    g1 = _beam_gain(beams, 0, angle)
-    g2 = _beam_gain(beams, 1, angle)
+    g1, g2 = (complex(subarray_gains(w.entries, beams.geometry, m, angle)[0])
+              for m, w in enumerate(beams.weights))
     h1, h2 = link.pair_gains(n)
     a = (g1 / _SQRT2) * h1
     b = (g2 / _SQRT2) * h2
     y1 = a * s1 + b * s2 + link.noise(n)
     y2 = -a * np.conj(s2) + b * np.conj(s1) + link.noise(n)
-    w1, w2 = beams.weights
-    split = (_weight_power_factor(w1.entries) + _weight_power_factor(w2.entries)) / 2
-    energy = _frame_power(s) * split
+    energy = _energy(s, [w.entries for w in beams.weights])
     return CbfSignal(y1=y1, y2=y2, gain1=a, gain2=b, energy_per_period=energy)
 
 
-def decode_cbf(signal: CbfSignal, noise_variance: float) -> np.ndarray:
-    """MMSE soft estimates for a batch of codewords, re-interleaved into the
-    original symbol order."""
-    s1, s2 = mmse_decode_streams(signal.y1, signal.y2, signal.gain1,
-                                 signal.gain2, noise_variance)
-    out = np.empty(2 * s1.size, dtype=complex)
-    out[0::2] = s1
-    out[1::2] = s2
-    return out
+def _transmit_scalar(s: np.ndarray, link: LinkChannel, block_symbols: int,
+                     block_gains: np.ndarray | None = None,
+                     weights=()) -> ScalarSignal:
+    """One stream through a per-block gain: the fading draw times the array
+    gain of each block (none for a single element), then noise."""
+    if s.size % block_symbols:
+        raise ValueError("symbols must fill a whole number of blocks")
+    h = link.scalar_gains(s.size // block_symbols)
+    eff = np.repeat(h if block_gains is None else block_gains * h, block_symbols)
+    y = eff * s + link.noise(s.size)
+    return ScalarSignal(y=y, gains=eff, block_gains=block_gains,
+                        energy_per_period=_energy(s, weights, block_symbols))
 
 
-def transmit_rbf(frame: chan.SymbolFrame, geometry: ArrayGeometry, angle: float,
-                 link: LinkChannel, rng: np.random.Generator,
-                 block_symbols: int = 2) -> ScalarSignal:
+def transmit_rbf(s: np.ndarray, geometry: ArrayGeometry, angle: float,
+                 link: LinkChannel, block_symbols: int = 2) -> ScalarSignal:
     """Single full-array stream, re-weighted with fresh random unit-modulus
     phases every block so the long-run average gain is flat over angle."""
-    s = frame.symbols
-    if block_symbols < 1 or s.size % block_symbols:
-        raise ValueError("frame must hold a whole number of blocks")
-    blocks = s.size // block_symbols
     n_el = geometry.total_elements
-    weights = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (blocks, n_el)))
+    blocks = s.size // block_symbols
+    weights = np.exp(1j * link.rng.uniform(0.0, 2 * np.pi, (blocks, n_el)))
     steer = steering_basis(np.arange(n_el), geometry.spacing, angle)[0]
     g = (weights @ steer) / math.sqrt(n_el)
-    h = link.scalar_gains(blocks)
-    eff = np.repeat(g * h, block_symbols)
-    y = eff * s + link.noise(s.size)
-    factors = gain_power(weights).sum(axis=1) / n_el
-    per_symbol = gain_power(s) * np.repeat(factors, block_symbols)
-    energy = float(np.mean(per_symbol)) if s.size else 0.0
-    return ScalarSignal(y=y, gains=eff, block_gains=g, energy_per_period=energy)
+    return _transmit_scalar(s, link, block_symbols, g, [weights])
 
 
-def transmit_single(frame: chan.SymbolFrame, link: LinkChannel,
-                    block_symbols: int = 2) -> ScalarSignal:
+def transmit_single(s: np.ndarray, link: LinkChannel) -> ScalarSignal:
     """One isotropic element at the full power budget."""
-    s = frame.symbols
-    if block_symbols < 1 or s.size % block_symbols:
-        raise ValueError("frame must hold a whole number of blocks")
-    blocks = s.size // block_symbols
-    h = link.scalar_gains(blocks)
-    eff = np.repeat(h, block_symbols)
-    y = eff * s + link.noise(s.size)
-    energy = _frame_power(s)
-    return ScalarSignal(y=y, gains=eff, block_gains=None, energy_per_period=energy)
-
-
-def decode_scalar(signal: ScalarSignal) -> np.ndarray:
-    """Coherent de-rotation by the known effective gain; the positive scale
-    left over is irrelevant to QPSK decisions."""
-    return signal.y * np.conj(signal.gains)
-
-
-def _check_power(energy: float, frame: chan.SymbolFrame):
-    budget = _frame_power(frame.symbols)
-    if abs(energy - budget) > POWER_TOL:
-        raise RuntimeError(
-            f"transmit power budget violated: radiated {energy!r} per period "
-            f"vs budget {budget!r}"
-        )
+    return _transmit_scalar(s, link, 2)
 
 
 def _run_batch(config: SimConfig, angle: float, noise_variance: float,
@@ -299,25 +271,20 @@ def _run_batch(config: SimConfig, angle: float, noise_variance: float,
     """Simulate n_bits (whole blocks) and return the bit error count."""
     scheme = config.scheme
     bits = rng.integers(0, 2, n_bits)
-    frame = chan.qpsk_modulate(bits)
+    s = chan.qpsk_modulate(bits)
     link = LinkChannel(config.channel, noise_variance, rng, config.equal_subarrays)
-
     if scheme.kind == "cbf":
-        sig = transmit_cbf(frame, scheme.beams, angle, link)
-        _check_power(sig.energy_per_period, frame)
-        estimates = decode_cbf(sig, noise_variance)
+        sig = transmit_cbf(s, scheme.beams, angle, link)
     elif scheme.kind == "rbf":
-        sig = transmit_rbf(frame, scheme.geometry, angle, link, rng,
-                           scheme.rbf_block_symbols)
-        _check_power(sig.energy_per_period, frame)
-        estimates = decode_scalar(sig)
+        sig = transmit_rbf(s, scheme.geometry, angle, link, scheme.rbf_block_symbols)
     else:
-        sig = transmit_single(frame, link)
-        _check_power(sig.energy_per_period, frame)
-        estimates = decode_scalar(sig)
-
-    decided = chan.qpsk_demodulate(estimates)
-    return int(np.count_nonzero(decided != frame.bits))
+        sig = transmit_single(s, link)
+    budget = _energy(s)
+    if abs(sig.energy_per_period - budget) > POWER_TOL:
+        raise RuntimeError(f"transmit power budget violated: radiated "
+                           f"{sig.energy_per_period!r} per period vs budget {budget!r}")
+    decided = chan.qpsk_demodulate(sig.decode(noise_variance))
+    return int(np.count_nonzero(decided != bits))
 
 
 def run_ber(config: SimConfig) -> BerCurve:

@@ -237,3 +237,78 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "cfgrun.manifest.json").read_text())
         assert manifest["config"]["seed"] == 2
         assert manifest["config"]["scheme"] == "single"
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("ber", {"scheme": "mimo", "snr_db": "4"}, "scheme"),
+        ("ber", {"scheme": "single", "snr_db": "4", "fading": 3}, "fading"),
+        ("ber", {"scheme": "single", "snr_db": "4", "min_bits": None},
+         "min_bits"),
+        ("ber", {"scheme": "single", "snr_db": "4", "seed": True}, "seed"),
+        ("ber", {"scheme": "single", "snr_db": "4", "min_bits": 2e4},
+         "min_bits"),
+        ("search", {"elements": 4, "accuracy": []}, "accuracy"),
+        ("search", {"elements": None}, "elements"),
+        ("pattern", {"weights": 5}, "weights"),
+        ("pattern", {"weights": ["0,1"], "grid_points": {}}, "grid_points"),
+    ], ids=["scheme-choice", "fading-int", "min-bits-null", "seed-bool",
+            "min-bits-float", "accuracy-list", "elements-null", "weights-int",
+            "grid-points-object"])
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, command,
+                                                doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config key {key!r}" in err.splitlines()[-1]
+        assert not (tmp_path / "o.manifest.json").exists()
+
+    def test_config_null_allowed_where_default_is_none(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scheme": "single", "snr_db": 4, "angles": "0", "min_bits": 10000,
+            "max_bits": None, "beamset": None, "seed": None, "target_errors": 0,
+        }))
+        assert main(["ber", "--config", str(cfg), "--out", str(tmp_path / "n")]) == 0
+
+
+# Full .ber.csv text of four small seeded runs, pinned when the batch
+# pipeline was last restructured: a refactor that keeps these bytes keeps the
+# RNG streams, the stopping rule and the number formatting.
+GOLDEN_BER = {
+    "cbf-awgn-two-angles": (
+        ["--scheme", "cbf", "--channel", "awgn", "--snr-db", "2,6",
+         "--angles", "0,30", "--min-bits", "10000", "--target-errors", "20",
+         "--seed", "7"],
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
+        "cbf,awgn,0,2,100000,3737,0.03737,0.00117556681\n"
+        "cbf,awgn,0,6,100000,244,0.00244,0.000305788042\n"
+        "cbf,awgn,30,2,100000,3683,0.03683,0.00116736967\n"
+        "cbf,awgn,30,6,100000,276,0.00276,0.00032516999\n"),
+    "cbf-rayleigh-independent": (
+        ["--scheme", "cbf", "--channel", "rayleigh", "--fading", "independent",
+         "--snr-db", "5,15", "--angles", "30", "--min-bits", "10000",
+         "--target-errors", "20", "--seed", "3"],
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
+        "cbf,rayleigh,30,5,100000,3304,0.03304,0.00110784843\n"
+        "cbf,rayleigh,30,15,100000,96,0.00096,0.000191947795\n"),
+    "rbf-rayleigh-block-4": (
+        ["--scheme", "rbf", "--channel", "rayleigh", "--rbf-block", "4",
+         "--snr-db", "10", "--angles", "0", "--min-bits", "10000",
+         "--target-errors", "20", "--seed", "5"],
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
+        "rbf,rayleigh,0,10,100000,5683,0.05683,0.00143496031\n"),
+    "single-awgn-exact": (
+        ["--scheme", "single", "--channel", "awgn", "--snr-db", "4",
+         "--angles", "0", "--min-bits", "10000", "--max-bits", "10000",
+         "--target-errors", "0", "--seed", "11"],
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
+        "single,awgn,0,4,10000,131,0.0131,0.00222858033\n"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_BER)
+def test_ber_csv_golden_bytes(tmp_path, name):
+    argv, expected = GOLDEN_BER[name]
+    assert main(["ber", *argv, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / f"{name}.ber.csv").read_text(encoding="utf-8") == expected

@@ -7,14 +7,17 @@ import pytest
 
 from cbfsim.arrays import AngleGrid, ArrayGeometry, subarray_gains
 from cbfsim.beams import PhaseCodebook, find_complementary_pair
-from cbfsim.channel import awgn_qpsk_ber, qpsk_demodulate, qpsk_modulate
+from cbfsim.channel import (
+    awgn_qpsk_ber,
+    complex_noise,
+    qpsk_demodulate,
+    qpsk_modulate,
+)
 from cbfsim.simulate import (
     DEFAULT_ANGLES_DEG,
     LinkChannel,
     SchemeConfig,
     SimConfig,
-    decode_cbf,
-    decode_scalar,
     run_ber,
     transmit_cbf,
     transmit_rbf,
@@ -30,7 +33,7 @@ def quiet_link(rng=None):
     return LinkChannel("awgn", 0.0, rng or np.random.default_rng(0))
 
 
-def make_frame(rng, n_bits):
+def make_symbols(rng, n_bits):
     return qpsk_modulate(rng.integers(0, 2, n_bits))
 
 
@@ -82,11 +85,10 @@ class TestSimConfig:
 class TestTransmitCbf:
     def test_noiseless_decode_exact_at_every_angle(self):
         rng = np.random.default_rng(21)
-        frame = make_frame(rng, 400)
+        s = make_symbols(rng, 400)
         for angle_deg in DEFAULT_ANGLES_DEG:
-            sig = transmit_cbf(frame, BEAMS, math.radians(angle_deg), quiet_link())
-            est = decode_cbf(sig, 0.0)
-            assert np.max(np.abs(est - frame.symbols)) < 1e-9
+            sig = transmit_cbf(s, BEAMS, math.radians(angle_deg), quiet_link())
+            assert np.max(np.abs(sig.decode(0.0) - s)) < 1e-9
 
     def test_beam_null_still_decodes(self):
         # [1,1] nulls at endfire while [1,-1] peaks there: orthogonality
@@ -99,16 +101,12 @@ class TestTransmitCbf:
                  for m, w in enumerate(pair.weights)]
         assert min(gains) < 1e-12
         rng = np.random.default_rng(22)
-        frame = make_frame(rng, 400)
-        sig = transmit_cbf(frame, pair, angle, quiet_link())
-        est = decode_cbf(sig, 0.0)
-        assert np.max(np.abs(est - frame.symbols)) < 1e-9
+        s = make_symbols(rng, 400)
+        sig = transmit_cbf(s, pair, angle, quiet_link())
+        assert np.max(np.abs(sig.decode(0.0) - s)) < 1e-9
 
     def test_zero_symbols_give_noise_only_output(self):
-        from cbfsim.channel import SymbolFrame, complex_noise
-        frame = SymbolFrame(symbols=np.zeros(4, dtype=complex),
-                            bits=np.zeros(8, dtype=int))
-        sig = transmit_cbf(frame, BEAMS, 0.0,
+        sig = transmit_cbf(np.zeros(4, dtype=complex), BEAMS, 0.0,
                            LinkChannel("awgn", 0.5, np.random.default_rng(23)))
         replay = np.random.default_rng(23)
         n1 = complex_noise(2, 0.5, replay)
@@ -120,7 +118,7 @@ class TestTransmitCbf:
         # zero-variance beams: |g1|^2 + |g2|^2 is angle-independent
         rhos = []
         for angle_deg in DEFAULT_ANGLES_DEG:
-            sig = transmit_cbf(make_frame(np.random.default_rng(1), 200), BEAMS,
+            sig = transmit_cbf(make_symbols(np.random.default_rng(1), 200), BEAMS,
                                math.radians(angle_deg), quiet_link())
             rho = np.abs(sig.gain1[0]) ** 2 + np.abs(sig.gain2[0]) ** 2
             rhos.append(rho)
@@ -130,19 +128,19 @@ class TestTransmitCbf:
 class TestTransmitRbf:
     def test_average_gain_flat(self):
         rng = np.random.default_rng(31)
-        frame = make_frame(rng, 4 * 100_000)
-        sig = transmit_rbf(frame, GEOM, math.radians(37.0), quiet_link(rng), rng)
+        s = make_symbols(rng, 4 * 100_000)
+        sig = transmit_rbf(s, GEOM, math.radians(37.0), quiet_link(rng))
         mean_power = np.mean(np.abs(sig.block_gains) ** 2)
         assert mean_power == pytest.approx(1.0, abs=0.02)
 
     def test_deep_fade_blocks_burst_errors(self):
         # blocks whose random beam lands near a null behave like deep fades
         rng = np.random.default_rng(32)
-        frame = make_frame(rng, 4 * 20_000)
+        bits = rng.integers(0, 2, 4 * 20_000)
         link = LinkChannel("awgn", 0.1, rng)  # about 7 dB Eb/N0
-        sig = transmit_rbf(frame, GEOM, 0.0, link, rng)
-        bits_hat = qpsk_demodulate(decode_scalar(sig))
-        errors = (bits_hat != frame.bits).reshape(-1, 4)  # bits per block
+        sig = transmit_rbf(qpsk_modulate(bits), GEOM, 0.0, link)
+        bits_hat = qpsk_demodulate(sig.decode(0.1))
+        errors = (bits_hat != bits).reshape(-1, 4)  # bits per block
         block_ber = errors.mean(axis=1)
         faded = np.abs(sig.block_gains) < 0.1
         assert faded.any()
@@ -150,45 +148,44 @@ class TestTransmitRbf:
         assert block_ber[~faded].mean() < 0.05
 
     def test_reproducible_under_seed(self):
-        frame = make_frame(np.random.default_rng(5), 400)
-        a = transmit_rbf(frame, GEOM, 0.3, quiet_link(), np.random.default_rng(33))
-        b = transmit_rbf(frame, GEOM, 0.3, quiet_link(), np.random.default_rng(33))
+        s = make_symbols(np.random.default_rng(5), 400)
+        a = transmit_rbf(s, GEOM, 0.3, quiet_link(np.random.default_rng(33)))
+        b = transmit_rbf(s, GEOM, 0.3, quiet_link(np.random.default_rng(33)))
         assert np.array_equal(a.y, b.y)
 
     def test_partial_block_rejected(self):
-        frame = make_frame(np.random.default_rng(6), 6)
+        s = make_symbols(np.random.default_rng(6), 6)
         with pytest.raises(ValueError):
-            transmit_rbf(frame, GEOM, 0.0, quiet_link(), np.random.default_rng(0),
-                         block_symbols=2)
+            transmit_rbf(s, GEOM, 0.0, quiet_link(), block_symbols=2)
 
 
 class TestTransmitSingle:
     def test_noiseless_identity_up_to_channel(self):
-        frame = make_frame(np.random.default_rng(41), 400)
-        sig = transmit_single(frame, quiet_link())
-        assert np.array_equal(sig.y, frame.symbols)
-        est = decode_scalar(sig)
-        assert np.array_equal(qpsk_demodulate(est), frame.bits)
+        bits = np.random.default_rng(41).integers(0, 2, 400)
+        s = qpsk_modulate(bits)
+        sig = transmit_single(s, quiet_link())
+        assert np.array_equal(sig.y, s)
+        assert np.array_equal(qpsk_demodulate(sig.decode(0.0)), bits)
 
     def test_rayleigh_gain_applied_blockwise(self):
         rng = np.random.default_rng(42)
-        frame = make_frame(rng, 400)
+        s = make_symbols(rng, 400)
         link = LinkChannel("rayleigh", 0.0, rng)
-        sig = transmit_single(frame, link)
+        sig = transmit_single(s, link)
         gains = sig.gains.reshape(-1, 2)
         assert np.array_equal(gains[:, 0], gains[:, 1])
-        assert np.max(np.abs(decode_scalar(sig)
-                             - np.abs(sig.gains) ** 2 * frame.symbols)) < 1e-12
+        assert np.max(np.abs(sig.decode(0.0)
+                             - np.abs(sig.gains) ** 2 * s)) < 1e-12
 
 
 class TestPowerFairness:
     def test_energy_meter_identical_across_schemes(self):
         rng = np.random.default_rng(51)
-        frame = make_frame(rng, 4000)
-        budget = np.mean(np.abs(frame.symbols) ** 2)
-        cbf = transmit_cbf(frame, BEAMS, 0.4, quiet_link())
-        rbf = transmit_rbf(frame, GEOM, 0.4, quiet_link(), np.random.default_rng(2))
-        single = transmit_single(frame, quiet_link())
+        s = make_symbols(rng, 4000)
+        budget = np.mean(np.abs(s) ** 2)
+        cbf = transmit_cbf(s, BEAMS, 0.4, quiet_link())
+        rbf = transmit_rbf(s, GEOM, 0.4, quiet_link(np.random.default_rng(2)))
+        single = transmit_single(s, quiet_link())
         for sig in (cbf, rbf, single):
             assert abs(sig.energy_per_period - budget) < 1e-6
 

@@ -29,6 +29,10 @@ __all__ = [
 BITS_PER_SYMBOL = 2
 
 _SCALE = 1.0 / math.sqrt(2.0)
+# QPSK symbols indexed by 2*b0 + b1 (Gray: first bit the real sign, second
+# the imaginary sign).
+_QPSK = np.array([complex(_SCALE, _SCALE), complex(_SCALE, -_SCALE),
+                  complex(-_SCALE, _SCALE), complex(-_SCALE, -_SCALE)])
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,8 @@ def qpsk_modulate(bits) -> np.ndarray:
         raise ValueError("QPSK needs a flat, even-length bit sequence")
     if bits.size and not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0 or 1")
-    pairs = bits.reshape(-1, 2)
-    re = 1.0 - 2.0 * pairs[:, 0]
-    im = 1.0 - 2.0 * pairs[:, 1]
-    return (re + 1j * im) * _SCALE
+    index = 2 * bits[0::2] + bits[1::2]
+    return _QPSK[index.astype(np.intp, copy=False)]
 
 
 def qpsk_demodulate(soft) -> np.ndarray:

@@ -48,7 +48,7 @@ _DEFAULTS = {
     },
     "ber": {
         "channel": "awgn", "angles": None, "min_bits": 100_000,
-        "target_errors": 200, "max_bits": None, "seed": None, "workers": 1,
+        "target_errors": 200, "max_bits": None, "seed": None, "workers": None,
         "elements": 8, "spacing": 0.5, "beamset": None, "rbf_block": 2,
         "fading": "equal", "out": "cbfsim_ber",
     },
@@ -114,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--fading", choices=("equal", "independent"),
                     help="tie or untie the two sub-array fading coefficients")
     bp.add_argument("--seed", type=int)
-    bp.add_argument("--workers", type=int)
+    bp.add_argument("--workers", type=int,
+                    help="most processes to run lattice points in "
+                         "(default: one per available CPU)")
     bp.add_argument("--out")
     for command_parser in sub.choices.values():
         command_parser.set_defaults(parser=command_parser)
@@ -134,8 +136,11 @@ def _load_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) -
     if not isinstance(doc, dict):
         parser.error(f"config file {path} must hold a JSON object")
     flags = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    for key in doc:
+        if key not in flags:
+            parser.error(f"config key {key!r}: no such {ns.command} option")
     return {key: _flag_value(parser, ns.command, flags[key], key, value)
-            for key, value in doc.items() if key in flags}
+            for key, value in doc.items()}
 
 
 def _flag_value(parser, command, action, key, value):
@@ -367,7 +372,7 @@ def cmd_ber(ns, parser) -> int:
         target_errors=int(get("target_errors")),
         max_bits=get("max_bits"),
         seed=int(seed),
-        workers=int(get("workers")),
+        workers=get("workers"),
         equal_subarrays=get("fading") == "equal",
     )
     curve = run_ber(config)

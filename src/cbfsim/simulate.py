@@ -6,16 +6,18 @@ single stream through a fresh random full-array pattern every block, and
 one pipeline for all three: draw bits, map them to QPSK symbols, transmit
 (rbf and single share one scalar path), meter the radiated energy against
 the budget, decode with the signal's own ``decode``, demap and count errors.
-Campaigns are bit-identical for a fixed (config, seed, workers): work is
-partitioned into fixed-size batches, each driven by an rng stream keyed on
-(seed, angle index, SNR index, batch index), and results reduce by counter
-addition, so they do not depend on how batches are scheduled.
+Campaigns are bit-identical for the same configuration and seed, whatever
+the worker count: each batch is driven by an rng stream keyed on (seed,
+angle index, SNR index, batch index), so a lattice point's result does not
+depend on which process runs it, and points come back in lattice order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import astuple, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -87,7 +89,8 @@ class SchemeConfig:
 @dataclass(frozen=True)
 class SimConfig:
     """One BER campaign: scheme, channel kind, angle and SNR lattices,
-    stopping rule, and rng seed."""
+    stopping rule, rng seed, and the most worker processes to run lattice
+    points in (None: one per available CPU)."""
 
     scheme: SchemeConfig
     channel: str
@@ -97,7 +100,7 @@ class SimConfig:
     target_errors: int = 200
     max_bits: int | None = None
     seed: int = 0
-    workers: int = 1
+    workers: int | None = None
     equal_subarrays: bool = True
 
     def __post_init__(self):
@@ -117,8 +120,10 @@ class SimConfig:
             raise ValueError("max_bits must hold at least one transmission block")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        nproc = _available_cpus()
+        if self.workers is not None and not 1 <= self.workers <= 4 * nproc:
+            raise ValueError(f"workers must be from 1 to {4 * nproc}, four per "
+                             f"available CPU ({nproc} available)")
         if self.target_errors < 0:
             raise ValueError("target_errors must be >= 0")
         object.__setattr__(self, "angles", angles)
@@ -287,36 +292,64 @@ def _run_batch(config: SimConfig, angle: float, noise_variance: float,
     return int(np.count_nonzero(decided != bits))
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_point(config: SimConfig, ai: int, si: int) -> BerPoint:
+    """Simulate lattice point (angle ai, SNR si) until its stopping rule
+    holds.  Batches hold whole transmission blocks, and the last one is
+    shortened so a point never exceeds max_bits; it stops early once no
+    further block fits."""
+    angle, snr_db = config.angles[ai], config.snr_db[si]
+    block = config.scheme.block_bits
+    full_batch = max(BATCH_BITS // block, 1) * block
+    cap = config.resolved_max_bits
+    noise_variance = chan.SnrPoint(snr_db).noise_variance
+    bits = 0
+    errors = 0
+    batch = 0
+    while bits < config.min_bits or errors < config.target_errors:
+        n_bits = min(full_batch, (cap - bits) // block * block)
+        if n_bits == 0:
+            break
+        rng = np.random.default_rng([config.seed, ai, si, batch])
+        errors += _run_batch(config, angle, noise_variance, rng, n_bits)
+        bits += n_bits
+        batch += 1
+    ber = errors / bits
+    ci95 = _CI95 * math.sqrt(ber * (1.0 - ber) / bits)
+    return BerPoint(angle=angle, eb_n0_db=snr_db, bits=bits, errors=errors,
+                    ber=ber, ci95=ci95)
+
+
 def run_ber(config: SimConfig) -> BerCurve:
     """Run the campaign over the (angle, SNR) lattice.
 
     Each point simulates at least min_bits and keeps going until
     target_errors bit errors are seen, then reports the error count, the BER
-    estimate, and its 95% normal-approximation half-width.  Batches hold
-    whole transmission blocks, and the last one is shortened so a point
-    never exceeds max_bits; it stops early once no further block fits.
+    estimate, and its 95% normal-approximation half-width.  Points run in a
+    pool of min(workers, available CPUs, points) forked processes, or inline
+    when that is one or the platform cannot fork; results keep lattice order.
     """
-    block = config.scheme.block_bits
-    full_batch = max(BATCH_BITS // block, 1) * block
-    cap = config.resolved_max_bits
-    points = []
-    for ai, angle in enumerate(config.angles):
-        for si, snr_db in enumerate(config.snr_db):
-            noise_variance = chan.SnrPoint(snr_db).noise_variance
-            bits = 0
-            errors = 0
-            batch = 0
-            while bits < config.min_bits or errors < config.target_errors:
-                n_bits = min(full_batch, (cap - bits) // block * block)
-                if n_bits == 0:
-                    break
-                rng = np.random.default_rng([config.seed, ai, si, batch])
-                errors += _run_batch(config, angle, noise_variance, rng, n_bits)
-                bits += n_bits
-                batch += 1
-            ber = errors / bits
-            ci95 = _CI95 * math.sqrt(ber * (1.0 - ber) / bits)
-            points.append(BerPoint(angle=angle, eb_n0_db=snr_db, bits=bits,
-                                   errors=errors, ber=ber, ci95=ci95))
+    nproc = _available_cpus()
+    ais, sis = zip(*[(ai, si) for ai in range(len(config.angles))
+                     for si in range(len(config.snr_db))])
+    procs = min(config.workers or nproc, nproc, len(ais))
+    run = partial(_run_point, config)
+    if procs == 1 or not hasattr(os, "fork"):
+        points = list(map(run, ais, sis))
+    else:
+        # Imported here so a one-point run does not pay for them.  Forked
+        # workers inherit the imported package instead of importing it again.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+                procs, mp_context=multiprocessing.get_context("fork")) as ex:
+            points = list(ex.map(run, ais, sis))
     return BerCurve(scheme=config.scheme.kind, channel=config.channel,
                     points=tuple(points))

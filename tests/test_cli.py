@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cbfsim import simulate
 from cbfsim.beams import DEFAULT_CANDIDATE_CEILING, DEFAULT_STOCHASTIC_BUDGET
 from cbfsim.channel import awgn_qpsk_ber
 from cbfsim.cli import main
@@ -205,6 +206,31 @@ class TestBerCommand:
         assert interpolated == pytest.approx(1e-3, rel=0.25)
 
 
+class TestWorkers:
+    ARGS = ["ber", "--scheme", "cbf", "--channel", "awgn", "--snr-db", "2,6",
+            "--angles", "0,30", "--min-bits", "20000", "--target-errors", "50",
+            "--seed", "7"]
+
+    def test_ber_csv_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        runs = {"one": ["--workers", "1"], "two": ["--workers", "2"],
+                "default": []}
+        for name, extra in runs.items():
+            assert main(self.ARGS + extra + ["--out", str(tmp_path / name)]) == 0
+        first, *rest = [(tmp_path / f"{name}.ber.csv").read_bytes() for name in runs]
+        assert rest == [first, first]
+        manifest = json.loads((tmp_path / "default.manifest.json").read_text())
+        assert manifest["config"]["workers"] is None
+
+    def test_too_many_workers_one_line_error(self, tmp_path, capsys):
+        code = main(self.ARGS + ["--workers", "100000",
+                                 "--out", str(tmp_path / "w")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: workers must be")
+        assert not (tmp_path / "w.manifest.json").exists()
+
+
 class TestSeedPrecedence:
     ARGS = ["ber", "--scheme", "single", "--channel", "awgn", "--snr-db", "4",
             "--angles", "0", "--min-bits", "20000", "--target-errors", "50"]
@@ -250,9 +276,11 @@ class TestConfigFile:
         ("search", {"elements": None}, "elements"),
         ("pattern", {"weights": 5}, "weights"),
         ("pattern", {"weights": ["0,1"], "grid_points": {}}, "grid_points"),
+        ("ber", {"scheme": "single", "snr_db": "4", "angles": "0",
+                 "min-bits": 20000, "targeterrors": 5}, "min-bits"),
     ], ids=["scheme-choice", "fading-int", "min-bits-null", "seed-bool",
             "min-bits-float", "accuracy-list", "elements-null", "weights-int",
-            "grid-points-object"])
+            "grid-points-object", "unknown-key"])
     def test_config_value_checked_like_its_flag(self, tmp_path, capsys, command,
                                                 doc, key):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,12 @@
 """Tests for the three transmit paths and the Monte Carlo campaign runner."""
 
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
+from cbfsim import simulate
 from cbfsim.arrays import AngleGrid, ArrayGeometry, subarray_gains
 from cbfsim.beams import PhaseCodebook, find_complementary_pair
 from cbfsim.channel import (
@@ -27,6 +29,21 @@ from cbfsim.simulate import (
 GEOM = ArrayGeometry(8, 2)
 BEAMS = find_complementary_pair(GEOM, PhaseCodebook(2),
                                 AngleGrid.uniform_theta(512), "golay")
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Two available CPUs, and the size of every process pool run_ber opens."""
+    sizes = []
+
+    class SpyExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyExecutor)
+    monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+    return sizes
 
 
 def quiet_link(rng=None):
@@ -80,6 +97,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(SchemeConfig("rbf", GEOM, rbf_block_symbols=6_000), "awgn",
                       (0.0,), (4.0,), min_bits=10_000, max_bits=10_000)
+
+    def test_worker_count_bounded_by_cpus(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
+        make = lambda workers: SimConfig(SchemeConfig("single", GEOM), "awgn",
+                                         (0.0,), (4.0,), workers=workers)
+        assert make(8).workers == 8
+        assert make(None).workers is None
+        for workers in (0, 9):
+            with pytest.raises(ValueError, match="from 1 to 8.*2 available"):
+                make(workers)
 
 
 class TestTransmitCbf:
@@ -201,12 +228,20 @@ class TestRunBer:
         cfg = self.small_config(SchemeConfig("cbf", GEOM, beams=BEAMS))
         assert run_ber(cfg) == run_ber(cfg)
 
-    def test_worker_count_does_not_change_results(self):
-        # batches reduce by counter addition, so the declared parallelism
-        # level cannot alter the outcome
-        one = self.small_config(SchemeConfig("cbf", GEOM, beams=BEAMS), workers=1)
-        four = self.small_config(SchemeConfig("cbf", GEOM, beams=BEAMS), workers=4)
-        assert run_ber(one).points == run_ber(four).points
+    def test_worker_count_does_not_change_results(self, pool_sizes):
+        # every point draws from its own rng streams, so which process runs
+        # it cannot alter the outcome
+        def curve(workers):
+            return run_ber(self.small_config(
+                SchemeConfig("cbf", GEOM, beams=BEAMS), angles=(0.0, 0.5),
+                snr=(4.0, 6.0), workers=workers))
+        assert curve(1).points == curve(2).points
+        assert pool_sizes == [2]
+
+    def test_one_point_runs_inline(self, pool_sizes):
+        run_ber(self.small_config(SchemeConfig("single", ArrayGeometry(1, 1)),
+                                  workers=2))
+        assert pool_sizes == []
 
     def test_counts_consistent(self):
         cfg = self.small_config(SchemeConfig("single", ArrayGeometry(1, 1)))

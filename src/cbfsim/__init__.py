@@ -25,7 +25,6 @@ from .beams import (
     find_complementary_pair,
     find_complementary_triple,
     golay_construct,
-    group_rf_chains,
 )
 from .channel import (
     SnrPoint,

@@ -249,6 +249,19 @@ def _variance_of_power(power: np.ndarray):
     return np.add.reduce((power - mean) ** 2, axis=-1) / n
 
 
+def _autocorrelation_form(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:
+    """C with composite variance x^T C x on grid for unit-modulus weights,
+    x = [Re; Im] of the sub-arrays' summed autocorrelation
+    R(k) = sum_i w[i+k] conj(w[i]), k >= 1.  Each member's power is
+    1 + (2/N_s) sum_k Re(R(k) exp(-j*k*psi)), psi = 2*pi*spacing*sin(theta)."""
+    ns, members = geometry.subarray_size, geometry.num_subarrays
+    psi = 2 * np.pi * geometry.spacing * np.sin(grid.points)
+    phase = np.outer(psi, np.arange(1, ns))
+    features = np.hstack([np.cos(phase), np.sin(phase)])
+    features -= features.mean(axis=0)
+    return (features.T @ features) / len(grid) * (2 / (ns * members)) ** 2
+
+
 def pattern_variance(pattern, grid: AngleGrid | None = None) -> float:
     """Mean squared deviation of |gain|^2 from its grid mean; zero iff flat.
 

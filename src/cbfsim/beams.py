@@ -2,14 +2,16 @@
 
 Exhaustive codebook search with global-phase symmetry reduction, a
 Golay-doubling constructor for power-of-two sub-arrays, stochastic hill
-climbing for large instances, RF-chain grouping, and the beam-set JSON
-format.
+climbing for large instances, and the beam-set JSON format.
+
+Both searches screen candidates by the members' summed autocorrelation, in
+which the composite variance is a quadratic form whatever the grid size, and
+rescore those the screen cannot rule out with the exact pattern arithmetic
+of ``ComplementaryBeamSet``, which alone decides minima and ties.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,12 +21,9 @@ from .arrays import (
     AngleGrid,
     ArrayGeometry,
     WeightVector,
-    _composite_power,
-    _variance_of_power,
+    _autocorrelation_form,
     beam_pattern,
     composite_pattern,
-    gain_power,
-    steering_basis,
 )
 
 __all__ = [
@@ -35,15 +34,16 @@ __all__ = [
     "golay_construct",
     "find_complementary_pair",
     "find_complementary_triple",
-    "group_rf_chains",
     "DEFAULT_CANDIDATE_CEILING",
     "DEFAULT_STOCHASTIC_BUDGET",
 ]
 
-DEFAULT_CANDIDATE_CEILING = 1_000_000
+DEFAULT_CANDIDATE_CEILING = 2 ** 22
 DEFAULT_STOCHASTIC_BUDGET = 100_000
 
 _SNAP_TOL = 1e-12
+_SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
+_SCREEN_BLOCK_FLOATS = 2 ** 22  # one 32 MB block of exhaustive scores
 
 
 class SearchCapacityError(ValueError):
@@ -222,17 +222,6 @@ def golay_construct(length: int) -> tuple[WeightVector, WeightVector]:
     return WeightVector(a.astype(complex)), WeightVector(b.astype(complex))
 
 
-def group_rf_chains(num_chains: int) -> list[tuple[int, ...]]:
-    """Partition RF chains 0..M-1 into pairs in index order; an odd count ends
-    with one triple covering the last three chains."""
-    if num_chains < 2:
-        raise ValueError("grouping needs at least two RF chains")
-    if num_chains % 2 == 0:
-        return [(i, i + 1) for i in range(0, num_chains, 2)]
-    pairs = [(i, i + 1) for i in range(0, num_chains - 3, 2)]
-    return pairs + [(num_chains - 3, num_chains - 2, num_chains - 1)]
-
-
 def find_complementary_pair(
     geometry: ArrayGeometry,
     codebook: PhaseCodebook,
@@ -286,10 +275,12 @@ def _search(geometry, codebook, grid, method, group_size, seed, budget, ceiling)
         pair = golay_construct(geometry.subarray_size)
         return ComplementaryBeamSet(geometry, pair, grid,
                                     SearchMeta("golay", 1, None), codebook.accuracy)
+    form = _autocorrelation_form(geometry, grid)
+    exact = _exact_scorer(geometry, grid, codebook.coefficients)
     if method == "exhaustive":
-        best, meta = _exhaustive(geometry, codebook, grid, group_size, ceiling)
+        best, meta = _exhaustive(geometry, codebook, ceiling, form, exact)
     elif method == "stochastic":
-        best, meta = _stochastic(geometry, codebook, grid, group_size, seed, budget)
+        best, meta = _stochastic(geometry, codebook, seed, budget, form, exact)
     else:
         raise ValueError(f"unknown search method {method!r}")
     weights = [WeightVector(codebook.coefficients[list(t)]) for t in best]
@@ -297,100 +288,136 @@ def _search(geometry, codebook, grid, method, group_size, seed, budget, ceiling)
                                 best)
 
 
-def _member_power(geometry, grid, coeffs):
-    """power(m, idx): power pattern on grid of sub-array m driven by the
-    codebook coefficients coeffs[idx]."""
-    bases = [steering_basis(geometry.subarray_offsets(m), geometry.spacing,
-                            grid.points)
-             for m in range(geometry.num_subarrays)]
-    scale = 1.0 / np.sqrt(geometry.subarray_size)
-
-    def power(m, idx):
-        return gain_power((bases[m] @ coeffs[list(idx)]) * scale)
-
-    return power
+def _lag_features(weights: np.ndarray) -> np.ndarray:
+    """[Re; Im] of each row's autocorrelation sum_i w[i+k] conj(w[i]), k >= 1."""
+    ns = weights.shape[-1]
+    r = np.zeros(weights.shape[:-1] + (ns - 1,), complex)
+    for k in range(1, ns):
+        r[..., k - 1] = np.sum(weights[..., k:] * weights[..., :ns - k].conj(), axis=-1)
+    return np.concatenate([r.real, r.imag], axis=-1)
 
 
-def _exhaustive(geometry, codebook, grid, group_size, ceiling):
-    ns, k = geometry.subarray_size, codebook.accuracy
+def _exact_scorer(geometry, grid, coeffs):
+    """variance(rows): composite variance of phase-index rows in the arithmetic
+    of ComplementaryBeamSet, which decides every reported minimum and tie."""
+    patterns = {}
+
+    def pattern(m, idx):
+        if (m, idx) not in patterns:
+            patterns[m, idx] = beam_pattern(WeightVector(coeffs[list(idx)]),
+                                            geometry, m, grid)
+        return patterns[m, idx]
+
+    return lambda rows: composite_pattern(
+        [pattern(m, tuple(idx)) for m, idx in enumerate(rows)]).variance
+
+
+def _exhaustive(geometry, codebook, ceiling, form, exact):
+    ns, k, group_size = geometry.subarray_size, codebook.accuracy, geometry.num_subarrays
     num_vectors = k ** (ns - 1)
     total = num_vectors ** group_size
-    kind = "pairs" if group_size == 2 else "triples"
     if total > ceiling:
+        kind = "pairs" if group_size == 2 else "triples"
         raise SearchCapacityError(
             f"exhaustive search over {total} candidate {kind} exceeds the "
             f"ceiling of {ceiling}; use method='stochastic' or 'golay'"
         )
     # Leading coefficient pinned to 1: a global phase never changes |gain|,
-    # so the search space shrinks from K^N_s to K^(N_s-1) per vector.
-    index_tuples = [(0,) + s for s in itertools.product(range(k), repeat=ns - 1)]
-    power = _member_power(geometry, grid, codebook.coefficients)
-    tables = [np.stack([power(m, t) for t in index_tuples])
-              for m in range(group_size)]
-
-    # Fix every member but the last and score the last as a whole table;
-    # strict improvement keeps the lexicographically first minimum.  comp
-    # stays bound until the next step rebinds it: freeing it inside the step
-    # made the (20, 2, K=2) pair search 2.4x slower on a 2-vCPU EPYC, as the
-    # allocator faulted in fresh pages every step.
-    best_var = np.inf
-    best = None
-    for head in itertools.product(range(num_vectors), repeat=group_size - 1):
-        comp = _composite_power([t[i] for t, i in zip(tables, head)]
-                                + [tables[-1]])
-        scores = _variance_of_power(comp)
-        last = int(np.argmin(scores))
-        if scores[last] < best_var:
-            best_var, best = scores[last], head + (last,)
-
-    return (tuple(index_tuples[i] for i in best),
+    # so the search space shrinks from K^N_s to K^(N_s-1) per vector.  Row v
+    # holds the base-K digits of v, so rows run in lexicographic order.
+    digits = (np.arange(num_vectors)[:, None] // k ** np.arange(ns - 2, -1, -1)) % k
+    rows = np.pad(digits, ((0, 0), (1, 0))).tolist()
+    x = _lag_features(codebook.coefficients[rows])
+    # A group scores q[i] + 2 (xC)[i] . z[r] + (zCz)[r] for leading member i
+    # and trailing members r, z[r] their summed features in C order.
+    z = x
+    for _ in range(group_size - 2):
+        z = (x[:, None] + z[None]).reshape(len(x) * len(z), x.shape[1])
+    y, zc = x @ form, z @ form
+    q, qz = np.einsum("ij,ij->i", y, x), np.einsum("ij,ij->i", zc, z)
+    step = max(1, _SCREEN_BLOCK_FLOATS // len(z))
+    least, hits = np.inf, []
+    for i in range(0, num_vectors, step):
+        block = y[i:i + step] @ z.T
+        block *= 2
+        block += q[i:i + step, None] + qz
+        least = min(least, block.min())
+        flat = np.flatnonzero(block <= least + _SCREEN_SLACK)
+        hits.append((block.ravel()[flat], flat + i * len(z)))
+    scores, flat = (np.concatenate(a) for a in zip(*hits))
+    near = np.unravel_index(flat[scores <= least + _SCREEN_SLACK],
+                            (num_vectors,) * group_size)
+    # Rescore the near-minimal groups exactly in lexicographic order and keep
+    # the first strict minimum.
+    groups = [tuple(tuple(rows[v]) for v in g) for g in zip(*near)]
+    variances = [exact(g) for g in groups]
+    return (groups[variances.index(min(variances))],
             SearchMeta("exhaustive", total, None))
 
 
-def _stochastic(geometry, codebook, grid, group_size, seed, budget):
+def _stochastic(geometry, codebook, seed, budget, form, exact):
     if budget < 1:
         raise ValueError("stochastic search needs a positive budget")
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 63))
     rng = np.random.default_rng(seed)
-    ns, k = geometry.subarray_size, codebook.accuracy
-    member_power = functools.cache(
-        _member_power(geometry, grid, codebook.coefficients))
-
-    def variance_of(tuples):
-        return _variance_of_power(_composite_power(
-            [member_power(m, t) for m, t in enumerate(tuples)]))
-
-    evals = 0
-    best_var = np.inf
-    best = None
+    ns, k, group_size = geometry.subarray_size, codebook.accuracy, geometry.num_subarrays
+    # Single-coefficient moves in (member, position, level) order.  Member m's
+    # weights are w[m*(3ns-2) + ns-1 + p] of a flat array with zero gaps, so a
+    # move at flat index i changes lag l through w[i-l] and w[i+l].
+    member, pos, level = (a.ravel() for a in np.indices((group_size, ns - 1, k)))
+    at = member * (3 * ns - 2) + ns + pos
+    below, above = at[:, None] - np.arange(1, ns), at[:, None] + np.arange(1, ns)
+    target = codebook.coefficients[level]
+    evals, best_var, best_score, best = 0, np.inf, np.inf, None
     while evals < budget:
-        current = tuple(
-            (0,) + tuple(int(x) for x in rng.integers(0, k, ns - 1))
-            for _ in range(group_size)
-        )
-        cur_var = variance_of(current)
+        state = np.array([(0,) + tuple(int(x) for x in rng.integers(0, k, ns - 1))
+                          for _ in range(group_size)])
+        w = np.zeros((group_size, 3 * ns - 2), complex)
+        w[:, ns - 1:2 * ns - 1] = codebook.coefficients[state]
+        x = _lag_features(w[:, ns - 1:2 * ns - 1]).sum(axis=0)
+        w = w.ravel()
+        cur, start, improved = x @ form @ x, 0, False
         evals += 1
-        if cur_var < best_var:
-            best_var, best = cur_var, current
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            # Single-coefficient neighbours in (member, position, level) order.
-            for m, pos, alt in itertools.product(range(group_size),
-                                                 range(1, ns), range(k)):
-                if alt == current[m][pos]:
+        while True:
+            # Rescore a visited state exactly unless the screen rules it out.
+            if cur <= best_score + _SCREEN_SLACK:
+                best_score = min(best_score, cur)
+                if (var := exact(state)) < best_var:
+                    best_var, best = var, tuple(map(tuple, state.tolist()))
+            # Score the rest of the sweep at once and take the first neighbour
+            # that improves; a screened near-tie is decided exactly, so each
+            # step is the one an exact comparison takes.  A sweep that
+            # improved nothing ends the climb.
+            hit = None
+            while hit is None and evals < budget:
+                todo = start + np.flatnonzero(w[at[start:]] != target[start:])
+                todo = todo[:budget - evals]
+                if not todo.size:
+                    if not improved:
+                        break
+                    start, improved = 0, False
                     continue
-                member = current[m][:pos] + (alt,) + current[m][pos + 1:]
-                cand = current[:m] + (member,) + current[m + 1:]
-                var = variance_of(cand)
-                evals += 1
-                if var < cur_var:
-                    current, cur_var = cand, var
-                    improved = True
-                    if cur_var < best_var:
-                        best_var, best = cur_var, current
-                if evals >= budget:
+                delta = target[todo] - w[at[todo]]
+                dr = (delta[:, None] * w[below[todo]].conj()
+                      + w[above[todo]] * delta.conj()[:, None])
+                dx = np.concatenate((dr.real, dr.imag), axis=1)
+                scores = np.einsum("ij,ij->i", (x + dx) @ form, x + dx)
+                for h in np.flatnonzero(scores < cur + _SCREEN_SLACK).tolist():
+                    if scores[h] > cur - _SCREEN_SLACK:
+                        cand = state.copy()
+                        cand[member[todo[h]], pos[todo[h]] + 1] = level[todo[h]]
+                        if not exact(cand) < exact(state):
+                            continue
+                    hit = h
                     break
+                evals += todo.size if hit is None else hit + 1
+                start = len(level) if hit is None else todo[hit] + 1
+            if hit is None:
+                break
+            move = todo[hit]
+            state[member[move], pos[move] + 1] = level[move]
+            w[at[move]] = target[move]
+            x, cur, improved = x + dx[hit], scores[hit], True
 
     return best, SearchMeta("stochastic", evals, seed)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from cbfsim.arrays import (
     AngleGrid,
     ArrayGeometry,
     WeightVector,
+    _autocorrelation_form,
+    _composite_power,
+    _variance_of_power,
     beam_pattern,
     composite_pattern,
-    pattern_variance,
 )
 from cbfsim.beams import (
     ComplementaryBeamSet,
@@ -20,8 +23,8 @@ from cbfsim.beams import (
     SearchCapacityError,
     find_complementary_pair,
     find_complementary_triple,
+    _lag_features,
     golay_construct,
-    group_rf_chains,
 )
 
 GRID = AngleGrid.uniform_theta(512)
@@ -174,20 +177,23 @@ class TestFindComplementaryPair:
             assert found.variance == recomputed.variance
             assert np.array_equal(found.composite.power, recomputed.power)
 
-    @pytest.mark.parametrize("elements,group_size", [(4, 2), (6, 3)],
-                             ids=["pair", "triple"])
-    def test_exhaustive_returns_first_of_ties(self, elements, group_size):
+    @pytest.mark.parametrize("elements,group_size,accuracy", [
+        (4, 2, 2), (6, 3, 2), (8, 2, 2), (8, 2, 4), (9, 3, 2),
+    ], ids=["pair", "triple", "pair-8-k2", "pair-8-k4", "triple-9-k2"])
+    def test_exhaustive_returns_first_of_ties(self, elements, group_size,
+                                              accuracy):
         # scan the leading-phase-reduced candidates in lexicographic order and
         # keep the first strict minimum; the search must return that one
         geom = ArrayGeometry(elements, group_size)
-        cb = PhaseCodebook(2)
+        cb = PhaseCodebook(accuracy)
         reduced = [(0,) + s for s in itertools.product(
             range(cb.accuracy), repeat=geom.subarray_size - 1)]
+        patterns = {(m, idx): beam_pattern(WeightVector(cb.coefficients[list(idx)]),
+                                           geom, m, GRID)
+                    for m in range(group_size) for idx in reduced}
         scores = []
         for combo in itertools.product(reduced, repeat=group_size):
-            members = [beam_pattern(WeightVector(cb.coefficients[list(idx)]),
-                                    geom, m, GRID)
-                       for m, idx in enumerate(combo)]
+            members = [patterns[m, idx] for m, idx in enumerate(combo)]
             scores.append((composite_pattern(members).variance, combo))
         best_var = min(var for var, _ in scores)
         first = next(combo for var, combo in scores if var == best_var)
@@ -225,6 +231,15 @@ class TestFindComplementaryPair:
             assert found.variance <= last
             last = found.variance
 
+    def test_stochastic_settles_near_ties_exactly(self):
+        # an exact tie between the current state and a neighbour is decided by
+        # the exact variance, as a pattern-table climb decides it; settling it
+        # by the screened score instead ends this climb at variance 0.0107
+        found = find_complementary_pair(ArrayGeometry(10, 2), PhaseCodebook(8),
+                                        GRID, "stochastic", seed=5, budget=20000)
+        assert found.phase_indices == ((0, 7, 0, 3, 6), (0, 1, 0, 5, 2))
+        assert found.variance < 1e-20
+
     def test_stochastic_draws_and_records_seed(self):
         found = find_complementary_pair(ArrayGeometry(4, 2), PhaseCodebook(2),
                                         GRID, "stochastic", budget=50)
@@ -233,6 +248,40 @@ class TestFindComplementaryPair:
                                         GRID, "stochastic", seed=found.meta.seed,
                                         budget=50)
         assert again.variance == found.variance
+
+
+class TestAutocorrelationScreen:
+    @pytest.mark.parametrize("grid,spacing", [
+        (AngleGrid.uniform_theta(512), 0.5),
+        (AngleGrid.uniform_theta(512), 0.7),
+        (AngleGrid.uniform_psi(300, spacing=0.5), 0.5),
+    ], ids=["theta-0.5", "theta-0.7", "psi-0.5"])
+    @pytest.mark.parametrize("group_size", [2, 3])
+    def test_quadratic_form_is_the_composite_variance(self, grid, spacing,
+                                                      group_size):
+        # x^T C x of the summed autocorrelation against the pattern tables
+        rng = np.random.default_rng(31 + group_size)
+        for ns, k in ((9, 2), (7, 4), (16, 8), (1, 2)):
+            geom = ArrayGeometry(ns * group_size, group_size, spacing)
+            form = _autocorrelation_form(geom, grid)
+            for _ in range(10):
+                w = PhaseCodebook(k).coefficients[rng.integers(0, k, (group_size, ns))]
+                x = _lag_features(w).sum(axis=0)
+                exact = _variance_of_power(_composite_power(
+                    [beam_pattern(WeightVector(w[m]), geom, m, grid).power
+                     for m in range(group_size)]))
+                assert abs(x @ form @ x - exact) <= 1e-12
+
+    def test_stochastic_memory_stays_small(self):
+        # the climb keeps no per-vector pattern tables
+        tracemalloc.start()
+        try:
+            find_complementary_pair(ArrayGeometry(32, 2), PhaseCodebook(4),
+                                    GRID, "stochastic", seed=7, budget=20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
 
 class TestFindComplementaryTriple:
@@ -259,33 +308,6 @@ class TestFindComplementaryTriple:
         two = find_complementary_triple(geom, cb, GRID, "stochastic", seed=77,
                                         budget=400)
         assert one.variance == two.variance
-
-
-class TestGroupRfChains:
-    def test_two_chains(self):
-        assert group_rf_chains(2) == [(0, 1)]
-
-    def test_even_count_pairs(self):
-        assert group_rf_chains(4) == [(0, 1), (2, 3)]
-        assert group_rf_chains(8) == [(0, 1), (2, 3), (4, 5), (6, 7)]
-
-    def test_odd_count_ends_with_triple(self):
-        assert group_rf_chains(5) == [(0, 1), (2, 3, 4)]
-        assert group_rf_chains(3) == [(0, 1, 2)]
-        assert group_rf_chains(7) == [(0, 1), (2, 3), (4, 5, 6)]
-
-    def test_partition_property(self):
-        for m in range(2, 12):
-            groups = group_rf_chains(m)
-            flat = [i for g in groups for i in g]
-            assert flat == list(range(m))
-            sizes = {len(g) for g in groups}
-            assert sizes <= {2, 3}
-            assert sum(len(g) == 3 for g in groups) == (m % 2)
-
-    def test_too_few(self):
-        with pytest.raises(ValueError):
-            group_rf_chains(1)
 
 
 class TestRandomBeam:

@@ -58,6 +58,16 @@ class TestSearchCommand:
         err = capsys.readouterr().err
         assert "ceiling" in err
 
+    def test_default_ceiling_admits_24_element_pairs(self, tmp_path):
+        # 2^11 reduced vectors per member: 4,194,304 pairs, the default ceiling
+        assert DEFAULT_CANDIDATE_CEILING == 2 ** 22
+        code = main(["search", "--elements", "24", "--subarrays", "2",
+                     "--accuracy", "2", "--method", "exhaustive",
+                     "--out", str(tmp_path / "p24")])
+        assert code == 0
+        doc = json.loads((tmp_path / "p24.beams.json").read_text())
+        assert doc["candidates"] == 2 ** 22
+
     def test_triple_search_writes_three_columns(self, tmp_path):
         code = main(["search", "--elements", "6", "--subarrays", "3",
                      "--accuracy", "2", "--method", "exhaustive",
@@ -340,3 +350,39 @@ def test_ber_csv_golden_bytes(tmp_path, name):
     argv, expected = GOLDEN_BER[name]
     assert main(["ber", *argv, "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / f"{name}.ber.csv").read_text(encoding="utf-8") == expected
+
+
+# sha256 of .beams.json and .pattern.csv for the four benchmark search lines,
+# pinned before the search moved to autocorrelation-domain scoring: a change
+# to the scoring that keeps these bytes keeps every returned phase index.
+GOLDEN_SEARCH = {
+    "pairs-20-2-k2": (
+        ["--elements", "20", "--subarrays", "2", "--accuracy", "2",
+         "--method", "exhaustive"],
+        "3e70655e3dbef0cd48d589016e60cab14a68a6a1403ea447cc5b55edbb506ab9",
+        "29135d3c0636642f6327002c3a4213459a2690fb55747809a2dd71f9c60e9a1d"),
+    "triples-21-3-k2": (
+        ["--elements", "21", "--subarrays", "3", "--accuracy", "2",
+         "--method", "exhaustive"],
+        "dd7bce79cf4711f35154856e2afa4ba67a1fb574ae534f23c2865b1cb6b52549",
+        "2212bc08519cce104c3cd462515e5a9acd566431280f796b53e504f2805c0c2c"),
+    "stochastic-32-2-k4": (
+        ["--elements", "32", "--subarrays", "2", "--accuracy", "4",
+         "--method", "stochastic", "--budget", "100000", "--seed", "7"],
+        "c4be245f7e62f8f73376025d77cf11cb86b1952346e33739cf988bf3656483ea",
+        "9bef771e33a61f1464f3144016fd57c4026cb6550b545f3419287bd253fea792"),
+    "golay-16": (
+        ["--elements", "16", "--subarrays", "2", "--method", "golay"],
+        "8fd79137dfa9d93d3b7c5fbdb44d5c21be23369f9e97e7dbf9bcced95172519f",
+        "10577a626de10678a8794a7d75c2025c7d7cbad248b1106516b183fbab6f6077"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SEARCH)
+def test_search_golden_digests(tmp_path, name):
+    argv, beams_sha, pattern_sha = GOLDEN_SEARCH[name]
+    assert main(["search", *argv, "--out", str(tmp_path / name)]) == 0
+    digest = lambda suffix: hashlib.sha256(
+        (tmp_path / f"{name}{suffix}").read_bytes()).hexdigest()
+    assert (digest(".beams.json"), digest(".pattern.csv")) == (beams_sha,
+                                                               pattern_sha)

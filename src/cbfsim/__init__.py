@@ -27,8 +27,8 @@ from .beams import (
     golay_construct,
 )
 from .channel import (
-    SnrPoint,
     awgn_qpsk_ber,
+    noise_variance,
     qpsk_demodulate,
     qpsk_modulate,
     rayleigh_qpsk_ber,
@@ -43,6 +43,5 @@ from .simulate import (
     transmit_rbf,
     transmit_single,
 )
-from .stbc import fallback_pattern
 
 __all__ = [name for name in dir() if not name.startswith("_")]

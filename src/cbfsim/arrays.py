@@ -24,7 +24,6 @@ __all__ = [
     "CompositePattern",
     "same_grid",
     "gain_power",
-    "element_gains",
     "subarray_gains",
     "steering_basis",
     "beam_pattern",
@@ -142,10 +141,6 @@ class WeightVector:
     def __len__(self) -> int:
         return self.entries.size
 
-    @property
-    def phases(self) -> np.ndarray:
-        return np.angle(self.entries)
-
 
 @dataclass(frozen=True, eq=False)
 class BeamPattern:
@@ -171,12 +166,7 @@ class CompositePattern:
 
     members: tuple[BeamPattern, ...]
     power: np.ndarray
-    amplitude: np.ndarray
     variance: float
-
-    @property
-    def grid(self) -> AngleGrid:
-        return self.members[0].grid
 
 
 def steering_basis(offsets, spacing: float, angles) -> np.ndarray:
@@ -186,19 +176,11 @@ def steering_basis(offsets, spacing: float, angles) -> np.ndarray:
     return np.exp(np.outer(np.sin(angles), -2j * np.pi * spacing * np.asarray(offsets)))
 
 
-def element_gains(entries, offsets, spacing: float, angles, scale: float) -> np.ndarray:
-    """Scaled array gain sum_n entries[n] * exp(-j*2*pi*spacing*offsets[n]*sin(angle))."""
-    entries = np.asarray(entries, dtype=complex)
-    return (steering_basis(offsets, spacing, angles) @ entries) * scale
-
-
 def subarray_gains(entries, geometry: ArrayGeometry, subarray: int, angles) -> np.ndarray:
     """Gain of raw weight entries on the given sub-array, 1/sqrt(N_s) scaled."""
-    ns = geometry.subarray_size
-    return element_gains(
-        entries, geometry.subarray_offsets(subarray), geometry.spacing, angles,
-        1.0 / np.sqrt(ns),
-    )
+    basis = steering_basis(geometry.subarray_offsets(subarray), geometry.spacing, angles)
+    scale = 1.0 / np.sqrt(geometry.subarray_size)
+    return (basis @ np.asarray(entries, dtype=complex)) * scale
 
 
 def beam_pattern(
@@ -216,8 +198,8 @@ def beam_pattern(
 def composite_pattern(patterns) -> CompositePattern:
     """Combine member patterns into the equal-split composite.
 
-    The composite power at each angle is the mean of the member powers; the
-    amplitude is its square root.  All members must share one grid.
+    The composite power at each angle is the mean of the member powers.  All
+    members must share one grid.
     """
     members = tuple(patterns)
     if not members:
@@ -230,7 +212,6 @@ def composite_pattern(patterns) -> CompositePattern:
     return CompositePattern(
         members=members,
         power=_readonly(power),
-        amplitude=_readonly(np.sqrt(power)),
         variance=float(_variance_of_power(power)),
     )
 
@@ -262,12 +243,7 @@ def _autocorrelation_form(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarra
     return (features.T @ features) / len(grid) * (2 / (ns * members)) ** 2
 
 
-def pattern_variance(pattern, grid: AngleGrid | None = None) -> float:
+def pattern_variance(pattern) -> float:
     """Mean squared deviation of |gain|^2 from its grid mean; zero iff flat.
-
-    Accepts a BeamPattern or CompositePattern.  The optional grid argument
-    just asserts the pattern was sampled on that grid.
-    """
-    if grid is not None and not same_grid(grid, pattern.grid):
-        raise ValueError("pattern was not sampled on the given grid")
+    Accepts a BeamPattern or CompositePattern."""
     return float(_variance_of_power(pattern.power))

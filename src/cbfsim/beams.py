@@ -22,6 +22,8 @@ from .arrays import (
     ArrayGeometry,
     WeightVector,
     _autocorrelation_form,
+    _composite_power,
+    _variance_of_power,
     beam_pattern,
     composite_pattern,
 )
@@ -44,6 +46,7 @@ DEFAULT_STOCHASTIC_BUDGET = 100_000
 _SNAP_TOL = 1e-12
 _SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
 _SCREEN_BLOCK_FLOATS = 2 ** 22  # one 32 MB block of exhaustive scores
+_RESCORE_BLOCK_FLOATS = 2 ** 15  # 256 kB of each member's rescoring table
 
 
 class SearchCapacityError(ValueError):
@@ -276,11 +279,11 @@ def _search(geometry, codebook, grid, method, group_size, seed, budget, ceiling)
         return ComplementaryBeamSet(geometry, pair, grid,
                                     SearchMeta("golay", 1, None), codebook.accuracy)
     form = _autocorrelation_form(geometry, grid)
-    exact = _exact_scorer(geometry, grid, codebook.coefficients)
+    power = _member_powers(geometry, grid, codebook.coefficients)
     if method == "exhaustive":
-        best, meta = _exhaustive(geometry, codebook, ceiling, form, exact)
+        best, meta = _exhaustive(geometry, codebook, ceiling, form, power)
     elif method == "stochastic":
-        best, meta = _stochastic(geometry, codebook, seed, budget, form, exact)
+        best, meta = _stochastic(geometry, codebook, seed, budget, form, power)
     else:
         raise ValueError(f"unknown search method {method!r}")
     weights = [WeightVector(codebook.coefficients[list(t)]) for t in best]
@@ -297,22 +300,24 @@ def _lag_features(weights: np.ndarray) -> np.ndarray:
     return np.concatenate([r.real, r.imag], axis=-1)
 
 
-def _exact_scorer(geometry, grid, coeffs):
-    """variance(rows): composite variance of phase-index rows in the arithmetic
-    of ComplementaryBeamSet, which decides every reported minimum and tie."""
-    patterns = {}
+def _member_powers(geometry, grid, coeffs):
+    """power(m, idx): the |gain|^2 table of phase-index vector idx on
+    sub-array m, built once per distinct vector.  Composite variances of such
+    tables are ComplementaryBeamSet's arithmetic, which decides every
+    reported minimum and tie."""
+    tables = {}
 
-    def pattern(m, idx):
-        if (m, idx) not in patterns:
-            patterns[m, idx] = beam_pattern(WeightVector(coeffs[list(idx)]),
-                                            geometry, m, grid)
-        return patterns[m, idx]
+    def power(m, idx):
+        key = (m, tuple(idx))
+        if key not in tables:
+            tables[key] = beam_pattern(WeightVector(coeffs[list(idx)]),
+                                       geometry, m, grid).power
+        return tables[key]
 
-    return lambda rows: composite_pattern(
-        [pattern(m, tuple(idx)) for m, idx in enumerate(rows)]).variance
+    return power
 
 
-def _exhaustive(geometry, codebook, ceiling, form, exact):
+def _exhaustive(geometry, codebook, ceiling, form, power):
     ns, k, group_size = geometry.subarray_size, codebook.accuracy, geometry.num_subarrays
     num_vectors = k ** (ns - 1)
     total = num_vectors ** group_size
@@ -347,17 +352,27 @@ def _exhaustive(geometry, codebook, ceiling, form, exact):
     scores, flat = (np.concatenate(a) for a in zip(*hits))
     near = np.unravel_index(flat[scores <= least + _SCREEN_SLACK],
                             (num_vectors,) * group_size)
-    # Rescore the near-minimal groups exactly in lexicographic order and keep
-    # the first strict minimum.
-    groups = [tuple(tuple(rows[v]) for v in g) for g in zip(*near)]
-    variances = [exact(g) for g in groups]
-    return (groups[variances.index(min(variances))],
+    # Rescore the near-minimal groups exactly from one power table per
+    # distinct member vector, a block of groups at a time, and keep the first
+    # minimum in lexicographic order.
+    distinct = [np.unique(numbers, return_inverse=True) for numbers in near]
+    tables = [np.array([power(m, rows[v]) for v in d.tolist()])
+              for m, (d, _) in enumerate(distinct)]
+    step = max(1, _RESCORE_BLOCK_FLOATS // tables[0].shape[1])
+    variances = []
+    for i in range(0, len(near[0]), step):
+        block = [t[inverse[i:i + step]] for t, (_, inverse) in zip(tables, distinct)]
+        variances.append(_variance_of_power(_composite_power(block)))
+    first = int(np.argmin(np.concatenate(variances)))
+    return (tuple(tuple(rows[numbers[first]]) for numbers in near),
             SearchMeta("exhaustive", total, None))
 
 
-def _stochastic(geometry, codebook, seed, budget, form, exact):
+def _stochastic(geometry, codebook, seed, budget, form, power):
     if budget < 1:
         raise ValueError("stochastic search needs a positive budget")
+    exact = lambda rows: _variance_of_power(_composite_power(
+        [power(m, idx) for m, idx in enumerate(rows.tolist())]))
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 63))
     rng = np.random.default_rng(seed)

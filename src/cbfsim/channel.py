@@ -1,8 +1,9 @@
-"""QPSK mapping, complex Gaussian noise, block Rayleigh fading, and Eb/N0
-bookkeeping.
+"""QPSK mapping, complex Gaussian noise, block Rayleigh fading, and the noise
+variance of an Eb/N0 operating point.
 
-Symbols have unit average energy by construction; noise levels are sized for
-that budget, and the transmit chains add ``complex_noise`` themselves.
+Symbols have unit average energy by construction; ``noise_variance`` sizes
+the noise for that budget, and the transmit chains add ``complex_noise``
+themselves.
 Closed-form reference BER curves live here too so simulations can be checked
 against them.
 """
@@ -10,13 +11,12 @@ against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BITS_PER_SYMBOL",
-    "SnrPoint",
+    "noise_variance",
     "qpsk_modulate",
     "qpsk_demodulate",
     "complex_noise",
@@ -35,27 +35,10 @@ _QPSK = np.array([complex(_SCALE, _SCALE), complex(_SCALE, -_SCALE),
                   complex(-_SCALE, _SCALE), complex(-_SCALE, -_SCALE)])
 
 
-@dataclass(frozen=True)
-class SnrPoint:
-    """Per-bit SNR operating point for unit-energy QPSK at full power.
-
-    Es/N0 = Eb/N0 + 10*log10(2); the complex noise variance equals N0 for a
-    unit-energy constellation.
-    """
-
-    eb_n0_db: float
-
-    @property
-    def eb_n0(self) -> float:
-        return 10.0 ** (self.eb_n0_db / 10.0)
-
-    @property
-    def es_n0_db(self) -> float:
-        return self.eb_n0_db + 10.0 * math.log10(BITS_PER_SYMBOL)
-
-    @property
-    def noise_variance(self) -> float:
-        return 1.0 / (BITS_PER_SYMBOL * self.eb_n0)
+def noise_variance(eb_n0_db: float) -> float:
+    """Complex noise variance N0 at a per-bit SNR, for unit-energy QPSK at
+    full power: Es/N0 = Eb/N0 + 10*log10(2), and N0 = 1/(Es/N0)."""
+    return 1.0 / (BITS_PER_SYMBOL * 10.0 ** (eb_n0_db / 10.0))
 
 
 def qpsk_modulate(bits) -> np.ndarray:

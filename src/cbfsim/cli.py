@@ -34,25 +34,8 @@ from .beams import (
 from .simulate import DEFAULT_ANGLES_DEG, SchemeConfig, SimConfig, run_ber
 
 SEED_ENV_VAR = "CBF_SIM_SEED"
-
-_DEFAULTS = {
-    "search": {
-        "subarrays": 2, "accuracy": 4, "method": "exhaustive", "spacing": 0.5,
-        "grid_points": 512, "budget": DEFAULT_STOCHASTIC_BUDGET,
-        "ceiling": DEFAULT_CANDIDATE_CEILING,
-        "seed": None, "out": None,
-    },
-    "pattern": {
-        "accuracy": 4, "spacing": 0.5, "grid_points": 512,
-        "weights": None, "beamset": None, "out": "cbfsim_pattern",
-    },
-    "ber": {
-        "channel": "awgn", "angles": None, "min_bits": 100_000,
-        "target_errors": 200, "max_bits": None, "seed": None, "workers": None,
-        "elements": 8, "spacing": 0.5, "beamset": None, "rbf_block": 2,
-        "fading": "equal", "out": "cbfsim_ber",
-    },
-}
+# Flags without a default; each must come from the command line or --config.
+_REQUIRED = {"search": ("elements",), "pattern": (), "ber": ("scheme", "snr_db")}
 
 
 def _fmt(value: float) -> str:
@@ -69,68 +52,70 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("search", help="find a complementary beam set",
-                        argument_default=argparse.SUPPRESS)
+    sp = sub.add_parser("search", help="find a complementary beam set")
     sp.add_argument("--config", type=Path, help="JSON file with default flag values")
     sp.add_argument("--elements", type=int, help="total array elements")
-    sp.add_argument("--subarrays", type=int, choices=(2, 3))
-    sp.add_argument("--accuracy", type=int, help="phase quantization levels K")
-    sp.add_argument("--method", choices=("exhaustive", "golay", "stochastic"))
-    sp.add_argument("--spacing", type=float, help="element pitch in wavelengths")
-    sp.add_argument("--grid-points", type=int, dest="grid_points")
-    sp.add_argument("--budget", type=int, help="stochastic evaluation budget")
-    sp.add_argument("--ceiling", type=int, help="exhaustive candidate ceiling")
+    sp.add_argument("--subarrays", type=int, choices=(2, 3), default=2)
+    sp.add_argument("--accuracy", type=int, default=4,
+                    help="phase quantization levels K")
+    sp.add_argument("--method", choices=("exhaustive", "golay", "stochastic"),
+                    default="exhaustive")
+    sp.add_argument("--spacing", type=float, default=0.5,
+                    help="element pitch in wavelengths")
+    sp.add_argument("--grid-points", type=int, dest="grid_points", default=512)
+    sp.add_argument("--budget", type=int, default=DEFAULT_STOCHASTIC_BUDGET,
+                    help="stochastic evaluation budget")
+    sp.add_argument("--ceiling", type=int, default=DEFAULT_CANDIDATE_CEILING,
+                    help="exhaustive candidate ceiling")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out", help="output base path (writes <out>.beams.json, "
                                   "<out>.pattern.csv, <out>.manifest.json)")
 
-    pp = sub.add_parser("pattern", help="render beam patterns to CSV",
-                        argument_default=argparse.SUPPRESS)
+    pp = sub.add_parser("pattern", help="render beam patterns to CSV")
     pp.add_argument("--config", type=Path)
     pp.add_argument("--weights", action="append",
                     help="comma-separated phase indices, once per sub-array")
-    pp.add_argument("--accuracy", type=int)
-    pp.add_argument("--spacing", type=float)
-    pp.add_argument("--grid-points", type=int, dest="grid_points")
+    pp.add_argument("--accuracy", type=int, default=4)
+    pp.add_argument("--spacing", type=float, default=0.5)
+    pp.add_argument("--grid-points", type=int, dest="grid_points", default=512)
     pp.add_argument("--beamset", help="beam-set JSON written by search")
-    pp.add_argument("--out")
+    pp.add_argument("--out", default="cbfsim_pattern")
 
-    bp = sub.add_parser("ber", help="run a Monte Carlo BER campaign",
-                        argument_default=argparse.SUPPRESS)
+    bp = sub.add_parser("ber", help="run a Monte Carlo BER campaign")
     bp.add_argument("--config", type=Path)
     bp.add_argument("--scheme", choices=("cbf", "rbf", "single"))
-    bp.add_argument("--channel", choices=("awgn", "rayleigh"))
+    bp.add_argument("--channel", choices=("awgn", "rayleigh"), default="awgn")
     bp.add_argument("--snr-db", dest="snr_db",
                     help="start:step:stop or comma-separated Eb/N0 values in dB")
     bp.add_argument("--angles", help="comma-separated angles in degrees")
-    bp.add_argument("--min-bits", type=int, dest="min_bits")
-    bp.add_argument("--target-errors", type=int, dest="target_errors")
+    bp.add_argument("--min-bits", type=int, dest="min_bits", default=100_000)
+    bp.add_argument("--target-errors", type=int, dest="target_errors", default=200)
     bp.add_argument("--max-bits", type=int, dest="max_bits")
-    bp.add_argument("--elements", type=int, help="array size for cbf/rbf")
-    bp.add_argument("--spacing", type=float)
+    bp.add_argument("--elements", type=int, default=8, help="array size for cbf/rbf")
+    bp.add_argument("--spacing", type=float, default=0.5)
     bp.add_argument("--beamset", help="beam-set JSON for the cbf scheme")
-    bp.add_argument("--rbf-block", type=int, dest="rbf_block",
+    bp.add_argument("--rbf-block", type=int, dest="rbf_block", default=2,
                     help="symbols per random pattern")
-    bp.add_argument("--fading", choices=("equal", "independent"),
+    bp.add_argument("--fading", choices=("equal", "independent"), default="equal",
                     help="tie or untie the two sub-array fading coefficients")
     bp.add_argument("--seed", type=int)
     bp.add_argument("--workers", type=int,
                     help="most processes to run lattice points in "
                          "(default: one per available CPU)")
-    bp.add_argument("--out")
+    bp.add_argument("--out", default="cbfsim_ber")
     for command_parser in sub.choices.values():
         command_parser.set_defaults(parser=command_parser)
     return parser
 
 
-def _load_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _config_defaults(ns: argparse.Namespace) -> dict:
     """The --config file's values for the command's flags, each converted
-    and checked as the flag converts and checks its argument."""
-    path = getattr(ns, "config", None)
-    if path is None:
-        return {}
+    and checked as the flag converts and checks its argument.  An appending
+    flag given on the command line keeps its file value out, since argparse
+    would append to that list rather than replace it."""
+    parser, path = ns.parser, ns.config
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
@@ -139,15 +124,18 @@ def _load_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) -
     for key in doc:
         if key not in flags:
             parser.error(f"config key {key!r}: no such {ns.command} option")
-    return {key: _flag_value(parser, ns.command, flags[key], key, value)
-            for key, value in doc.items()}
+    values = {key: _flag_value(parser, flags[key], value, key in _REQUIRED[ns.command])
+              for key, value in doc.items()}
+    return {key: value for key, value in values.items()
+            if not (isinstance(flags[key], argparse._AppendAction)
+                    and getattr(ns, key) is not None)}
 
 
-def _flag_value(parser, command, action, key, value):
+def _flag_value(parser, action, value, required):
     """``type`` applied to ``str(value)``, then ``choices``; an appending flag
     takes a list of such values.  No flag takes a bool, and null stands only
-    for a flag whose built-in default is None."""
-    if value is None and _DEFAULTS[command].get(key, 0) is None:
+    for an optional flag whose default is None."""
+    if value is None and action.default is None and not required:
         return None
     appends = isinstance(action, argparse._AppendAction)
     items = value if appends else [value]
@@ -159,27 +147,8 @@ def _flag_value(parser, command, action, key, value):
         if action.choices is not None and any(c not in action.choices for c in converted):
             raise ValueError
     except ValueError:
-        parser.error(f"config key {key!r}: invalid value {value!r}")
+        parser.error(f"config key {action.dest!r}: invalid value {value!r}")
     return converted if appends else converted[0]
-
-
-def _resolve(ns, file_config, command, key):
-    """Flag value if given, else config file, else built-in default; a flag
-    without a default is required."""
-    if hasattr(ns, key):
-        return getattr(ns, key)
-    if key in file_config:
-        return file_config[key]
-    if key not in _DEFAULTS[command]:
-        ns.parser.error(f"{command} requires --{key.replace('_', '-')}")
-    return _DEFAULTS[command][key]
-
-
-def _resolve_seed(ns, file_config, command) -> int | None:
-    seed = _resolve(ns, file_config, command, "seed")
-    if seed is None and SEED_ENV_VAR in os.environ:
-        seed = int(os.environ[SEED_ENV_VAR])
-    return seed
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
@@ -199,6 +168,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write(base: Path, suffix: str, lines: list[str]) -> Path:
+    """<base><suffix> as UTF-8 text, each line ended by LF."""
+    path = base.with_name(base.name + suffix)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def _write_manifest(base: Path, command: str, config: dict, outputs: list[Path]):
     doc = {
         "tool": {"name": "cbfsim", "version": __version__},
@@ -210,17 +186,7 @@ def _write_manifest(base: Path, command: str, config: dict, outputs: list[Path])
             for p in outputs
         ],
     }
-    path = base.with_name(base.name + ".manifest.json")
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
-
-
-def _write_beamset_json(base: Path, beams: ComplementaryBeamSet) -> Path:
-    path = base.with_name(base.name + ".beams.json")
-    path.write_text(json.dumps(beams.to_json_dict(), indent=2, sort_keys=True)
-                    + "\n", encoding="utf-8")
-    return path
+    return _write(base, ".manifest.json", [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 def _write_pattern_csv(base: Path, beams: ComplementaryBeamSet) -> Path:
@@ -236,9 +202,7 @@ def _write_pattern_csv(base: Path, beams: ComplementaryBeamSet) -> Path:
         cells += [_fmt(p.power[row]) for p in patterns]
         cells.append(_fmt(comp.power[row]))
         lines.append(",".join(cells))
-    path = base.with_name(base.name + ".pattern.csv")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write(base, ".pattern.csv", lines)
 
 
 def _write_ber_csv(base: Path, curve) -> Path:
@@ -254,9 +218,7 @@ def _write_ber_csv(base: Path, curve) -> Path:
             _fmt(p.ber),
             _fmt(p.ci95),
         ]))
-    path = base.with_name(base.name + ".ber.csv")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write(base, ".ber.csv", lines)
 
 
 def _load_beamset(path: str) -> ComplementaryBeamSet:
@@ -265,50 +227,40 @@ def _load_beamset(path: str) -> ComplementaryBeamSet:
 
 
 def cmd_search(ns, parser) -> int:
-    cfg = _load_config_file(ns, parser)
-    get = lambda key: _resolve(ns, cfg, "search", key)
-    elements = get("elements")
-    subarrays = int(get("subarrays"))
-    method = get("method")
-    geometry = ArrayGeometry(elements, subarrays, float(get("spacing")))
-    grid = AngleGrid.uniform_theta(int(get("grid_points")))
-    codebook = PhaseCodebook(int(get("accuracy")))
-    seed = _resolve_seed(ns, cfg, "search")
-    find = find_complementary_pair if subarrays == 2 else find_complementary_triple
-    beams = find(geometry, codebook, grid, method, seed=seed,
-                 budget=int(get("budget")), candidate_ceiling=int(get("ceiling")))
+    geometry = ArrayGeometry(ns.elements, ns.subarrays, ns.spacing)
+    grid = AngleGrid.uniform_theta(ns.grid_points)
+    codebook = PhaseCodebook(ns.accuracy)
+    find = find_complementary_pair if ns.subarrays == 2 else find_complementary_triple
+    beams = find(geometry, codebook, grid, ns.method, seed=ns.seed,
+                 budget=ns.budget, candidate_ceiling=ns.ceiling)
     print(f"sigma_g2={_fmt(beams.variance)}")
-    out = get("out")
-    if out is not None:
-        base = Path(out)
+    if ns.out is not None:
+        base = Path(ns.out)
         base.parent.mkdir(parents=True, exist_ok=True)
-        written = [_write_beamset_json(base, beams),
+        beams_json = json.dumps(beams.to_json_dict(), indent=2, sort_keys=True)
+        written = [_write(base, ".beams.json", [beams_json]),
                    _write_pattern_csv(base, beams)]
         resolved = {
-            "command": "search", "elements": elements, "subarrays": subarrays,
-            "accuracy": codebook.accuracy, "method": method,
+            "command": "search", "elements": ns.elements, "subarrays": ns.subarrays,
+            "accuracy": codebook.accuracy, "method": ns.method,
             "spacing": geometry.spacing, "grid_points": len(grid),
-            "seed": beams.meta.seed, "budget": int(get("budget")),
-            "ceiling": int(get("ceiling")), "out": str(out),
+            "seed": beams.meta.seed, "budget": ns.budget,
+            "ceiling": ns.ceiling, "out": ns.out,
         }
         _write_manifest(base, "search", resolved, written)
     return 0
 
 
 def cmd_pattern(ns, parser) -> int:
-    cfg = _load_config_file(ns, parser)
-    get = lambda key: _resolve(ns, cfg, "pattern", key)
-    beamset_path = get("beamset")
-    if beamset_path is not None:
-        beams = _load_beamset(beamset_path)
+    if ns.beamset is not None:
+        beams = _load_beamset(ns.beamset)
         grid_points = len(beams.grid)
     else:
-        weight_specs = get("weights")
-        if not weight_specs:
+        if not ns.weights:
             parser.error("pattern requires --weights (repeatable) or --beamset")
-        codebook = PhaseCodebook(int(get("accuracy")))
+        codebook = PhaseCodebook(ns.accuracy)
         indices = []
-        for spec in weight_specs:
+        for spec in ns.weights:
             idx = tuple(int(tok) for tok in spec.split(","))
             if any(i < 0 or i >= codebook.accuracy for i in idx):
                 parser.error(f"phase index out of range for K={codebook.accuracy}: {spec}")
@@ -317,76 +269,67 @@ def cmd_pattern(ns, parser) -> int:
         if len(sizes) != 1:
             parser.error("all weight vectors must have the same length")
         ns_size = sizes.pop()
-        geometry = ArrayGeometry(ns_size * len(indices), len(indices),
-                                 float(get("spacing")))
-        grid_points = int(get("grid_points"))
+        geometry = ArrayGeometry(ns_size * len(indices), len(indices), ns.spacing)
+        grid_points = ns.grid_points
         grid = AngleGrid.uniform_theta(grid_points)
         weights = [WeightVector(codebook.coefficients[list(ix)]) for ix in indices]
         beams = ComplementaryBeamSet(geometry, weights, grid,
                                      SearchMeta("explicit", 0, None),
                                      codebook.accuracy, tuple(indices))
-    base = Path(get("out"))
+    base = Path(ns.out)
     base.parent.mkdir(parents=True, exist_ok=True)
     written = [_write_pattern_csv(base, beams)]
     resolved = {"command": "pattern", "grid_points": grid_points,
-                "beamset": beamset_path, "out": str(base)}
+                "beamset": ns.beamset, "out": str(base)}
     _write_manifest(base, "pattern", resolved, written)
     return 0
 
 
 def cmd_ber(ns, parser) -> int:
-    cfg = _load_config_file(ns, parser)
-    get = lambda key: _resolve(ns, cfg, "ber", key)
-    scheme_kind = get("scheme")
-    snr_grid = _parse_snr_grid(get("snr_db"))
-    angles_text = get("angles")
-    angles_deg = DEFAULT_ANGLES_DEG if angles_text is None else tuple(
-        float(tok) for tok in angles_text.split(","))
-    seed = _resolve_seed(ns, cfg, "ber") or 0
-    elements = int(get("elements"))
-    spacing = float(get("spacing"))
+    snr_grid = _parse_snr_grid(ns.snr_db)
+    angles_deg = DEFAULT_ANGLES_DEG if ns.angles is None else tuple(
+        float(tok) for tok in ns.angles.split(","))
 
-    if scheme_kind == "cbf":
-        geometry = ArrayGeometry(elements, 2, spacing)
-        beamset_path = get("beamset")
-        if beamset_path is not None:
-            beams = _load_beamset(beamset_path)
+    if ns.scheme == "cbf":
+        geometry = ArrayGeometry(ns.elements, 2, ns.spacing)
+        if ns.beamset is not None:
+            beams = _load_beamset(ns.beamset)
         else:
             beams = find_complementary_pair(
                 geometry, PhaseCodebook(2), AngleGrid.uniform_theta(512), "golay"
             )
         scheme = SchemeConfig(kind="cbf", geometry=geometry, beams=beams)
-    elif scheme_kind == "rbf":
-        geometry = ArrayGeometry(elements, 1, spacing)
+    elif ns.scheme == "rbf":
+        geometry = ArrayGeometry(ns.elements, 1, ns.spacing)
         scheme = SchemeConfig(kind="rbf", geometry=geometry,
-                              rbf_block_symbols=int(get("rbf_block")))
+                              rbf_block_symbols=ns.rbf_block)
     else:
-        scheme = SchemeConfig(kind="single", geometry=ArrayGeometry(1, 1, spacing))
+        scheme = SchemeConfig(kind="single", geometry=ArrayGeometry(1, 1, ns.spacing))
 
     config = SimConfig(
         scheme=scheme,
-        channel=get("channel"),
+        channel=ns.channel,
         angles=tuple(math.radians(a) for a in angles_deg),
         snr_db=snr_grid,
-        min_bits=int(get("min_bits")),
-        target_errors=int(get("target_errors")),
-        max_bits=get("max_bits"),
-        seed=int(seed),
-        workers=get("workers"),
-        equal_subarrays=get("fading") == "equal",
+        min_bits=ns.min_bits,
+        target_errors=ns.target_errors,
+        max_bits=ns.max_bits,
+        seed=ns.seed or 0,
+        workers=ns.workers,
+        equal_subarrays=ns.fading == "equal",
     )
     curve = run_ber(config)
-    base = Path(get("out"))
+    base = Path(ns.out)
     base.parent.mkdir(parents=True, exist_ok=True)
     written = [_write_ber_csv(base, curve)]
     resolved = {
-        "command": "ber", "scheme": scheme_kind, "channel": config.channel,
+        "command": "ber", "scheme": ns.scheme, "channel": config.channel,
         "snr_db": list(config.snr_db), "angles_deg": list(angles_deg),
         "min_bits": config.min_bits, "target_errors": config.target_errors,
         "max_bits": config.max_bits, "seed": config.seed,
-        "workers": config.workers, "elements": elements, "spacing": spacing,
-        "rbf_block": scheme.rbf_block_symbols if scheme_kind == "rbf" else None,
-        "fading": get("fading"), "beamset": get("beamset"), "out": str(base),
+        "workers": config.workers, "elements": ns.elements, "spacing": ns.spacing,
+        "rbf_block": scheme.rbf_block_symbols if ns.scheme == "rbf" else None,
+        "fading": ns.fading, "beamset": ns.beamset, "out": str(base),
     }
     _write_manifest(base, "ber", resolved, written)
     return 0
@@ -396,9 +339,19 @@ _DISPATCH = {"search": cmd_search, "pattern": cmd_pattern, "ber": cmd_ber}
 
 
 def main(argv=None) -> int:
+    """Flag beats --config file beats default: the file's checked values
+    become the command's defaults and the same argv is parsed again."""
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if ns.config is not None:
+            ns.parser.set_defaults(**_config_defaults(ns))
+            ns = parser.parse_args(argv)
+        for key in _REQUIRED[ns.command]:
+            if getattr(ns, key) is None:
+                ns.parser.error(f"{ns.command} requires --{key.replace('_', '-')}")
+        if "seed" in vars(ns) and ns.seed is None and SEED_ENV_VAR in os.environ:
+            ns.seed = int(os.environ[SEED_ENV_VAR])
         return _DISPATCH[ns.command](ns, ns.parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -308,7 +308,7 @@ def _run_point(config: SimConfig, ai: int, si: int) -> BerPoint:
     block = config.scheme.block_bits
     full_batch = max(BATCH_BITS // block, 1) * block
     cap = config.resolved_max_bits
-    noise_variance = chan.SnrPoint(snr_db).noise_variance
+    noise_variance = chan.noise_variance(snr_db)
     bits = 0
     errors = 0
     batch = 0

@@ -1,20 +1,11 @@
-"""Two-stream space-time block coding over complementary beams.
-
-Vectorised MMSE/zero-forcing decoding of Alamouti codewords, and the
-correlated-stream fallback pattern that motivates independent streams in the
-first place.
-"""
+"""Two-stream space-time block coding over complementary beams: vectorised
+MMSE/zero-forcing decoding of Alamouti codewords."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .arrays import AngleGrid, ArrayGeometry, BeamPattern, WeightVector, element_gains
-
-__all__ = [
-    "mmse_decode_streams",
-    "fallback_pattern",
-]
+__all__ = ["mmse_decode_streams"]
 
 
 def mmse_decode_streams(y1, y2, a, b, noise_variance: float = 0.0):
@@ -40,23 +31,3 @@ def mmse_decode_streams(y1, y2, a, b, noise_variance: float = 0.0):
     s1 = (np.conj(a) * y1 + b * np.conj(y2)) / scale
     s2 = (np.conj(b) * y1 - a * np.conj(y2)) / scale
     return s1, s2
-
-
-def fallback_pattern(
-    w1: WeightVector, w2: WeightVector, geometry: ArrayGeometry, grid: AngleGrid
-) -> BeamPattern:
-    """Full-array pattern of the concatenated weights [w1; w2].
-
-    This is what radiates when both sub-arrays carry the same signal over a
-    common channel: the split collapses to plain analog beamforming, and the
-    result equals the pointwise sum of the two sub-array patterns.
-    """
-    if geometry.num_subarrays != 2:
-        raise ValueError("fallback needs a geometry with two sub-arrays")
-    ns = geometry.subarray_size
-    if len(w1) != ns or len(w2) != ns:
-        raise ValueError("weight lengths must match the sub-array size")
-    entries = np.concatenate([w1.entries, w2.entries])
-    gains = element_gains(entries, np.arange(2 * ns), geometry.spacing,
-                          grid.points, 1.0 / np.sqrt(ns))
-    return BeamPattern(grid=grid, gains=gains)

@@ -4,9 +4,13 @@ These are the textbook per-codeword forms of Alamouti encoding, the effective
 2x2 channel seen after conjugate restacking of the second receive sample,
 and the matrix MMSE/zero-forcing solve.  The simulator itself uses only
 ``cbfsim.stbc.mmse_decode_streams``; the tests compare it against these.
+``fallback_pattern`` is the correlated-stream pattern that motivates
+independent streams in the first place.
 """
 
 import numpy as np
+
+from cbfsim.arrays import AngleGrid, ArrayGeometry, BeamPattern, WeightVector, steering_basis
 
 
 def alamouti_encode(s1, s2) -> np.ndarray:
@@ -54,3 +58,22 @@ def mmse_decode(y, channel: np.ndarray, noise_variance: float = 0.0) -> np.ndarr
     stacked = np.array([complex(y1), np.conj(complex(y2))])
     gram = h.conj().T @ h + noise_variance * np.eye(2)
     return np.linalg.solve(gram, h.conj().T @ stacked)
+
+
+def fallback_pattern(
+    w1: WeightVector, w2: WeightVector, geometry: ArrayGeometry, grid: AngleGrid
+) -> BeamPattern:
+    """Full-array pattern of the concatenated weights [w1; w2].
+
+    This is what radiates when both sub-arrays carry the same signal over a
+    common channel: the split collapses to plain analog beamforming, and the
+    result equals the pointwise sum of the two sub-array patterns.
+    """
+    if geometry.num_subarrays != 2:
+        raise ValueError("fallback needs a geometry with two sub-arrays")
+    ns = geometry.subarray_size
+    if len(w1) != ns or len(w2) != ns:
+        raise ValueError("weight lengths must match the sub-array size")
+    entries = np.concatenate([w1.entries, w2.entries])
+    basis = steering_basis(np.arange(2 * ns), geometry.spacing, grid.points)
+    return BeamPattern(grid=grid, gains=(basis @ entries) * (1.0 / np.sqrt(ns)))

@@ -29,8 +29,9 @@ from cbfsim.simulate import (
     SimConfig,
     run_ber,
 )
-from cbfsim.stbc import fallback_pattern, mmse_decode_streams
-from oracles import alamouti_encode, composite_channel, mmse_decode, receive
+from cbfsim.stbc import mmse_decode_streams
+from oracles import (alamouti_encode, composite_channel, fallback_pattern,
+                     mmse_decode, receive)
 
 SEED = 20260810
 

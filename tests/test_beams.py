@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cbfsim import beams
 from cbfsim.arrays import (
     AngleGrid,
     ArrayGeometry,
@@ -240,6 +241,23 @@ class TestFindComplementaryPair:
         assert found.phase_indices == ((0, 7, 0, 3, 6), (0, 1, 0, 5, 2))
         assert found.variance < 1e-20
 
+    @pytest.mark.parametrize("geometry, accuracy, method", [
+        (ArrayGeometry(20, 2), 2, "exhaustive"),
+        (ArrayGeometry(16, 2), 4, "stochastic"),
+    ], ids=["exhaustive", "stochastic"])
+    def test_rescoring_builds_one_composite(self, monkeypatch, geometry, accuracy,
+                                            method):
+        # on two grid points the screen leaves many near-ties, which are
+        # rescored from one power table per distinct member vector; only the
+        # returned set builds a composite pattern
+        calls = []
+        counted = lambda patterns: calls.append(1) or composite_pattern(patterns)
+        monkeypatch.setattr(beams, "composite_pattern", counted)
+        find_complementary_pair(geometry, PhaseCodebook(accuracy),
+                                AngleGrid.uniform_theta(2), method, seed=1,
+                                budget=5000)
+        assert len(calls) <= 1
+
     def test_stochastic_draws_and_records_seed(self):
         found = find_complementary_pair(ArrayGeometry(4, 2), PhaseCodebook(2),
                                         GRID, "stochastic", budget=50)
@@ -308,21 +326,6 @@ class TestFindComplementaryTriple:
         two = find_complementary_triple(geom, cb, GRID, "stochastic", seed=77,
                                         budget=400)
         assert one.variance == two.variance
-
-
-class TestRandomBeam:
-    def test_average_power_flat_over_angle(self):
-        # Monte Carlo check that E[|g(theta)|^2] = 1 at every direction
-        rng = np.random.default_rng(2024)
-        n_el, draws = 8, 100_000
-        geom = ArrayGeometry(n_el, 1)
-        grid = AngleGrid.uniform_theta(64)
-        basis = np.exp(np.outer(np.sin(grid.points),
-                                -2j * np.pi * geom.spacing * np.arange(n_el)))
-        weights = np.exp(1j * rng.uniform(0, 2 * np.pi, (draws, n_el)))
-        gains = (weights @ basis.T) / np.sqrt(n_el)
-        avg_power = (gains.real ** 2 + gains.imag ** 2).mean(axis=0)
-        assert np.max(np.abs(avg_power - 1.0)) < 0.02
 
 
 class TestBeamSetJson:

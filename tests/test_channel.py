@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cbfsim.channel import (
-    SnrPoint,
     awgn_qpsk_ber,
     complex_noise,
+    noise_variance,
     q_function,
     qpsk_demodulate,
     qpsk_modulate,
@@ -125,23 +125,23 @@ class TestRayleighBlock:
 
 class TestSnrPoint:
     def test_es_n0_conversion(self):
-        p = SnrPoint(6.0)
-        assert p.es_n0_db == pytest.approx(6.0 + 10 * math.log10(2))
+        # unit-energy symbols: N0 = 1 / (Es/N0), Es/N0 = Eb/N0 + 10*log10(2)
+        es_n0_db = -10 * math.log10(noise_variance(6.0))
+        assert es_n0_db == pytest.approx(6.0 + 10 * math.log10(2))
 
     def test_noise_variance_positive_and_decreasing(self):
-        variances = [SnrPoint(db).noise_variance for db in (-10, 0, 10, 30)]
+        variances = [noise_variance(db) for db in (-10, 0, 10, 30)]
         assert all(v > 0 for v in variances)
         assert variances == sorted(variances, reverse=True)
 
     def test_noise_calibration_within_005_db(self):
         # measured SNR of a calibrated frame matches the request
         rng = np.random.default_rng(12)
-        point = SnrPoint(7.0)
         s = qpsk_modulate(rng.integers(0, 2, 2_000_000))
-        noisy = s + complex_noise(s.shape, point.noise_variance, rng)
+        noisy = s + complex_noise(s.shape, noise_variance(7.0), rng)
         measured = np.mean(np.abs(s) ** 2) / np.mean(np.abs(noisy - s) ** 2)
         measured_db = 10 * math.log10(measured)
-        assert abs(measured_db - point.es_n0_db) < 0.05
+        assert abs(measured_db - (7.0 + 10 * math.log10(2))) < 0.05
 
 
 class TestReferenceCurves:

@@ -261,18 +261,27 @@ class TestSeedPrecedence:
 
 
 class TestConfigFile:
-    def test_flags_override_config(self, tmp_path):
+    @pytest.mark.parametrize("command, doc, flags", [
+        ("ber", {"scheme": "single", "snr_db": "4", "angles": "0",
+                 "min_bits": 20000, "target_errors": 50, "seed": 1},
+         ["--seed", "2"]),
+        # an appending flag replaces the file's list, it does not extend it
+        ("pattern", {"weights": ["0,1", "1,1"], "accuracy": 2},
+         ["--weights", "0,0"]),
+    ], ids=["ber", "pattern"])
+    def test_flags_override_config(self, tmp_path, command, doc, flags):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "scheme": "single", "snr_db": "4", "angles": "0",
-            "min_bits": 20000, "target_errors": 50, "seed": 1,
-        }))
+        cfg.write_text(json.dumps(doc))
         out = tmp_path / "cfgrun"
-        assert main(["ber", "--config", str(cfg), "--seed", "2",
+        assert main([command, "--config", str(cfg), *flags,
                      "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "cfgrun.manifest.json").read_text())
-        assert manifest["config"]["seed"] == 2
-        assert manifest["config"]["scheme"] == "single"
+        if command == "ber":
+            assert manifest["config"]["seed"] == 2
+            assert manifest["config"]["scheme"] == "single"
+        else:
+            header, _ = read_csv(tmp_path / "cfgrun.pattern.csv")
+            assert header == ["theta_deg", "g1_power", "composite_power"]
 
     @pytest.mark.parametrize("command, doc, key", [
         ("ber", {"scheme": "mimo", "snr_db": "4"}, "scheme"),

@@ -153,10 +153,15 @@ class TestTransmitCbf:
 
 
 class TestTransmitRbf:
-    def test_average_gain_flat(self):
+    # E[|g|^2] = 1 whatever the angle: near both ends of the visible region,
+    # broadside, where the per-element phase step is pi/4, and at 37 degrees
+    @pytest.mark.parametrize("angle", [math.radians(-85.0), 0.0, math.asin(0.25),
+                                       math.radians(37.0), math.radians(85.0)],
+                             ids=["-85", "0", "asin-quarter", "37", "85"])
+    def test_average_gain_flat(self, angle):
         rng = np.random.default_rng(31)
         s = make_symbols(rng, 4 * 100_000)
-        sig = transmit_rbf(s, GEOM, math.radians(37.0), quiet_link(rng))
+        sig = transmit_rbf(s, GEOM, angle, quiet_link(rng))
         mean_power = np.mean(np.abs(sig.block_gains) ** 2)
         assert mean_power == pytest.approx(1.0, abs=0.02)
 

@@ -5,8 +5,9 @@ import pytest
 
 from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, beam_pattern, pattern_variance
 from cbfsim.beams import golay_construct
-from cbfsim.stbc import fallback_pattern, mmse_decode_streams
-from oracles import alamouti_encode, composite_channel, mmse_decode, receive
+from cbfsim.stbc import mmse_decode_streams
+from oracles import (alamouti_encode, composite_channel, fallback_pattern,
+                     mmse_decode, receive)
 
 
 def random_symbols(rng, n=1):

@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="tie or untie the two sub-array fading coefficients")
     bp.add_argument("--seed", type=int)
     bp.add_argument("--workers", type=int,
-                    help="most processes to run lattice points in "
+                    help="most processes to run simulation batches in "
                          "(default: one per available CPU)")
     bp.add_argument("--out", default="cbfsim_ber")
     for command_parser in sub.choices.values():
@@ -149,6 +149,16 @@ def _flag_value(parser, action, value, required):
     except ValueError:
         parser.error(f"config key {action.dest!r}: invalid value {value!r}")
     return converted if appends else converted[0]
+
+
+def _env_seed(parser, text: str) -> int:
+    """The seed in CBF_SIM_SEED; any other value is a usage error."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    parser.error(f"{SEED_ENV_VAR} must be a non-negative integer, got {text!r}")
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
@@ -279,8 +289,13 @@ def cmd_pattern(ns, parser) -> int:
     base = Path(ns.out)
     base.parent.mkdir(parents=True, exist_ok=True)
     written = [_write_pattern_csv(base, beams)]
-    resolved = {"command": "pattern", "grid_points": grid_points,
-                "beamset": ns.beamset, "out": str(base)}
+    # a --beamset run reads none of the --weights inputs
+    explicit = ns.beamset is None
+    resolved = {"command": "pattern",
+                "weights": [list(ix) for ix in beams.phase_indices] if explicit else None,
+                "accuracy": beams.accuracy if explicit else None,
+                "spacing": beams.geometry.spacing if explicit else None,
+                "grid_points": grid_points, "beamset": ns.beamset, "out": str(base)}
     _write_manifest(base, "pattern", resolved, written)
     return 0
 
@@ -327,9 +342,13 @@ def cmd_ber(ns, parser) -> int:
         "snr_db": list(config.snr_db), "angles_deg": list(angles_deg),
         "min_bits": config.min_bits, "target_errors": config.target_errors,
         "max_bits": config.max_bits, "seed": config.seed,
-        "workers": config.workers, "elements": ns.elements, "spacing": ns.spacing,
+        "workers": config.workers,
+        # a flag the scheme never reads is recorded as null
+        "elements": None if ns.scheme == "single" else ns.elements,
+        "spacing": ns.spacing,
         "rbf_block": scheme.rbf_block_symbols if ns.scheme == "rbf" else None,
-        "fading": ns.fading, "beamset": ns.beamset, "out": str(base),
+        "fading": ns.fading,
+        "beamset": ns.beamset if ns.scheme == "cbf" else None, "out": str(base),
     }
     _write_manifest(base, "ber", resolved, written)
     return 0
@@ -351,7 +370,7 @@ def main(argv=None) -> int:
             if getattr(ns, key) is None:
                 ns.parser.error(f"{ns.command} requires --{key.replace('_', '-')}")
         if "seed" in vars(ns) and ns.seed is None and SEED_ENV_VAR in os.environ:
-            ns.seed = int(os.environ[SEED_ENV_VAR])
+            ns.seed = _env_seed(ns.parser, os.environ[SEED_ENV_VAR])
         return _DISPATCH[ns.command](ns, ns.parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -6,10 +6,12 @@ single stream through a fresh random full-array pattern every block, and
 one pipeline for all three: draw bits, map them to QPSK symbols, transmit
 (rbf and single share one scalar path), meter the radiated energy against
 the budget, decode with the signal's own ``decode``, demap and count errors.
-Campaigns are bit-identical for the same configuration and seed, whatever
-the worker count: each batch is driven by an rng stream keyed on (seed,
-angle index, SNR index, batch index), so a lattice point's result does not
-depend on which process runs it, and points come back in lattice order.
+The batch is also the unit of parallel work: the batches of every lattice
+point are spread over the worker processes, even when the lattice has one
+point.  Campaigns are bit-identical for the same configuration and seed,
+whatever the worker count: each batch is driven by an rng stream keyed on
+(seed, angle index, SNR index, batch index), so its error count does not
+depend on which process runs it, and counts are folded in batch order.
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ class SchemeConfig:
 @dataclass(frozen=True)
 class SimConfig:
     """One BER campaign: scheme, channel kind, angle and SNR lattices,
-    stopping rule, rng seed, and the most worker processes to run lattice
-    points in (None: one per available CPU)."""
+    stopping rule, rng seed, and the most worker processes to run batches
+    in (None: one per available CPU)."""
 
     scheme: SchemeConfig
     channel: str
@@ -262,7 +264,9 @@ def transmit_rbf(s: np.ndarray, geometry: ArrayGeometry, angle: float,
     blocks = s.size // block_symbols
     weights = np.exp(1j * link.rng.uniform(0.0, 2 * np.pi, (blocks, n_el)))
     steer = steering_basis(np.arange(n_el), geometry.spacing, angle)[0]
-    g = (weights @ steer) / math.sqrt(n_el)
+    # einsum, not @: a threaded BLAS product would oversubscribe the CPUs
+    # that pool workers already fill.
+    g = np.einsum("ij,j->i", weights, steer) / math.sqrt(n_el)
     return _transmit_scalar(s, link, block_symbols, g, [weights])
 
 
@@ -271,11 +275,24 @@ def transmit_single(s: np.ndarray, link: LinkChannel) -> ScalarSignal:
     return _transmit_scalar(s, link, 2)
 
 
-def _run_batch(config: SimConfig, angle: float, noise_variance: float,
-               rng: np.random.Generator, n_bits: int) -> int:
-    """Simulate n_bits (whole blocks) and return the bit error count."""
+def _point_bits(config: SimConfig) -> tuple[int, int]:
+    """A point's full batch and the most bits it may simulate.  Batches hold
+    whole transmission blocks, and max_bits rounded down to whole blocks
+    caps a point, so every batch but a point's last is full."""
+    block = config.scheme.block_bits
+    return (max(BATCH_BITS // block, 1) * block,
+            config.resolved_max_bits // block * block)
+
+
+def _run_batch(config: SimConfig, ai: int, si: int, batch: int) -> int:
+    """Bit errors of batch ``batch`` of lattice point (angle ai, SNR si),
+    drawn from the rng stream keyed on (seed, ai, si, batch)."""
     scheme = config.scheme
-    bits = rng.integers(0, 2, n_bits)
+    angle = config.angles[ai]
+    noise_variance = chan.noise_variance(config.snr_db[si])
+    full, cap = _point_bits(config)
+    rng = np.random.default_rng([config.seed, ai, si, batch])
+    bits = rng.integers(0, 2, min(full, cap - batch * full))
     s = chan.qpsk_modulate(bits)
     link = LinkChannel(config.channel, noise_variance, rng, config.equal_subarrays)
     if scheme.kind == "cbf":
@@ -299,31 +316,97 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_point(config: SimConfig, ai: int, si: int) -> BerPoint:
-    """Simulate lattice point (angle ai, SNR si) until its stopping rule
-    holds.  Batches hold whole transmission blocks, and the last one is
-    shortened so a point never exceeds max_bits; it stops early once no
-    further block fits."""
-    angle, snr_db = config.angles[ai], config.snr_db[si]
-    block = config.scheme.block_bits
-    full_batch = max(BATCH_BITS // block, 1) * block
-    cap = config.resolved_max_bits
-    noise_variance = chan.noise_variance(snr_db)
-    bits = 0
-    errors = 0
-    batch = 0
-    while bits < config.min_bits or errors < config.target_errors:
-        n_bits = min(full_batch, (cap - bits) // block * block)
-        if n_bits == 0:
-            break
-        rng = np.random.default_rng([config.seed, ai, si, batch])
-        errors += _run_batch(config, angle, noise_variance, rng, n_bits)
-        bits += n_bits
-        batch += 1
-    ber = errors / bits
-    ci95 = _CI95 * math.sqrt(ber * (1.0 - ber) / bits)
-    return BerPoint(angle=angle, eb_n0_db=snr_db, bits=bits, errors=errors,
-                    ber=ber, ci95=ci95)
+def _schedule(config: SimConfig, procs: int, submit) -> list[BerPoint]:
+    """Fold every lattice point's batches into a BerPoint, in lattice order.
+
+    ``submit(ai, si, batch)`` starts one batch and returns a future of its
+    error count.  A point's first ceil(min_bits / full batch) batches are
+    certain work and are all submitted at once.  A point that has folded
+    those and not stopped needs its next batch; it keeps that one and at
+    most ``procs - 1`` more in flight.  Counts are folded in batch order and
+    the stopping rule is applied after each batch, exactly as one worker
+    would; what a point has in flight when it stops is discarded (cancelled
+    if not yet started), at most ``procs - 1`` batches.
+    """
+    import queue
+
+    full, cap = _point_bits(config)
+    most = -(-cap // full)
+    certain = min(-(-config.min_bits // full), most)
+    lattice = [(ai, si) for ai in range(len(config.angles))
+               for si in range(len(config.snr_db))]
+    done = queue.SimpleQueue()
+    pending = [{} for _ in lattice]     # batch -> future, not yet folded
+    sent = [0] * len(lattice)
+    folded = [0] * len(lattice)
+    errors = [0] * len(lattice)
+
+    def send(p: int, stop: int):
+        for batch in range(sent[p], stop):
+            future = submit(*lattice[p], batch)
+            pending[p][batch] = future
+            future.add_done_callback(lambda _, p=p: done.put(p))
+        sent[p] = max(sent[p], stop)
+
+    def fold(p: int) -> bool:
+        """Fold p's finished batches in batch order; True once p stops."""
+        while (head := pending[p].get(folded[p])) is not None and head.done():
+            del pending[p][folded[p]]
+            errors[p] += head.result()
+            folded[p] += 1
+            if folded[p] == most or (folded[p] * full >= config.min_bits
+                                     and errors[p] >= config.target_errors):
+                return True
+        return False
+
+    for p in range(len(lattice)):
+        send(p, certain)
+    running = len(lattice)
+    while running:
+        p = done.get()
+        if pending[p] is None:
+            continue            # a batch past p's stop
+        if fold(p):
+            for future in pending[p].values():
+                future.cancel()
+            pending[p] = None
+            running -= 1
+        elif folded[p] >= certain:
+            send(p, min(folded[p] + procs, most))
+    points = []
+    for (ai, si), f, e in zip(lattice, folded, errors):
+        n = min(f * full, cap)
+        ber = e / n
+        points.append(BerPoint(angle=config.angles[ai], eb_n0_db=config.snr_db[si],
+                               bits=n, errors=e, ber=ber,
+                               ci95=_CI95 * math.sqrt(ber * (1.0 - ber) / n)))
+    return points
+
+
+def _inline_submit(config: SimConfig):
+    """``submit`` for a run without a pool: each batch runs as it is sent."""
+    from concurrent.futures import Future
+
+    def submit(ai: int, si: int, batch: int):
+        future = Future()
+        future.set_result(_run_batch(config, ai, si, batch))
+        return future
+
+    return submit
+
+
+# A pool worker's campaign, set once by the pool's initializer, so that a
+# task is only an (ai, si, batch) tuple and its result an int.
+_pool_config: SimConfig | None = None
+
+
+def _pool_init(config: SimConfig):
+    global _pool_config
+    _pool_config = config
+
+
+def _pool_batch(ai: int, si: int, batch: int) -> int:
+    return _run_batch(_pool_config, ai, si, batch)
 
 
 def run_ber(config: SimConfig) -> BerCurve:
@@ -331,25 +414,28 @@ def run_ber(config: SimConfig) -> BerCurve:
 
     Each point simulates at least min_bits and keeps going until
     target_errors bit errors are seen, then reports the error count, the BER
-    estimate, and its 95% normal-approximation half-width.  Points run in a
-    pool of min(workers, available CPUs, points) forked processes, or inline
-    when that is one or the platform cannot fork; results keep lattice order.
+    estimate, and its 95% normal-approximation half-width.  The unit of work
+    is the batch: batches of every point run in a pool of min(workers,
+    available CPUs) forked processes, or in the calling process when that is
+    one or the platform cannot fork, and one scheduler folds them in batch
+    order, so results do not depend on the worker count.
     """
     nproc = _available_cpus()
-    ais, sis = zip(*[(ai, si) for ai in range(len(config.angles))
-                     for si in range(len(config.snr_db))])
-    procs = min(config.workers or nproc, nproc, len(ais))
-    run = partial(_run_point, config)
-    if procs == 1 or not hasattr(os, "fork"):
-        points = list(map(run, ais, sis))
+    procs = min(config.workers or nproc, nproc) if hasattr(os, "fork") else 1
+    if procs == 1:
+        points = _schedule(config, 1, _inline_submit(config))
     else:
-        # Imported here so a one-point run does not pay for them.  Forked
-        # workers inherit the imported package instead of importing it again.
+        # Imported here so that importing the package does not pay for them.
+        # Forked workers inherit the imported package and the config.
+        import concurrent.futures
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-                procs, mp_context=multiprocessing.get_context("fork")) as ex:
-            points = list(ex.map(run, ais, sis))
+        pool = concurrent.futures.ProcessPoolExecutor(
+            procs, mp_context=multiprocessing.get_context("fork"),
+            initializer=_pool_init, initargs=(config,))
+        try:
+            points = _schedule(config, procs, partial(pool.submit, _pool_batch))
+        finally:
+            pool.shutdown(cancel_futures=True)
     return BerCurve(scheme=config.scheme.kind, channel=config.channel,
                     points=tuple(points))

@@ -103,6 +103,20 @@ class TestPatternCommand:
         original = (tmp_path / "s.pattern.csv").read_bytes()
         rendered = (tmp_path / "p.pattern.csv").read_bytes()
         assert original == rendered
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert manifest["config"]["weights"] is None
+        assert manifest["config"]["accuracy"] is None
+        assert manifest["config"]["spacing"] is None
+
+    def test_manifest_records_weights_inputs(self, tmp_path):
+        assert main(["pattern", "--weights", "0,1,3", "--weights", "2,2,0",
+                     "--accuracy", "4", "--spacing", "0.7",
+                     "--out", str(tmp_path / "w")]) == 0
+        manifest = json.loads((tmp_path / "w.manifest.json").read_text())
+        assert manifest["config"] == {
+            "command": "pattern", "weights": [[0, 1, 3], [2, 2, 0]],
+            "accuracy": 4, "spacing": 0.7, "grid_points": 512,
+            "beamset": None, "out": str(tmp_path / "w")}
 
     def test_requires_weights_or_beamset(self):
         assert main(["pattern"]) == 2
@@ -184,6 +198,18 @@ class TestBerCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("scheme, elements, beamset", [
+        ("single", None, None), ("rbf", 7, None)])
+    def test_manifest_nulls_flags_the_scheme_never_read(self, tmp_path, scheme,
+                                                        elements, beamset):
+        out = tmp_path / scheme
+        assert main(["ber", "--scheme", scheme, "--snr-db", "4", "--angles", "0",
+                     "--min-bits", "20000", "--max-bits", "20000",
+                     "--elements", "7", "--beamset", str(tmp_path / "none.json"),
+                     "--out", str(out)]) == 0
+        config = json.loads((tmp_path / f"{scheme}.manifest.json").read_text())["config"]
+        assert (config["elements"], config["beamset"]) == (elements, beamset)
+
     def test_invalid_scheme_usage_error(self):
         assert main(["ber", "--scheme", "mimo", "--snr-db", "4"]) == 2
 
@@ -253,6 +279,15 @@ class TestSeedPrecedence:
         monkeypatch.setenv("CBF_SIM_SEED", "99")
         manifest = self.run_seeded(tmp_path, "env", [], None)
         assert manifest["config"]["seed"] == 99
+
+    @pytest.mark.parametrize("value", ["x", "-3", "1.5", ""])
+    def test_bad_env_var_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                        value):
+        monkeypatch.setenv("CBF_SIM_SEED", value)
+        assert main(self.ARGS + ["--out", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: CBF_SIM_SEED must be a non-negative integer, got {value!r}")
+        assert not (tmp_path / "bad.manifest.json").exists()
 
     def test_flag_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CBF_SIM_SEED", "99")

@@ -1,5 +1,6 @@
 """Tests for the three transmit paths and the Monte Carlo campaign runner."""
 
+import collections
 import concurrent.futures
 import math
 
@@ -243,10 +244,48 @@ class TestRunBer:
         assert curve(1).points == curve(2).points
         assert pool_sizes == [2]
 
-    def test_one_point_runs_inline(self, pool_sizes):
-        run_ber(self.small_config(SchemeConfig("single", ArrayGeometry(1, 1)),
-                                  workers=2))
+    def test_one_point_batches_share_the_pool(self, pool_sizes):
+        # a fixed-size point is all certain batches, spread over the workers;
+        # more workers than CPUs count as one per CPU
+        def point(workers):
+            return run_ber(SimConfig(
+                scheme=SchemeConfig("rbf", ArrayGeometry(8, 1)),
+                channel="rayleigh", angles=(0.0,), snr_db=(10.0,),
+                min_bits=1_000_000, max_bits=1_000_000, target_errors=0,
+                seed=5, workers=workers)).points
+        assert point(1) == point(2) == point(4)
+        assert pool_sizes == [2, 2]
+
+    def test_one_worker_opens_no_pool(self, pool_sizes):
+        run_ber(self.small_config(SchemeConfig("cbf", GEOM, beams=BEAMS),
+                                  angles=(0.0, 0.5), workers=1))
         assert pool_sizes == []
+
+    def test_scheduler_discards_at_most_procs_minus_one(self):
+        # 0 dB stops at min_bits, 8 dB at target_errors after speculative
+        # batches, 12 dB at max_bits; run inline with a three-batch window
+        cfg = SimConfig(scheme=SchemeConfig("single", ArrayGeometry(1, 1)),
+                        channel="awgn", angles=(0.0,), snr_db=(0.0, 8.0, 12.0),
+                        min_bits=400_000, target_errors=100,
+                        max_bits=2_000_000, seed=2, workers=1)
+        run_inline = simulate._inline_submit(cfg)
+        sent = collections.Counter()
+
+        def submit(ai, si, batch):
+            sent[si] += 1
+            return run_inline(ai, si, batch)
+
+        points = simulate._schedule(cfg, 3, submit)
+        assert points == list(run_ber(cfg).points)
+        low, mid, high = points
+        assert low.bits == 400_000 and low.errors >= 100
+        assert 400_000 < mid.bits < 2_000_000 and mid.errors >= 100
+        assert high.bits == 2_000_000 and high.errors < 100
+        full = simulate.BATCH_BITS
+        discarded = [sent[si] - math.ceil(p.bits / full)
+                     for si, p in enumerate(points)]
+        assert max(discarded) <= 3 - 1
+        assert discarded[1] > 0
 
     def test_counts_consistent(self):
         cfg = self.small_config(SchemeConfig("single", ArrayGeometry(1, 1)))

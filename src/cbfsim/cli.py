@@ -167,6 +167,8 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"SNR range must be start:step:stop, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError(f"SNR range bounds must be finite, got {text!r}")
         if step <= 0 or stop < start:
             raise ValueError("SNR range needs step > 0 and stop >= start")
         count = int(round((stop - start) / step)) + 1

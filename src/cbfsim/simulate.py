@@ -112,8 +112,17 @@ class SimConfig:
         snrs = tuple(float(s) for s in self.snr_db)
         if not angles or not snrs:
             raise ValueError("angle and SNR grids must be non-empty")
-        if any(abs(a) > math.pi / 2 for a in angles):
+        # written so that NaN, which compares false, fails the checks
+        if not all(abs(a) <= math.pi / 2 for a in angles):
             raise ValueError("angles must lie in the ULA visible region")
+        for s in snrs:
+            try:
+                usable = 0.0 < chan.noise_variance(s) < math.inf
+            except (OverflowError, ZeroDivisionError):
+                usable = False
+            if not usable:
+                raise ValueError(f"SNR {s} dB must be finite and give a "
+                                 f"nonzero, finite noise variance")
         if self.min_bits < 10_000:
             raise ValueError("min_bits must be at least 10000")
         if self.max_bits is not None and self.max_bits < self.min_bits:
@@ -403,6 +412,17 @@ _pool_config: SimConfig | None = None
 def _pool_init(config: SimConfig):
     global _pool_config
     _pool_config = config
+    # By default glibc maps each batch array afresh and unmaps it when freed, so
+    # every batch re-faults its pages; keep freed arrays on the heap for reuse.
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return                  # no glibc malloc here (macOS, for example)
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD, at glibc's 64-bit maximum
+    mallopt(-1, 128 << 20)      # M_TRIM_THRESHOLD
 
 
 def _pool_batch(ai: int, si: int, batch: int) -> int:

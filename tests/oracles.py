@@ -5,12 +5,14 @@ These are the textbook per-codeword forms of Alamouti encoding, the effective
 and the matrix MMSE/zero-forcing solve.  The simulator itself uses only
 ``cbfsim.stbc.mmse_decode_streams``; the tests compare it against these.
 ``fallback_pattern`` is the correlated-stream pattern that motivates
-independent streams in the first place.
+independent streams in the first place, and ``rbf_qpsk_ber`` is the expected
+bit error rate of random beamforming.
 """
 
 import numpy as np
 
 from cbfsim.arrays import AngleGrid, ArrayGeometry, BeamPattern, WeightVector, steering_basis
+from cbfsim.channel import q_function
 
 
 def alamouti_encode(s1, s2) -> np.ndarray:
@@ -77,3 +79,30 @@ def fallback_pattern(
     entries = np.concatenate([w1.entries, w2.entries])
     basis = steering_basis(np.arange(2 * ns), geometry.spacing, grid.points)
     return BeamPattern(grid=grid, gains=(basis @ entries) * (1.0 / np.sqrt(ns)))
+
+
+def rbf_qpsk_ber(eb_n0_db: float, elements: int, channel: str,
+                 draws: int = 1_000_000, seed: int = 0) -> float:
+    """Semi-analytic rbf bit error probability: the QPSK error probability of
+    one block at per-bit SNR x = Eb/N0*|g|^2, averaged over seeded draws of
+    the block's array gain g, a sum of ``elements`` unit phasors with i.i.d.
+    uniform phases over sqrt(elements) (the same law at every angle).
+
+    Given g, a block errs with Q(sqrt(2x)) in AWGN, and with the flat
+    Rayleigh formula (1 - sqrt(x/(1+x)))/2 in block Rayleigh fading.
+    """
+    if channel not in ("awgn", "rayleigh"):
+        raise ValueError(f"unknown channel {channel!r}")
+    rng = np.random.default_rng(seed)
+    snr = 10.0 ** (eb_n0_db / 10.0)
+    q = np.frompyfunc(q_function, 1, 1)
+    total = 0.0
+    for start in range(0, draws, 250_000):     # bounds the temporaries
+        phases = rng.uniform(0.0, 2 * np.pi, (min(250_000, draws - start), elements))
+        x = snr * (np.cos(phases).sum(axis=1) ** 2
+                   + np.sin(phases).sum(axis=1) ** 2) / elements
+        if channel == "awgn":
+            total += float(q(np.sqrt(2.0 * x)).sum())
+        else:
+            total += float((0.5 * (1.0 - np.sqrt(x / (1.0 + x)))).sum())
+    return total / draws

@@ -31,7 +31,7 @@ from cbfsim.simulate import (
 )
 from cbfsim.stbc import mmse_decode_streams
 from oracles import (alamouti_encode, composite_channel, fallback_pattern,
-                     mmse_decode, receive)
+                     mmse_decode, rbf_qpsk_ber, receive)
 
 SEED = 20260810
 
@@ -258,3 +258,25 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
     ok = first == second and len(first) > 0
     report(8, "determinism", ok, f"{len(first)} bytes, identical={first == second}")
     assert first == second
+
+
+def test_criterion_9_rbf_semi_analytic_oracle():
+    # two-sided, where criterion 5 only orders rbf and cbf; sharp enough to
+    # tell rbf/awgn at 4 dB (0.0741) from the Rayleigh curve (0.0771)
+    geometry = ArrayGeometry(8, 1)
+    results = []
+    for channel, snr_db in (("awgn", 4.0), ("rayleigh", 10.0)):
+        expected = rbf_qpsk_ber(snr_db, geometry.total_elements, channel)
+        for seed in (SEED, SEED + 1):
+            config = SimConfig(scheme=SchemeConfig("rbf", geometry), channel=channel,
+                               angles=(0.0,), snr_db=(snr_db,), min_bits=2_000_000,
+                               max_bits=2_000_000, target_errors=0, seed=seed)
+            p = run_ber(config).points[0]
+            results.append((channel, seed, p, expected))
+    worst = max(abs(p.ber - e) / p.ci95 for _, _, p, e in results)
+    ok = worst <= CI_MULTIPLE
+    report(9, "rbf semi-analytic oracle", ok,
+           f"worst |ber-oracle|/ci95={worst:.2f}; " + "; ".join(
+               f"{c} seed {s}: {p.ber:.5f} vs {e:.5f}" for c, s, p, e in results))
+    for channel, seed, p, expected in results:
+        assert abs(p.ber - expected) <= CI_MULTIPLE * p.ci95, (channel, seed)

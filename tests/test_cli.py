@@ -221,6 +221,20 @@ class TestBerCommand:
                      "--out", str(tmp_path / "x")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme,snr,angle", [
+        ("single", "nan", "0"), ("single", "inf", "0"), ("single", "-inf", "0"),
+        ("single", "0:1:inf", "0"), ("cbf", "4", "nan"),
+    ], ids=["nan-snr", "inf-snr", "minus-inf-snr", "inf-range", "nan-angle"])
+    def test_non_finite_lattice_value_one_line_error(self, tmp_path, capsys,
+                                                     scheme, snr, angle):
+        code = main(["ber", "--scheme", scheme, "--channel", "awgn",
+                     f"--snr-db={snr}", "--angles", angle,
+                     "--out", str(tmp_path / "n")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "n.ber.csv").exists()
+
     def test_rayleigh_scheme_runs(self, tmp_path):
         code = main(["ber", "--scheme", "rbf", "--channel", "rayleigh",
                      "--snr-db", "10", "--angles", "0", "--min-bits", "20000",

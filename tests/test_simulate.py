@@ -3,6 +3,10 @@
 import collections
 import concurrent.futures
 import math
+import os
+import platform
+import resource
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +86,17 @@ class TestSimConfig:
     def test_angles_within_visible_region(self):
         with pytest.raises(ValueError):
             SimConfig(SchemeConfig("single", GEOM), "awgn", (2.0,), (4.0,))
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, angle):
+        with pytest.raises(ValueError, match="visible region"):
+            SimConfig(SchemeConfig("single", GEOM), "awgn", (0.0, angle), (4.0,))
+
+    # beyond about +/-3000 dB the noise variance overflows or underflows
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, 1e10, -1e10])
+    def test_snrs_must_give_a_usable_noise_variance(self, snr):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(SchemeConfig("single", GEOM), "awgn", (0.0,), (4.0, snr))
 
     def test_empty_grids_rejected(self):
         with pytest.raises(ValueError):
@@ -344,3 +359,24 @@ class TestRunBer:
         pts = run_ber(cfg).points
         assert [(p.angle, p.eb_n0_db) for p in pts] == [
             (0.0, 2.0), (0.0, 4.0), (0.5, 2.0), (0.5, 4.0)]
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and hasattr(os, "fork")
+                         and platform.libc_ver()[0] == "glibc"),
+                    reason="tunes glibc's allocator in forked pool workers")
+def test_pool_workers_reuse_batch_memory(pool_sizes):
+    # a worker keeps freed batch arrays on its heap, so a batch beyond the
+    # first few costs next to no page faults; when glibc unmaps every freed
+    # array, each 200k-bit cbf batch re-faults about 1,900 pages
+    def worker_faults(batches):
+        bits = batches * simulate.BATCH_BITS
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        run_ber(SimConfig(SchemeConfig("cbf", GEOM, beams=BEAMS), "awgn",
+                          (0.0,), (4.0,), min_bits=bits, max_bits=bits,
+                          target_errors=0, seed=9, workers=2))
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    batches = 10
+    extra = worker_faults(2 * batches) - worker_faults(batches)
+    assert pool_sizes == [2, 2]
+    assert extra / batches < 200

@@ -16,7 +16,6 @@ from .arrays import (
     WeightVector,
     beam_pattern,
     composite_pattern,
-    pattern_variance,
 )
 from .beams import (
     ComplementaryBeamSet,

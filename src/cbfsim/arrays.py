@@ -28,7 +28,6 @@ __all__ = [
     "steering_basis",
     "beam_pattern",
     "composite_pattern",
-    "pattern_variance",
 ]
 
 UNIT_MODULUS_TOL = 1e-12
@@ -61,8 +60,8 @@ class ArrayGeometry:
             raise ValueError("total_elements and num_subarrays must be >= 1")
         if n % m != 0:
             raise ValueError(f"{n} elements cannot form {m} equal sub-arrays")
-        if not self.spacing > 0:
-            raise ValueError("element spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError("element spacing must be positive and finite")
 
     @property
     def subarray_size(self) -> int:
@@ -105,19 +104,6 @@ class AngleGrid:
         """Angles uniform in theta over the ULA visible region [-pi/2, pi/2)."""
         pts = np.linspace(-np.pi / 2, np.pi / 2, num_points, endpoint=False)
         return cls(pts, "theta", name="uniform-theta")
-
-    @classmethod
-    def uniform_psi(cls, num_points: int = 512, spacing: float = 0.5) -> "AngleGrid":
-        """Angles whose per-element phase increment sweeps [-pi, pi) uniformly.
-
-        Requires spacing >= half a wavelength; below that the array cannot
-        see a full phase period.
-        """
-        if spacing < 0.5:
-            raise ValueError("uniform-psi grids need spacing >= 0.5 wavelengths")
-        psi = np.linspace(-np.pi, np.pi, num_points, endpoint=False)
-        pts = np.arcsin(psi / (2 * np.pi * spacing))
-        return cls(pts, "psi", name="uniform-psi")
 
 
 def same_grid(a: AngleGrid, b: AngleGrid) -> bool:
@@ -241,9 +227,3 @@ def _autocorrelation_form(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarra
     features = np.hstack([np.cos(phase), np.sin(phase)])
     features -= features.mean(axis=0)
     return (features.T @ features) / len(grid) * (2 / (ns * members)) ** 2
-
-
-def pattern_variance(pattern) -> float:
-    """Mean squared deviation of |gain|^2 from its grid mean; zero iff flat.
-    Accepts a BeamPattern or CompositePattern."""
-    return float(_variance_of_power(pattern.power))

@@ -188,7 +188,7 @@ def _field(obj, key: str, types, where: str = ""):
 
 def _grid_spec(grid: AngleGrid) -> dict:
     # Only uniform-theta grids are rebuilt from their size; every other grid
-    # keeps its points, since e.g. uniform-psi depends on a spacing.
+    # keeps its points.
     kind = grid.name or "explicit"
     spec = {"kind": kind, "measure": grid.measure, "num_points": len(grid)}
     if kind != "uniform-theta":

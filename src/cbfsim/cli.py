@@ -31,7 +31,8 @@ from .beams import (
     find_complementary_pair,
     find_complementary_triple,
 )
-from .simulate import DEFAULT_ANGLES_DEG, SchemeConfig, SimConfig, run_ber
+from .simulate import (DEFAULT_ANGLES_DEG, MAX_LATTICE_POINTS, SchemeConfig,
+                       SimConfig, run_ber)
 
 SEED_ENV_VAR = "CBF_SIM_SEED"
 # Flags without a default; each must come from the command line or --config.
@@ -171,8 +172,11 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"SNR range bounds must be finite, got {text!r}")
         if step <= 0 or stop < start:
             raise ValueError("SNR range needs step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        return tuple(start + i * step for i in range(count))
+        steps = (stop - start) / step
+        if not steps < MAX_LATTICE_POINTS:
+            raise ValueError(f"SNR range {text!r} has more than "
+                             f"{MAX_LATTICE_POINTS} points")
+        return tuple(start + i * step for i in range(int(round(steps)) + 1))
     return tuple(float(p) for p in text.split(","))
 
 

@@ -12,12 +12,16 @@ point.  Campaigns are bit-identical for the same configuration and seed,
 whatever the worker count: each batch is driven by an rng stream keyed on
 (seed, angle index, SNR index, batch index), so its error count does not
 depend on which process runs it, and counts are folded in batch order.
+A batch sent past its point's stop is discarded rather than cancelled; run in
+the calling process, a batch is computed only when its count is folded, so
+none runs past a stop.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import astuple, dataclass
 from functools import partial
 
@@ -49,6 +53,7 @@ _NULL_DEG = math.degrees(math.asin(0.25))
 DEFAULT_ANGLES_DEG = (-85.0, -60.0, -30.0, -_NULL_DEG, 0.0, _NULL_DEG, 30.0, 60.0, 85.0)
 
 BATCH_BITS = 200_000
+MAX_LATTICE_POINTS = 10_000
 POWER_TOL = 1e-6
 _CI95 = 1.96
 _SQRT2 = math.sqrt(2.0)
@@ -112,6 +117,9 @@ class SimConfig:
         snrs = tuple(float(s) for s in self.snr_db)
         if not angles or not snrs:
             raise ValueError("angle and SNR grids must be non-empty")
+        if len(angles) * len(snrs) > MAX_LATTICE_POINTS:
+            raise ValueError(f"{len(angles)} angles x {len(snrs)} SNRs exceed "
+                             f"{MAX_LATTICE_POINTS} lattice points")
         # written so that NaN, which compares false, fails the checks
         if not all(abs(a) <= math.pi / 2 for a in angles):
             raise ValueError("angles must lie in the ULA visible region")
@@ -328,60 +336,35 @@ def _available_cpus() -> int:
 def _schedule(config: SimConfig, procs: int, submit) -> list[BerPoint]:
     """Fold every lattice point's batches into a BerPoint, in lattice order.
 
-    ``submit(ai, si, batch)`` starts one batch and returns a future of its
-    error count.  A point's first ceil(min_bits / full batch) batches are
-    certain work and are all submitted at once.  A point that has folded
-    those and not stopped needs its next batch; it keeps that one and at
-    most ``procs - 1`` more in flight.  Counts are folded in batch order and
-    the stopping rule is applied after each batch, exactly as one worker
-    would; what a point has in flight when it stops is discarded (cancelled
-    if not yet started), at most ``procs - 1`` batches.
+    ``submit(ai, si, batch)`` sends one batch and returns a function that
+    gives its error count.  A point's first ceil(min_bits / full batch)
+    batches are certain and are all sent at once; past them, a point that has
+    not stopped keeps at most ``procs`` batches in flight.  Counts are asked
+    for in the order sent, so a point folds its batches in batch order and
+    stops where one worker would; the counts of its at most ``procs - 1``
+    batches past the stop are never asked for.
     """
-    import queue
-
     full, cap = _point_bits(config)
     most = -(-cap // full)
     certain = min(-(-config.min_bits // full), most)
-    lattice = [(ai, si) for ai in range(len(config.angles))
-               for si in range(len(config.snr_db))]
-    done = queue.SimpleQueue()
-    pending = [{} for _ in lattice]     # batch -> future, not yet folded
-    sent = [0] * len(lattice)
-    folded = [0] * len(lattice)
-    errors = [0] * len(lattice)
-
-    def send(p: int, stop: int):
-        for batch in range(sent[p], stop):
-            future = submit(*lattice[p], batch)
-            pending[p][batch] = future
-            future.add_done_callback(lambda _, p=p: done.put(p))
-        sent[p] = max(sent[p], stop)
-
-    def fold(p: int) -> bool:
-        """Fold p's finished batches in batch order; True once p stops."""
-        while (head := pending[p].get(folded[p])) is not None and head.done():
-            del pending[p][folded[p]]
-            errors[p] += head.result()
-            folded[p] += 1
-            if folded[p] == most or (folded[p] * full >= config.min_bits
-                                     and errors[p] >= config.target_errors):
-                return True
-        return False
-
-    for p in range(len(lattice)):
-        send(p, certain)
-    running = len(lattice)
-    while running:
-        p = done.get()
-        if pending[p] is None:
+    lattice = list(np.ndindex(len(config.angles), len(config.snr_db)))
+    fifo = deque((p, submit(ai, si, batch)) for p, (ai, si) in enumerate(lattice)
+                 for batch in range(certain))
+    sent = [certain] * len(lattice)
+    folded, errors = [0] * len(lattice), [0] * len(lattice)
+    stopped = [False] * len(lattice)
+    while fifo:
+        p, count = fifo.popleft()
+        if stopped[p]:
             continue            # a batch past p's stop
-        if fold(p):
-            for future in pending[p].values():
-                future.cancel()
-            pending[p] = None
-            running -= 1
-        elif folded[p] >= certain:
-            send(p, min(folded[p] + procs, most))
+        errors[p] += count()
+        folded[p] += 1
+        stopped[p] = folded[p] == most or (folded[p] * full >= config.min_bits
+                                           and errors[p] >= config.target_errors)
+        if not stopped[p] and folded[p] >= certain:
+            stop = min(folded[p] + procs, most)
+            fifo.extend((p, submit(*lattice[p], batch)) for batch in range(sent[p], stop))
+            sent[p] = stop
     points = []
     for (ai, si), f, e in zip(lattice, folded, errors):
         n = min(f * full, cap)
@@ -390,18 +373,6 @@ def _schedule(config: SimConfig, procs: int, submit) -> list[BerPoint]:
                                bits=n, errors=e, ber=ber,
                                ci95=_CI95 * math.sqrt(ber * (1.0 - ber) / n)))
     return points
-
-
-def _inline_submit(config: SimConfig):
-    """``submit`` for a run without a pool: each batch runs as it is sent."""
-    from concurrent.futures import Future
-
-    def submit(ai: int, si: int, batch: int):
-        future = Future()
-        future.set_result(_run_batch(config, ai, si, batch))
-        return future
-
-    return submit
 
 
 # A pool worker's campaign, set once by the pool's initializer, so that a
@@ -434,16 +405,15 @@ def run_ber(config: SimConfig) -> BerCurve:
 
     Each point simulates at least min_bits and keeps going until
     target_errors bit errors are seen, then reports the error count, the BER
-    estimate, and its 95% normal-approximation half-width.  The unit of work
-    is the batch: batches of every point run in a pool of min(workers,
-    available CPUs) forked processes, or in the calling process when that is
-    one or the platform cannot fork, and one scheduler folds them in batch
-    order, so results do not depend on the worker count.
+    estimate, and its 95% normal-approximation half-width.  Batches run in a
+    pool of min(workers, available CPUs) forked processes, or lazily in the
+    calling process when that is one or fork is missing; results do not
+    depend on the worker count, and an error in a batch reaches the caller.
     """
     nproc = _available_cpus()
     procs = min(config.workers or nproc, nproc) if hasattr(os, "fork") else 1
     if procs == 1:
-        points = _schedule(config, 1, _inline_submit(config))
+        points = _schedule(config, 1, lambda *key: partial(_run_batch, config, *key))
     else:
         # Imported here so that importing the package does not pay for them.
         # Forked workers inherit the imported package and the config.
@@ -454,7 +424,8 @@ def run_ber(config: SimConfig) -> BerCurve:
             procs, mp_context=multiprocessing.get_context("fork"),
             initializer=_pool_init, initargs=(config,))
         try:
-            points = _schedule(config, procs, partial(pool.submit, _pool_batch))
+            points = _schedule(config, procs, lambda *key: pool.submit(
+                _pool_batch, *key).result)
         finally:
             pool.shutdown(cancel_futures=True)
     return BerCurve(scheme=config.scheme.kind, channel=config.channel,

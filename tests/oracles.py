@@ -6,7 +6,9 @@ and the matrix MMSE/zero-forcing solve.  The simulator itself uses only
 ``cbfsim.stbc.mmse_decode_streams``; the tests compare it against these.
 ``fallback_pattern`` is the correlated-stream pattern that motivates
 independent streams in the first place, and ``rbf_qpsk_ber`` is the expected
-bit error rate of random beamforming.
+bit error rate of random beamforming.  ``uniform_psi_grid`` and
+``pattern_variance`` are the grid and flatness metric the array tests check
+beam patterns with.
 """
 
 import numpy as np
@@ -106,3 +108,21 @@ def rbf_qpsk_ber(eb_n0_db: float, elements: int, channel: str,
         else:
             total += float((0.5 * (1.0 - np.sqrt(x / (1.0 + x)))).sum())
     return total / draws
+
+
+def uniform_psi_grid(num_points: int = 512, spacing: float = 0.5) -> AngleGrid:
+    """Angles whose per-element phase increment sweeps [-pi, pi) uniformly.
+
+    Requires spacing >= half a wavelength; below that the array cannot
+    see a full phase period.
+    """
+    if spacing < 0.5:
+        raise ValueError("uniform-psi grids need spacing >= 0.5 wavelengths")
+    psi = np.linspace(-np.pi, np.pi, num_points, endpoint=False)
+    return AngleGrid(np.arcsin(psi / (2 * np.pi * spacing)), "psi", name="uniform-psi")
+
+
+def pattern_variance(pattern) -> float:
+    """Mean squared deviation of |gain|^2 from its grid mean; zero iff flat.
+    Accepts a BeamPattern or CompositePattern."""
+    return float(np.var(pattern.power))

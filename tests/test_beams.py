@@ -27,6 +27,7 @@ from cbfsim.beams import (
     _lag_features,
     golay_construct,
 )
+from oracles import uniform_psi_grid
 
 GRID = AngleGrid.uniform_theta(512)
 
@@ -272,7 +273,7 @@ class TestAutocorrelationScreen:
     @pytest.mark.parametrize("grid,spacing", [
         (AngleGrid.uniform_theta(512), 0.5),
         (AngleGrid.uniform_theta(512), 0.7),
-        (AngleGrid.uniform_psi(300, spacing=0.5), 0.5),
+        (uniform_psi_grid(300, spacing=0.5), 0.5),
     ], ids=["theta-0.5", "theta-0.7", "psi-0.5"])
     @pytest.mark.parametrize("group_size", [2, 3])
     def test_quadratic_form_is_the_composite_variance(self, grid, spacing,
@@ -342,7 +343,7 @@ class TestBeamSetJson:
 
     @pytest.mark.parametrize("grid", [
         AngleGrid.uniform_theta(64),
-        AngleGrid.uniform_psi(64, spacing=1.0),
+        uniform_psi_grid(64, spacing=1.0),
         AngleGrid(np.linspace(-1.0, 1.1, 40) ** 3),
     ], ids=["uniform-theta", "uniform-psi-spacing-1", "explicit"])
     def test_grid_round_trip(self, grid):

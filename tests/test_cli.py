@@ -224,7 +224,9 @@ class TestBerCommand:
     @pytest.mark.parametrize("scheme,snr,angle", [
         ("single", "nan", "0"), ("single", "inf", "0"), ("single", "-inf", "0"),
         ("single", "0:1:inf", "0"), ("cbf", "4", "nan"),
-    ], ids=["nan-snr", "inf-snr", "minus-inf-snr", "inf-range", "nan-angle"])
+        ("single", "0:1e-300:1e300", "0"), ("single", "0:1e-6:1", "0"),
+    ], ids=["nan-snr", "inf-snr", "minus-inf-snr", "inf-range", "nan-angle",
+            "overflowing-range", "million-point-range"])
     def test_non_finite_lattice_value_one_line_error(self, tmp_path, capsys,
                                                      scheme, snr, angle):
         code = main(["ber", "--scheme", scheme, "--channel", "awgn",
@@ -366,6 +368,18 @@ class TestConfigFile:
             "max_bits": None, "beamset": None, "seed": None, "target_errors": 0,
         }))
         assert main(["ber", "--config", str(cfg), "--out", str(tmp_path / "n")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber", "--scheme", "rbf", "--snr-db", "4", "--angles", "0,30"],
+    ["search", "--elements", "8", "--method", "golay"],
+], ids=["ber", "search"])
+def test_infinite_spacing_one_line_error(tmp_path, capsys, argv):
+    code = main(argv + ["--spacing", "inf", "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: element spacing")
+    assert not list(tmp_path.iterdir())
 
 
 # Full .ber.csv text of four small seeded runs, pinned when the batch

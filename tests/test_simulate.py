@@ -20,6 +20,7 @@ from cbfsim.channel import (
     qpsk_demodulate,
     qpsk_modulate,
 )
+from cbfsim.cli import main
 from cbfsim.simulate import (
     DEFAULT_ANGLES_DEG,
     LinkChannel,
@@ -103,6 +104,14 @@ class TestSimConfig:
             SimConfig(SchemeConfig("single", GEOM), "awgn", (), (4.0,))
         with pytest.raises(ValueError):
             SimConfig(SchemeConfig("single", GEOM), "awgn", (0.0,), ())
+
+    def test_lattice_size_bounded(self):
+        most = simulate.MAX_LATTICE_POINTS
+        SimConfig(SchemeConfig("single", GEOM), "awgn", (0.0,),
+                  np.linspace(0.0, 10.0, most))
+        with pytest.raises(ValueError, match="lattice points"):
+            SimConfig(SchemeConfig("single", GEOM), "awgn", (0.0, 0.5),
+                      np.linspace(0.0, 10.0, most // 2 + 1))
 
     def test_unknown_channel(self):
         with pytest.raises(ValueError):
@@ -283,12 +292,15 @@ class TestRunBer:
                         channel="awgn", angles=(0.0,), snr_db=(0.0, 8.0, 12.0),
                         min_bits=400_000, target_errors=100,
                         max_bits=2_000_000, seed=2, workers=1)
-        run_inline = simulate._inline_submit(cfg)
-        sent = collections.Counter()
+        sent, run = collections.Counter(), collections.Counter()
 
         def submit(ai, si, batch):
             sent[si] += 1
-            return run_inline(ai, si, batch)
+
+            def count():
+                run[si] += 1
+                return simulate._run_batch(cfg, ai, si, batch)
+            return count
 
         points = simulate._schedule(cfg, 3, submit)
         assert points == list(run_ber(cfg).points)
@@ -301,6 +313,10 @@ class TestRunBer:
                      for si, p in enumerate(points)]
         assert max(discarded) <= 3 - 1
         assert discarded[1] > 0
+        # the count of a discarded batch is never asked for, so run inline
+        # it is never computed
+        assert [run[si] for si in range(3)] == [math.ceil(p.bits / full)
+                                                for p in points]
 
     def test_counts_consistent(self):
         cfg = self.small_config(SchemeConfig("single", ArrayGeometry(1, 1)))
@@ -359,6 +375,26 @@ class TestRunBer:
         pts = run_ber(cfg).points
         assert [(p.angle, p.eb_n0_db) for p in pts] == [
             (0.0, 2.0), (0.0, 4.0), (0.5, 2.0), (0.5, 4.0)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_error_reaches_the_caller(pool_sizes, monkeypatch, capsys, tmp_path,
+                                        workers):
+    # every batch breaks the power budget, in whichever process runs it: the
+    # error reaches run_ber's caller, and the CLI reports it on one line
+    monkeypatch.setattr(simulate, "POWER_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="transmit power budget violated"):
+        run_ber(SimConfig(SchemeConfig("single", ArrayGeometry(1, 1)), "awgn",
+                          (0.0,), (4.0,), min_bits=400_000, seed=1,
+                          workers=workers))
+    code = main(["ber", "--scheme", "single", "--snr-db", "4", "--angles", "0",
+                 "--min-bits", "400000", "--workers", str(workers),
+                 "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: transmit power budget violated")
+    assert not (tmp_path / "e.ber.csv").exists()
+    assert pool_sizes == ([] if workers == 1 else [2, 2])
 
 
 @pytest.mark.skipif(not (sys.platform.startswith("linux") and hasattr(os, "fork")

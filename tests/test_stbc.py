@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, beam_pattern, pattern_variance
+from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, beam_pattern
 from cbfsim.beams import golay_construct
 from cbfsim.stbc import mmse_decode_streams
 from oracles import (alamouti_encode, composite_channel, fallback_pattern,
-                     mmse_decode, receive)
+                     mmse_decode, pattern_variance, receive)
 
 
 def random_symbols(rng, n=1):

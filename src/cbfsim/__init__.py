@@ -21,8 +21,7 @@ from .beams import (
     ComplementaryBeamSet,
     PhaseCodebook,
     SearchCapacityError,
-    find_complementary_pair,
-    find_complementary_triple,
+    find_complementary_set,
     golay_construct,
 )
 from .channel import (

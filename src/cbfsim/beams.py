@@ -34,8 +34,7 @@ __all__ = [
     "SearchMeta",
     "ComplementaryBeamSet",
     "golay_construct",
-    "find_complementary_pair",
-    "find_complementary_triple",
+    "find_complementary_set",
     "DEFAULT_CANDIDATE_CEILING",
     "DEFAULT_STOCHASTIC_BUDGET",
 ]
@@ -225,7 +224,7 @@ def golay_construct(length: int) -> tuple[WeightVector, WeightVector]:
     return WeightVector(a.astype(complex)), WeightVector(b.astype(complex))
 
 
-def find_complementary_pair(
+def find_complementary_set(
     geometry: ArrayGeometry,
     codebook: PhaseCodebook,
     grid: AngleGrid,
@@ -235,45 +234,21 @@ def find_complementary_pair(
     budget: int = DEFAULT_STOCHASTIC_BUDGET,
     candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING,
 ) -> ComplementaryBeamSet:
-    """Find two weight vectors minimizing the composite pattern variance.
+    """Find one weight vector per sub-array (a pair or a triple) minimizing
+    the composite pattern variance.
 
     Methods: "exhaustive" scans the phase-reduced codebook space and returns
     the global minimizer (lexicographically first among ties); "golay" uses
-    the doubling construction (power-of-two sub-arrays only); "stochastic"
-    runs seeded random restarts with single-coefficient hill climbing and
-    returns the best of its evaluation budget.
+    the doubling construction (power-of-two pairs only); "stochastic" runs
+    seeded random restarts with single-coefficient hill climbing and returns
+    the best of its evaluation budget.  No flat triple construction is known,
+    so a triple's best found variance is reported, never asserted to be zero.
     """
-    return _search(geometry, codebook, grid, method, 2, seed, budget,
-                   candidate_ceiling)
-
-
-def find_complementary_triple(
-    geometry: ArrayGeometry,
-    codebook: PhaseCodebook,
-    grid: AngleGrid,
-    method: str = "exhaustive",
-    *,
-    seed: int | None = None,
-    budget: int = DEFAULT_STOCHASTIC_BUDGET,
-    candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING,
-) -> ComplementaryBeamSet:
-    """Like find_complementary_pair but over three sub-arrays.
-
-    No flat construction is known here, so "golay" is unsupported; the best
-    found variance is reported, never asserted to be zero.
-    """
-    return _search(geometry, codebook, grid, method, 3, seed, budget,
-                   candidate_ceiling)
-
-
-def _search(geometry, codebook, grid, method, group_size, seed, budget, ceiling):
-    if geometry.num_subarrays != group_size:
-        raise ValueError(
-            f"geometry must have exactly {group_size} sub-arrays, "
-            f"got {geometry.num_subarrays}"
-        )
+    if geometry.num_subarrays not in (2, 3):
+        raise ValueError(f"geometry must have 2 or 3 sub-arrays, "
+                         f"got {geometry.num_subarrays}")
     if method == "golay":
-        if group_size != 2:
+        if geometry.num_subarrays != 2:
             raise ValueError("the doubling construction only yields pairs")
         pair = golay_construct(geometry.subarray_size)
         return ComplementaryBeamSet(geometry, pair, grid,
@@ -281,7 +256,7 @@ def _search(geometry, codebook, grid, method, group_size, seed, budget, ceiling)
     form = _autocorrelation_form(geometry, grid)
     power = _member_powers(geometry, grid, codebook.coefficients)
     if method == "exhaustive":
-        best, meta = _exhaustive(geometry, codebook, ceiling, form, power)
+        best, meta = _exhaustive(geometry, codebook, candidate_ceiling, form, power)
     elif method == "stochastic":
         best, meta = _stochastic(geometry, codebook, seed, budget, form, power)
     else:

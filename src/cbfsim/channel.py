@@ -1,5 +1,5 @@
-"""QPSK mapping, complex Gaussian noise, block Rayleigh fading, and the noise
-variance of an Eb/N0 operating point.
+"""QPSK mapping, circular complex Gaussian draws (the noise, and at unit
+variance the block Rayleigh fading), and the noise variance of an Eb/N0 point.
 
 Symbols have unit average energy by construction; ``noise_variance`` sizes
 the noise for that budget, and the transmit chains add ``complex_noise``
@@ -20,7 +20,6 @@ __all__ = [
     "qpsk_modulate",
     "qpsk_demodulate",
     "complex_noise",
-    "rayleigh_pair_gains",
     "q_function",
     "awgn_qpsk_ber",
     "rayleigh_qpsk_ber",
@@ -72,20 +71,6 @@ def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarra
         return np.zeros(shape, dtype=complex)
     scale = math.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def rayleigh_pair_gains(num_blocks: int, equal_subarrays: bool,
-                        rng: np.random.Generator):
-    """Per-block complex gains of the two sub-array links, E[|h|^2] = 1."""
-    if num_blocks < 1:
-        raise ValueError("need at least one fading block")
-    h1 = math.sqrt(0.5) * (rng.standard_normal(num_blocks)
-                           + 1j * rng.standard_normal(num_blocks))
-    if equal_subarrays:
-        return h1, h1
-    h2 = math.sqrt(0.5) * (rng.standard_normal(num_blocks)
-                           + 1j * rng.standard_normal(num_blocks))
-    return h1, h2
 
 
 def q_function(x: float) -> float:

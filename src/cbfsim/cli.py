@@ -28,8 +28,7 @@ from .beams import (
     ComplementaryBeamSet,
     PhaseCodebook,
     SearchMeta,
-    find_complementary_pair,
-    find_complementary_triple,
+    find_complementary_set,
 )
 from .simulate import (DEFAULT_ANGLES_DEG, MAX_LATTICE_POINTS, SchemeConfig,
                        SimConfig, run_ber)
@@ -246,9 +245,8 @@ def cmd_search(ns, parser) -> int:
     geometry = ArrayGeometry(ns.elements, ns.subarrays, ns.spacing)
     grid = AngleGrid.uniform_theta(ns.grid_points)
     codebook = PhaseCodebook(ns.accuracy)
-    find = find_complementary_pair if ns.subarrays == 2 else find_complementary_triple
-    beams = find(geometry, codebook, grid, ns.method, seed=ns.seed,
-                 budget=ns.budget, candidate_ceiling=ns.ceiling)
+    beams = find_complementary_set(geometry, codebook, grid, ns.method, seed=ns.seed,
+                                   budget=ns.budget, candidate_ceiling=ns.ceiling)
     print(f"sigma_g2={_fmt(beams.variance)}")
     if ns.out is not None:
         base = Path(ns.out)
@@ -316,7 +314,7 @@ def cmd_ber(ns, parser) -> int:
         if ns.beamset is not None:
             beams = _load_beamset(ns.beamset)
         else:
-            beams = find_complementary_pair(
+            beams = find_complementary_set(
                 geometry, PhaseCodebook(2), AngleGrid.uniform_theta(512), "golay"
             )
         scheme = SchemeConfig(kind="cbf", geometry=geometry, beams=beams)
@@ -353,7 +351,7 @@ def cmd_ber(ns, parser) -> int:
         "elements": None if ns.scheme == "single" else ns.elements,
         "spacing": ns.spacing,
         "rbf_block": scheme.rbf_block_symbols if ns.scheme == "rbf" else None,
-        "fading": ns.fading,
+        "fading": ns.fading if ns.scheme == "cbf" else None,
         "beamset": ns.beamset if ns.scheme == "cbf" else None, "out": str(base),
     }
     _write_manifest(base, "ber", resolved, written)

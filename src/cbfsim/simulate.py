@@ -30,7 +30,6 @@ import numpy as np
 from . import channel as chan
 from .arrays import ArrayGeometry, gain_power, steering_basis, subarray_gains
 from .beams import ComplementaryBeamSet
-from .stbc import mmse_decode_streams
 
 __all__ = [
     "DEFAULT_ANGLES_DEG",
@@ -179,16 +178,12 @@ class LinkChannel:
     rng: np.random.Generator
     equal_subarrays: bool = True
 
-    def pair_gains(self, num_blocks: int):
-        if self.kind == "awgn":
-            ones = np.ones(num_blocks, dtype=complex)
-            return ones, ones
-        return chan.rayleigh_pair_gains(num_blocks, self.equal_subarrays, self.rng)
-
-    def scalar_gains(self, num_blocks: int) -> np.ndarray:
+    def fading(self, num_blocks: int) -> np.ndarray:
+        """Per-block complex gains with E[|h|^2] = 1: ones in AWGN, the
+        noise's circular-Gaussian draw at unit variance in Rayleigh."""
         if self.kind == "awgn":
             return np.ones(num_blocks, dtype=complex)
-        return chan.rayleigh_pair_gains(num_blocks, True, self.rng)[0]
+        return chan.complex_noise(num_blocks, 1.0, self.rng)
 
     def noise(self, num_samples: int) -> np.ndarray:
         return chan.complex_noise(num_samples, self.noise_variance, self.rng)
@@ -205,10 +200,23 @@ class CbfSignal:
     energy_per_period: float
 
     def decode(self, noise_variance: float) -> np.ndarray:
-        """MMSE soft estimates for a batch of codewords, re-interleaved into
-        the original symbol order."""
-        s1, s2 = mmse_decode_streams(self.y1, self.y2, self.gain1, self.gain2,
-                                     noise_variance)
+        """MMSE soft estimates (H^H H + sigma^2 I)^-1 H^H [y1, y2*]^T of the
+        Alamouti codewords [[s1, -s2*], [s2, s1*]], re-interleaved into the
+        original symbol order.
+
+        With stream gains a and b, the restacked channel [[a, b], [b*, -a*]]
+        has orthogonal columns, so the 2x2 solve collapses to a division by
+        |a|^2 + |b|^2 + sigma^2; with sigma^2 = 0 this is exact zero forcing.
+        The matrix form is kept as a test oracle (``tests/oracles.py``).
+        """
+        if noise_variance < 0:
+            raise ValueError("noise variance must be >= 0")
+        a, b, y1, y2 = self.gain1, self.gain2, self.y1, self.y2
+        scale = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2 + noise_variance
+        if np.any(scale == 0):
+            raise np.linalg.LinAlgError("zero channel with zero noise variance")
+        s1 = (np.conj(a) * y1 + b * np.conj(y2)) / scale
+        s2 = (np.conj(b) * y1 - a * np.conj(y2)) / scale
         return np.stack((s1, s2), axis=1).ravel()
 
 
@@ -218,7 +226,6 @@ class ScalarSignal:
 
     y: np.ndarray
     gains: np.ndarray
-    block_gains: np.ndarray | None
     energy_per_period: float
 
     def decode(self, noise_variance: float) -> np.ndarray:
@@ -250,7 +257,8 @@ def transmit_cbf(s: np.ndarray, beams: ComplementaryBeamSet, angle: float,
     n = s1.size
     g1, g2 = (complex(subarray_gains(w.entries, beams.geometry, m, angle)[0])
               for m, w in enumerate(beams.weights))
-    h1, h2 = link.pair_gains(n)
+    h1 = link.fading(n)
+    h2 = h1 if link.equal_subarrays else link.fading(n)
     a = (g1 / _SQRT2) * h1
     b = (g2 / _SQRT2) * h2
     y1 = a * s1 + b * s2 + link.noise(n)
@@ -260,16 +268,16 @@ def transmit_cbf(s: np.ndarray, beams: ComplementaryBeamSet, angle: float,
 
 
 def _transmit_scalar(s: np.ndarray, link: LinkChannel, block_symbols: int,
-                     block_gains: np.ndarray | None = None,
+                     array_gains: np.ndarray | None = None,
                      weights=()) -> ScalarSignal:
     """One stream through a per-block gain: the fading draw times the array
     gain of each block (none for a single element), then noise."""
     if s.size % block_symbols:
         raise ValueError("symbols must fill a whole number of blocks")
-    h = link.scalar_gains(s.size // block_symbols)
-    eff = np.repeat(h if block_gains is None else block_gains * h, block_symbols)
+    h = link.fading(s.size // block_symbols)
+    eff = np.repeat(h if array_gains is None else array_gains * h, block_symbols)
     y = eff * s + link.noise(s.size)
-    return ScalarSignal(y=y, gains=eff, block_gains=block_gains,
+    return ScalarSignal(y=y, gains=eff,
                         energy_per_period=_energy(s, weights, block_symbols))
 
 

@@ -3,7 +3,7 @@
 These are the textbook per-codeword forms of Alamouti encoding, the effective
 2x2 channel seen after conjugate restacking of the second receive sample,
 and the matrix MMSE/zero-forcing solve.  The simulator itself uses only
-``cbfsim.stbc.mmse_decode_streams``; the tests compare it against these.
+``cbfsim.simulate.CbfSignal.decode``; the tests compare it against these.
 ``fallback_pattern`` is the correlated-stream pattern that motivates
 independent streams in the first place, and ``rbf_qpsk_ber`` is the expected
 bit error rate of random beamforming.  ``uniform_psi_grid`` and

@@ -20,16 +20,16 @@ from cbfsim.arrays import (
     beam_pattern,
     composite_pattern,
 )
-from cbfsim.beams import PhaseCodebook, find_complementary_pair
+from cbfsim.beams import PhaseCodebook, find_complementary_set
 from cbfsim.channel import awgn_qpsk_ber, rayleigh_qpsk_ber
 from cbfsim.cli import main
 from cbfsim.simulate import (
     DEFAULT_ANGLES_DEG,
+    CbfSignal,
     SchemeConfig,
     SimConfig,
     run_ber,
 )
-from cbfsim.stbc import mmse_decode_streams
 from oracles import (alamouti_encode, composite_channel, fallback_pattern,
                      mmse_decode, rbf_qpsk_ber, receive)
 
@@ -48,8 +48,8 @@ def report(num, name, ok, detail):
 
 def default_cbf_scheme():
     geometry = ArrayGeometry(8, 2)
-    beams = find_complementary_pair(geometry, PhaseCodebook(2),
-                                    AngleGrid.uniform_theta(512), "golay")
+    beams = find_complementary_set(geometry, PhaseCodebook(2),
+                                   AngleGrid.uniform_theta(512), "golay")
     return SchemeConfig("cbf", geometry, beams=beams)
 
 
@@ -57,13 +57,13 @@ def test_criterion_1_isotropy():
     grid = AngleGrid.uniform_theta(4096)
 
     t0 = time.perf_counter()
-    golay = find_complementary_pair(ArrayGeometry(16, 2), PhaseCodebook(2),
-                                    grid, "golay")
+    golay = find_complementary_set(ArrayGeometry(16, 2), PhaseCodebook(2),
+                                   grid, "golay")
     golay_elapsed = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    exhaustive = find_complementary_pair(ArrayGeometry(4, 2), PhaseCodebook(2),
-                                         grid, "exhaustive")
+    exhaustive = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+                                        grid, "exhaustive")
     exhaustive_elapsed = time.perf_counter() - t0
 
     ok = (golay.variance <= ISOTROPY_TOL and exhaustive.variance <= ISOTROPY_TOL
@@ -107,7 +107,7 @@ def test_criterion_2_brute_force_equivalence():
     for ns, k in ((2, 2), (2, 4), (3, 2)):
         geometry = ArrayGeometry(2 * ns, 2)
         codebook = PhaseCodebook(k)
-        found = find_complementary_pair(geometry, codebook, grid, "exhaustive")
+        found = find_complementary_set(geometry, codebook, grid, "exhaustive")
         oracle = _brute_force_pair_minimum(geometry, codebook, grid)
         results.append((ns, k, found.variance, oracle))
     elapsed = time.perf_counter() - t0
@@ -219,9 +219,10 @@ def test_criterion_7_stbc_property_suite():
         estimate = mmse_decode(y, channel, 0.0)
         worst_zf = max(worst_zf, float(np.max(np.abs(estimate - [s1, s2]))))
         # the vectorised decoder the simulator runs, against the matrix oracle
-        streams = mmse_decode_streams(*y, g1 * h1, g2 * h2, 0.0)
+        streams = CbfSignal(*(np.array([v]) for v in (*y, g1 * h1, g2 * h2)),
+                            energy_per_period=0.0).decode(0.0)
         worst_streams = max(worst_streams,
-                            float(np.max(np.abs(np.array(streams) - estimate))))
+                            float(np.max(np.abs(streams - estimate))))
 
     geometry = ArrayGeometry(8, 2)
     grid = AngleGrid.uniform_theta(512)

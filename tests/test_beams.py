@@ -22,8 +22,7 @@ from cbfsim.beams import (
     ComplementaryBeamSet,
     PhaseCodebook,
     SearchCapacityError,
-    find_complementary_pair,
-    find_complementary_triple,
+    find_complementary_set,
     _lag_features,
     golay_construct,
 )
@@ -120,8 +119,8 @@ class TestGolayConstruct:
 
 class TestFindComplementaryPair:
     def test_trivial_single_elements(self):
-        found = find_complementary_pair(ArrayGeometry(2, 2), PhaseCodebook(1),
-                                        GRID, "exhaustive")
+        found = find_complementary_set(ArrayGeometry(2, 2), PhaseCodebook(1),
+                                       GRID, "exhaustive")
         assert np.array_equal(found.weights[0].entries, [1.0])
         assert np.array_equal(found.weights[1].entries, [1.0])
         assert found.variance == pytest.approx(0.0, abs=1e-15)
@@ -129,51 +128,52 @@ class TestFindComplementaryPair:
     def test_exhaustive_matches_brute_force_exactly(self):
         geom = ArrayGeometry(4, 2)
         cb = PhaseCodebook(2)
-        found = find_complementary_pair(geom, cb, GRID, "exhaustive")
+        found = find_complementary_set(geom, cb, GRID, "exhaustive")
         oracle = brute_force_minimum(geom, cb, GRID)
         assert found.variance == oracle
         assert found.variance < 1e-12
 
     def test_exhaustive_pair_is_complementary_class(self):
         # minimum of 0 is achieved by ([1,1],[1,-1]) up to symmetry
-        found = find_complementary_pair(ArrayGeometry(4, 2), PhaseCodebook(2),
-                                        GRID, "exhaustive")
+        found = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+                                       GRID, "exhaustive")
         mags = sorted(tuple(np.sign(w.entries.real).astype(int)) for w in found.weights)
         assert mags == [(1, -1), (1, 1)]
 
     def test_golay_method_zero_variance(self):
         geom = ArrayGeometry(16, 2)
-        found = find_complementary_pair(geom, PhaseCodebook(2), GRID, "golay")
+        found = find_complementary_set(geom, PhaseCodebook(2), GRID, "golay")
         assert found.variance <= 1e-10
         assert found.meta.method == "golay"
 
     def test_golay_unsupported_length(self):
         with pytest.raises(ValueError):
-            find_complementary_pair(ArrayGeometry(6, 2), PhaseCodebook(2),
-                                    GRID, "golay")
+            find_complementary_set(ArrayGeometry(6, 2), PhaseCodebook(2),
+                                   GRID, "golay")
 
     def test_capacity_ceiling_named_in_error(self):
         geom = ArrayGeometry(16, 2)
         with pytest.raises(SearchCapacityError, match="1000"):
-            find_complementary_pair(geom, PhaseCodebook(4), GRID, "exhaustive",
-                                    candidate_ceiling=1000)
+            find_complementary_set(geom, PhaseCodebook(4), GRID, "exhaustive",
+                                   candidate_ceiling=1000)
 
     def test_wrong_subarray_count(self):
-        with pytest.raises(ValueError):
-            find_complementary_pair(ArrayGeometry(9, 3), PhaseCodebook(2),
-                                    GRID, "exhaustive")
+        for geometry in (ArrayGeometry(4, 1), ArrayGeometry(8, 4)):
+            with pytest.raises(ValueError, match="2 or 3 sub-arrays"):
+                find_complementary_set(geometry, PhaseCodebook(2), GRID,
+                                       "exhaustive")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            find_complementary_pair(ArrayGeometry(4, 2), PhaseCodebook(2),
-                                    GRID, "annealing")
+            find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+                                   GRID, "annealing")
 
     def test_variance_recomputes_bitwise(self):
         geom = ArrayGeometry(8, 2)
         for method, kwargs in (("exhaustive", {}), ("golay", {}),
                                ("stochastic", {"seed": 5, "budget": 300})):
-            found = find_complementary_pair(geom, PhaseCodebook(2), GRID,
-                                            method, **kwargs)
+            found = find_complementary_set(geom, PhaseCodebook(2), GRID,
+                                           method, **kwargs)
             recomputed = composite_pattern([beam_pattern(w, geom, m, GRID)
                                             for m, w in enumerate(found.weights)])
             assert found.variance == recomputed.variance
@@ -199,26 +199,25 @@ class TestFindComplementaryPair:
             scores.append((composite_pattern(members).variance, combo))
         best_var = min(var for var, _ in scores)
         first = next(combo for var, combo in scores if var == best_var)
-        find = find_complementary_pair if group_size == 2 else find_complementary_triple
-        found = find(geom, cb, GRID, "exhaustive")
+        found = find_complementary_set(geom, cb, GRID, "exhaustive")
         assert found.phase_indices == first
         assert found.variance == best_var
 
     def test_codebook_closure(self):
         cb = PhaseCodebook(4)
-        found = find_complementary_pair(ArrayGeometry(8, 2), cb, GRID,
-                                        "stochastic", seed=2, budget=500)
+        found = find_complementary_set(ArrayGeometry(8, 2), cb, GRID,
+                                       "stochastic", seed=2, budget=500)
         members = set(cb.coefficients.tolist())
         for w in found.weights:
             assert set(w.entries.tolist()) <= members
-        a, b = find_complementary_pair(ArrayGeometry(16, 2), cb, GRID, "golay").weights
+        a, b = find_complementary_set(ArrayGeometry(16, 2), cb, GRID, "golay").weights
         assert set(a.entries.tolist()) | set(b.entries.tolist()) <= {1.0 + 0j, -1.0 + 0j}
 
     def test_stochastic_deterministic_under_seed(self):
         geom = ArrayGeometry(8, 2)
         cb = PhaseCodebook(4)
-        one = find_complementary_pair(geom, cb, GRID, "stochastic", seed=9, budget=400)
-        two = find_complementary_pair(geom, cb, GRID, "stochastic", seed=9, budget=400)
+        one = find_complementary_set(geom, cb, GRID, "stochastic", seed=9, budget=400)
+        two = find_complementary_set(geom, cb, GRID, "stochastic", seed=9, budget=400)
         assert one.variance == two.variance
         assert one.phase_indices == two.phase_indices
         assert one.meta.seed == 9
@@ -228,8 +227,8 @@ class TestFindComplementaryPair:
         cb = PhaseCodebook(4)
         last = math.inf
         for budget in (50, 200, 800, 3200):
-            found = find_complementary_pair(geom, cb, GRID, "stochastic",
-                                            seed=1234, budget=budget)
+            found = find_complementary_set(geom, cb, GRID, "stochastic",
+                                           seed=1234, budget=budget)
             assert found.variance <= last
             last = found.variance
 
@@ -237,8 +236,8 @@ class TestFindComplementaryPair:
         # an exact tie between the current state and a neighbour is decided by
         # the exact variance, as a pattern-table climb decides it; settling it
         # by the screened score instead ends this climb at variance 0.0107
-        found = find_complementary_pair(ArrayGeometry(10, 2), PhaseCodebook(8),
-                                        GRID, "stochastic", seed=5, budget=20000)
+        found = find_complementary_set(ArrayGeometry(10, 2), PhaseCodebook(8),
+                                       GRID, "stochastic", seed=5, budget=20000)
         assert found.phase_indices == ((0, 7, 0, 3, 6), (0, 1, 0, 5, 2))
         assert found.variance < 1e-20
 
@@ -254,18 +253,18 @@ class TestFindComplementaryPair:
         calls = []
         counted = lambda patterns: calls.append(1) or composite_pattern(patterns)
         monkeypatch.setattr(beams, "composite_pattern", counted)
-        find_complementary_pair(geometry, PhaseCodebook(accuracy),
-                                AngleGrid.uniform_theta(2), method, seed=1,
-                                budget=5000)
+        find_complementary_set(geometry, PhaseCodebook(accuracy),
+                               AngleGrid.uniform_theta(2), method, seed=1,
+                               budget=5000)
         assert len(calls) <= 1
 
     def test_stochastic_draws_and_records_seed(self):
-        found = find_complementary_pair(ArrayGeometry(4, 2), PhaseCodebook(2),
-                                        GRID, "stochastic", budget=50)
+        found = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+                                       GRID, "stochastic", budget=50)
         assert found.meta.seed is not None
-        again = find_complementary_pair(ArrayGeometry(4, 2), PhaseCodebook(2),
-                                        GRID, "stochastic", seed=found.meta.seed,
-                                        budget=50)
+        again = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+                                       GRID, "stochastic", seed=found.meta.seed,
+                                       budget=50)
         assert again.variance == found.variance
 
 
@@ -295,8 +294,8 @@ class TestAutocorrelationScreen:
         # the climb keeps no per-vector pattern tables
         tracemalloc.start()
         try:
-            find_complementary_pair(ArrayGeometry(32, 2), PhaseCodebook(4),
-                                    GRID, "stochastic", seed=7, budget=20000)
+            find_complementary_set(ArrayGeometry(32, 2), PhaseCodebook(4),
+                                   GRID, "stochastic", seed=7, budget=20000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -305,34 +304,39 @@ class TestAutocorrelationScreen:
 
 class TestFindComplementaryTriple:
     def test_trivial_single_elements(self):
-        found = find_complementary_triple(ArrayGeometry(3, 3), PhaseCodebook(1),
-                                          GRID, "exhaustive")
+        found = find_complementary_set(ArrayGeometry(3, 3), PhaseCodebook(1),
+                                       GRID, "exhaustive")
         assert len(found.weights) == 3
         assert found.variance == pytest.approx(0.0, abs=1e-15)
 
     def test_exhaustive_matches_brute_force_exactly(self):
         geom = ArrayGeometry(6, 3)
         cb = PhaseCodebook(2)
-        found = find_complementary_triple(geom, cb, GRID, "exhaustive")
+        found = find_complementary_set(geom, cb, GRID, "exhaustive")
         oracle = brute_force_minimum(geom, cb, GRID, group_size=3)
         assert found.variance == oracle
         # no zero-variance binary triple of length 2 exists; record, not assume
         assert found.variance > 0
 
+    def test_golay_is_pairs_only(self):
+        with pytest.raises(ValueError, match="only yields pairs"):
+            find_complementary_set(ArrayGeometry(12, 3), PhaseCodebook(2),
+                                   GRID, "golay")
+
     def test_stochastic_reproducible(self):
         geom = ArrayGeometry(12, 3)
         cb = PhaseCodebook(4)
-        one = find_complementary_triple(geom, cb, GRID, "stochastic", seed=77,
-                                        budget=400)
-        two = find_complementary_triple(geom, cb, GRID, "stochastic", seed=77,
-                                        budget=400)
+        one = find_complementary_set(geom, cb, GRID, "stochastic", seed=77,
+                                     budget=400)
+        two = find_complementary_set(geom, cb, GRID, "stochastic", seed=77,
+                                     budget=400)
         assert one.variance == two.variance
 
 
 class TestBeamSetJson:
     def test_round_trip(self):
-        found = find_complementary_pair(ArrayGeometry(8, 2), PhaseCodebook(4),
-                                        GRID, "stochastic", seed=3, budget=200)
+        found = find_complementary_set(ArrayGeometry(8, 2), PhaseCodebook(4),
+                                       GRID, "stochastic", seed=3, budget=200)
         doc = found.to_json_dict()
         back = ComplementaryBeamSet.from_json_dict(doc)
         assert back.variance == found.variance
@@ -347,15 +351,15 @@ class TestBeamSetJson:
         AngleGrid(np.linspace(-1.0, 1.1, 40) ** 3),
     ], ids=["uniform-theta", "uniform-psi-spacing-1", "explicit"])
     def test_grid_round_trip(self, grid):
-        found = find_complementary_pair(ArrayGeometry(8, 2, spacing=1.0),
-                                        PhaseCodebook(2), grid, "golay")
+        found = find_complementary_set(ArrayGeometry(8, 2, spacing=1.0),
+                                       PhaseCodebook(2), grid, "golay")
         back = ComplementaryBeamSet.from_json_dict(found.to_json_dict())
         assert np.array_equal(back.grid.points, grid.points)
         assert (back.grid.measure, back.grid.name) == (grid.measure, grid.name)
 
     def test_corrupt_variance_rejected(self):
-        found = find_complementary_pair(ArrayGeometry(4, 2), PhaseCodebook(2),
-                                        GRID, "exhaustive")
+        found = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+                                       GRID, "exhaustive")
         doc = found.to_json_dict()
         doc["variance"] = 0.25
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
-"""Unit tests for QPSK mapping, noise injection, and block fading."""
+"""Unit tests for QPSK mapping, noise injection, and block fading, which is
+the noise's circular-Gaussian draw at unit variance (``LinkChannel.fading``)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from cbfsim.arrays import AngleGrid, ArrayGeometry, subarray_gains
+from cbfsim.beams import PhaseCodebook, find_complementary_set
 from cbfsim.channel import (
     awgn_qpsk_ber,
     complex_noise,
@@ -12,9 +15,9 @@ from cbfsim.channel import (
     q_function,
     qpsk_demodulate,
     qpsk_modulate,
-    rayleigh_pair_gains,
     rayleigh_qpsk_ber,
 )
+from cbfsim.simulate import LinkChannel, transmit_cbf
 
 ROOT_HALF = 1 / math.sqrt(2)
 
@@ -86,30 +89,44 @@ class TestAwgn:
             complex_noise(4, -0.1, np.random.default_rng(0))
 
 
+def rayleigh_link(seed, equal_subarrays=True):
+    return LinkChannel("rayleigh", 0.0, np.random.default_rng(seed), equal_subarrays)
+
+
 class TestRayleighBlock:
+    @staticmethod
+    def stream_fading(equal_subarrays):
+        """Each cbf stream's gain over its beam gain: the stream's fading."""
+        beams = find_complementary_set(ArrayGeometry(8, 2), PhaseCodebook(2),
+                                       AngleGrid.uniform_theta(512), "golay")
+        g1, g2 = (subarray_gains(w.entries, beams.geometry, m, 0.3)[0]
+                  for m, w in enumerate(beams.weights))
+        s = qpsk_modulate(np.random.default_rng(2).integers(0, 2, 400))
+        sig = transmit_cbf(s, beams, 0.3, rayleigh_link(3, equal_subarrays))
+        return sig.gain1 / g1, sig.gain2 / g2
+
     def test_equal_subarrays_ties_links(self):
-        h1, h2 = rayleigh_pair_gains(100, True, np.random.default_rng(3))
-        assert np.array_equal(h1, h2)
+        h1, h2 = self.stream_fading(True)
+        assert np.allclose(h1, h2, rtol=1e-12, atol=0)
 
     def test_independent_links_differ(self):
-        h1, h2 = rayleigh_pair_gains(100, False, np.random.default_rng(3))
-        assert np.any(h1 != h2)
+        h1, h2 = self.stream_fading(False)
+        assert not np.any(np.isclose(h1, h2))
 
     def test_unit_mean_power(self):
-        h1, h2 = rayleigh_pair_gains(100_000, False, np.random.default_rng(8))
-        assert np.mean(np.abs(h1) ** 2) == pytest.approx(1.0, abs=0.02)
-        assert np.mean(np.abs(h2) ** 2) == pytest.approx(1.0, abs=0.02)
+        link = rayleigh_link(8)
+        for h in (link.fading(100_000), link.fading(100_000)):
+            assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_reproducible_sequence(self):
-        a = rayleigh_pair_gains(50, False, np.random.default_rng(17))
-        b = rayleigh_pair_gains(50, False, np.random.default_rng(17))
+        a = rayleigh_link(17).fading(50)
+        b = rayleigh_link(17).fading(50)
         assert np.array_equal(a, b)
 
     def test_envelope_is_rayleigh(self):
         # one-sample Kolmogorov-Smirnov test against F(x) = 1 - exp(-x^2)
         n = 100_000
-        h1, _ = rayleigh_pair_gains(n, True, np.random.default_rng(99))
-        x = np.sort(np.abs(h1))
+        x = np.sort(np.abs(rayleigh_link(99).fading(n)))
         cdf = 1.0 - np.exp(-(x ** 2))
         empirical_hi = np.arange(1, n + 1) / n
         empirical_lo = np.arange(0, n) / n
@@ -117,10 +134,6 @@ class TestRayleighBlock:
                  np.max(np.abs(cdf - empirical_lo)))
         critical_1pct = 1.628 / math.sqrt(n)
         assert ks < critical_1pct
-
-    def test_needs_blocks(self):
-        with pytest.raises(ValueError):
-            rayleigh_pair_gains(0, True, np.random.default_rng(0))
 
 
 class TestSnrPoint:

@@ -206,9 +206,10 @@ class TestBerCommand:
         assert main(["ber", "--scheme", scheme, "--snr-db", "4", "--angles", "0",
                      "--min-bits", "20000", "--max-bits", "20000",
                      "--elements", "7", "--beamset", str(tmp_path / "none.json"),
-                     "--out", str(out)]) == 0
+                     "--fading", "independent", "--out", str(out)]) == 0
         config = json.loads((tmp_path / f"{scheme}.manifest.json").read_text())["config"]
-        assert (config["elements"], config["beamset"]) == (elements, beamset)
+        assert (config["elements"], config["beamset"], config["fading"]) == (
+            elements, beamset, None)
 
     def test_invalid_scheme_usage_error(self):
         assert main(["ber", "--scheme", "mimo", "--snr-db", "4"]) == 2
@@ -402,12 +403,25 @@ GOLDEN_BER = {
         "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
         "cbf,rayleigh,30,5,100000,3304,0.03304,0.00110784843\n"
         "cbf,rayleigh,30,15,100000,96,0.00096,0.000191947795\n"),
+    "cbf-rayleigh-equal": (
+        ["--scheme", "cbf", "--channel", "rayleigh", "--snr-db", "5,15",
+         "--angles", "30", "--min-bits", "10000", "--target-errors", "20",
+         "--seed", "3"],
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
+        "cbf,rayleigh,30,5,100000,6389,0.06389,0.00151577925\n"
+        "cbf,rayleigh,30,15,100000,807,0.00807,0.000554540604\n"),
     "rbf-rayleigh-block-4": (
         ["--scheme", "rbf", "--channel", "rayleigh", "--rbf-block", "4",
          "--snr-db", "10", "--angles", "0", "--min-bits", "10000",
          "--target-errors", "20", "--seed", "5"],
         "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
         "rbf,rayleigh,0,10,100000,5683,0.05683,0.00143496031\n"),
+    "single-rayleigh": (
+        ["--scheme", "single", "--channel", "rayleigh", "--snr-db", "10",
+         "--angles", "0", "--min-bits", "10000", "--target-errors", "20",
+         "--seed", "4"],
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
+        "single,rayleigh,0,10,100000,2224,0.02224,0.000913986111\n"),
     "single-awgn-exact": (
         ["--scheme", "single", "--channel", "awgn", "--snr-db", "4",
          "--angles", "0", "--min-bits", "10000", "--max-bits", "10000",

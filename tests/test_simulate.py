@@ -13,7 +13,7 @@ import pytest
 
 from cbfsim import simulate
 from cbfsim.arrays import AngleGrid, ArrayGeometry, subarray_gains
-from cbfsim.beams import PhaseCodebook, find_complementary_pair
+from cbfsim.beams import PhaseCodebook, find_complementary_set
 from cbfsim.channel import (
     awgn_qpsk_ber,
     complex_noise,
@@ -33,8 +33,8 @@ from cbfsim.simulate import (
 )
 
 GEOM = ArrayGeometry(8, 2)
-BEAMS = find_complementary_pair(GEOM, PhaseCodebook(2),
-                                AngleGrid.uniform_theta(512), "golay")
+BEAMS = find_complementary_set(GEOM, PhaseCodebook(2),
+                               AngleGrid.uniform_theta(512), "golay")
 
 
 @pytest.fixture
@@ -146,8 +146,8 @@ class TestTransmitCbf:
         # [1,1] nulls at endfire while [1,-1] peaks there: orthogonality
         # keeps zero-forcing exact on the surviving stream
         geom = ArrayGeometry(4, 2)
-        pair = find_complementary_pair(geom, PhaseCodebook(2),
-                                       AngleGrid.uniform_theta(512), "exhaustive")
+        pair = find_complementary_set(geom, PhaseCodebook(2),
+                                      AngleGrid.uniform_theta(512), "exhaustive")
         angle = math.pi / 2
         gains = [abs(subarray_gains(w.entries, geom, m, angle)[0])
                  for m, w in enumerate(pair.weights)]
@@ -187,7 +187,7 @@ class TestTransmitRbf:
         rng = np.random.default_rng(31)
         s = make_symbols(rng, 4 * 100_000)
         sig = transmit_rbf(s, GEOM, angle, quiet_link(rng))
-        mean_power = np.mean(np.abs(sig.block_gains) ** 2)
+        mean_power = np.mean(np.abs(sig.gains[::2]) ** 2)
         assert mean_power == pytest.approx(1.0, abs=0.02)
 
     def test_deep_fade_blocks_burst_errors(self):
@@ -199,7 +199,7 @@ class TestTransmitRbf:
         bits_hat = qpsk_demodulate(sig.decode(0.1))
         errors = (bits_hat != bits).reshape(-1, 4)  # bits per block
         block_ber = errors.mean(axis=1)
-        faded = np.abs(sig.block_gains) < 0.1
+        faded = np.abs(sig.gains[::2]) < 0.1
         assert faded.any()
         assert block_ber[faded].mean() > 0.25
         assert block_ber[~faded].mean() < 0.05

@@ -5,13 +5,19 @@ import pytest
 
 from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, beam_pattern
 from cbfsim.beams import golay_construct
-from cbfsim.stbc import mmse_decode_streams
+from cbfsim.simulate import CbfSignal
 from oracles import (alamouti_encode, composite_channel, fallback_pattern,
                      mmse_decode, pattern_variance, receive)
 
 
 def random_symbols(rng, n=1):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def decode_codeword(y1, y2, a, b, noise_variance):
+    """The simulator's decoder on one codeword with stream gains a and b."""
+    arrays = (np.array([v], dtype=complex) for v in (y1, y2, a, b))
+    return CbfSignal(*arrays, energy_per_period=0.0).decode(noise_variance)
 
 
 class TestAlamoutiEncode:
@@ -129,13 +135,17 @@ class TestMmseDecode:
             s1, s2, g1, g2, h1, h2, n1, n2 = random_symbols(rng, 8)
             y1, y2 = receive(alamouti_encode(s1, s2), g1, g2, h1, h2, (n1, n2))
             matrix = mmse_decode((y1, y2), composite_channel(g1, g2, h1, h2), sigma2)
-            e1, e2 = mmse_decode_streams(y1, y2, g1 * h1, g2 * h2, sigma2)
-            assert abs(complex(e1) - matrix[0]) < 1e-12
-            assert abs(complex(e2) - matrix[1]) < 1e-12
+            e1, e2 = decode_codeword(y1, y2, g1 * h1, g2 * h2, sigma2)
+            assert abs(e1 - matrix[0]) < 1e-12
+            assert abs(e2 - matrix[1]) < 1e-12
 
     def test_stream_form_zero_channel_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            mmse_decode_streams(1.0, 1.0, 0.0, 0.0, 0.0)
+            decode_codeword(1.0, 1.0, 0.0, 0.0, 0.0)
+
+    def test_stream_form_negative_noise_rejected(self):
+        with pytest.raises(ValueError):
+            decode_codeword(1.0, 1.0, 1.0, 1.0, -1.0)
 
 
 class TestFallbackPattern:

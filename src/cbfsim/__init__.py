@@ -11,11 +11,8 @@ __version__ = "0.1.0"
 from .arrays import (
     AngleGrid,
     ArrayGeometry,
-    BeamPattern,
-    CompositePattern,
     WeightVector,
     beam_pattern,
-    composite_pattern,
 )
 from .beams import (
     ComplementaryBeamSet,

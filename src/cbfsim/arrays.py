@@ -11,7 +11,6 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,14 +19,10 @@ __all__ = [
     "ArrayGeometry",
     "AngleGrid",
     "WeightVector",
-    "BeamPattern",
-    "CompositePattern",
-    "same_grid",
     "gain_power",
     "subarray_gains",
     "steering_basis",
     "beam_pattern",
-    "composite_pattern",
 ]
 
 UNIT_MODULUS_TOL = 1e-12
@@ -106,10 +101,6 @@ class AngleGrid:
         return cls(pts, "theta", name="uniform-theta")
 
 
-def same_grid(a: AngleGrid, b: AngleGrid) -> bool:
-    return a is b or (a.measure == b.measure and np.array_equal(a.points, b.points))
-
-
 @dataclass(frozen=True, eq=False)
 class WeightVector:
     """Analog phase-shifter settings for one sub-array; entries unit modulus."""
@@ -128,33 +119,6 @@ class WeightVector:
         return self.entries.size
 
 
-@dataclass(frozen=True, eq=False)
-class BeamPattern:
-    """Complex gain of one weight vector sampled on an angle grid."""
-
-    grid: AngleGrid
-    gains: np.ndarray
-
-    def __post_init__(self):
-        g = _readonly(self.gains, dtype=complex)
-        if g.shape != self.grid.points.shape:
-            raise ValueError("gains must have one value per grid point")
-        object.__setattr__(self, "gains", g)
-
-    @cached_property
-    def power(self) -> np.ndarray:
-        return _readonly(gain_power(self.gains))
-
-
-@dataclass(frozen=True, eq=False)
-class CompositePattern:
-    """Equal-split combination of member patterns: power is the member mean."""
-
-    members: tuple[BeamPattern, ...]
-    power: np.ndarray
-    variance: float
-
-
 def steering_basis(offsets, spacing: float, angles) -> np.ndarray:
     """Plane-wave phase matrix exp(-j*2*pi*spacing*offsets[n]*sin(angle)),
     one row per angle.  Build it once when many weight vectors share a grid."""
@@ -171,35 +135,16 @@ def subarray_gains(entries, geometry: ArrayGeometry, subarray: int, angles) -> n
 
 def beam_pattern(
     weights: WeightVector, geometry: ArrayGeometry, subarray: int, grid: AngleGrid
-) -> BeamPattern:
-    """Complex gain versus angle for a weight vector driving one sub-array."""
+) -> np.ndarray:
+    """Read-only complex gain on the grid of a weight vector driving one
+    sub-array."""
     if len(weights) != geometry.subarray_size:
         raise ValueError(
             f"weight length {len(weights)} != sub-array size {geometry.subarray_size}"
         )
     gains = subarray_gains(weights.entries, geometry, subarray, grid.points)
-    return BeamPattern(grid=grid, gains=gains)
-
-
-def composite_pattern(patterns) -> CompositePattern:
-    """Combine member patterns into the equal-split composite.
-
-    The composite power at each angle is the mean of the member powers.  All
-    members must share one grid.
-    """
-    members = tuple(patterns)
-    if not members:
-        raise ValueError("composite needs at least one member pattern")
-    grid = members[0].grid
-    for p in members[1:]:
-        if not same_grid(grid, p.grid):
-            raise ValueError("member patterns must share one angle grid")
-    power = _composite_power([p.power for p in members])
-    return CompositePattern(
-        members=members,
-        power=_readonly(power),
-        variance=float(_variance_of_power(power)),
-    )
+    gains.setflags(write=False)
+    return gains
 
 
 def _composite_power(powers):

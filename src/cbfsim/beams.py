@@ -23,9 +23,10 @@ from .arrays import (
     WeightVector,
     _autocorrelation_form,
     _composite_power,
+    _readonly,
     _variance_of_power,
     beam_pattern,
-    composite_pattern,
+    gain_power,
 )
 
 __all__ = [
@@ -89,9 +90,10 @@ class SearchMeta:
 
 @dataclass(frozen=True, eq=False)
 class ComplementaryBeamSet:
-    """Weight vectors whose composite power pattern is (near-)flat over angle.
+    """One weight vector per sub-array whose composite power pattern is
+    (near-)flat over angle.
 
-    ``variance`` is derived from the weights' composite on ``grid``."""
+    ``variance`` is derived from the weights' composite power on ``grid``."""
 
     geometry: ArrayGeometry
     weights: tuple[WeightVector, ...]
@@ -103,13 +105,23 @@ class ComplementaryBeamSet:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "variance", self.composite.variance)
+        if len(self.weights) != self.geometry.num_subarrays:
+            raise ValueError(f"a beam set needs one weight vector per sub-array: "
+                             f"got {len(self.weights)} for "
+                             f"{self.geometry.num_subarrays}")
+        object.__setattr__(self, "variance",
+                           float(_variance_of_power(self.composite_power)))
 
     @cached_property
-    def composite(self):
-        """Equal-split composite of the members on the set's grid."""
-        return composite_pattern([beam_pattern(w, self.geometry, m, self.grid)
-                                  for m, w in enumerate(self.weights)])
+    def member_powers(self) -> np.ndarray:
+        """Read-only |gain|^2 of each member on the set's grid, one row each."""
+        return _readonly(gain_power([beam_pattern(w, self.geometry, m, self.grid)
+                                     for m, w in enumerate(self.weights)]))
+
+    @cached_property
+    def composite_power(self) -> np.ndarray:
+        """Read-only equal-split composite: the mean of the member powers."""
+        return _readonly(_composite_power(self.member_powers))
 
     def to_json_dict(self) -> dict:
         geo = self.geometry
@@ -285,8 +297,8 @@ def _member_powers(geometry, grid, coeffs):
     def power(m, idx):
         key = (m, tuple(idx))
         if key not in tables:
-            tables[key] = beam_pattern(WeightVector(coeffs[list(idx)]),
-                                       geometry, m, grid).power
+            tables[key] = gain_power(beam_pattern(WeightVector(coeffs[list(idx)]),
+                                                  geometry, m, grid))
         return tables[key]
 
     return power

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -195,7 +194,6 @@ def _write_manifest(base: Path, command: str, config: dict, outputs: list[Path])
         "tool": {"name": "cbfsim", "version": __version__},
         "command": command,
         "config": config,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [
             {"path": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}
             for p in outputs
@@ -205,19 +203,13 @@ def _write_manifest(base: Path, command: str, config: dict, outputs: list[Path])
 
 
 def _write_pattern_csv(base: Path, beams: ComplementaryBeamSet) -> Path:
-    comp = beams.composite
-    patterns = comp.members
+    members = beams.member_powers
     header = ("theta_deg,"
-              + ",".join(f"g{i + 1}_power" for i in range(len(patterns)))
+              + ",".join(f"g{i + 1}_power" for i in range(len(members)))
               + ",composite_power")
-    lines = [header]
-    degrees = np.degrees(beams.grid.points)
-    for row in range(len(beams.grid)):
-        cells = [_fmt(degrees[row])]
-        cells += [_fmt(p.power[row]) for p in patterns]
-        cells.append(_fmt(comp.power[row]))
-        lines.append(",".join(cells))
-    return _write(base, ".pattern.csv", lines)
+    columns = (np.degrees(beams.grid.points), *members, beams.composite_power)
+    return _write(base, ".pattern.csv",
+                  [header] + [",".join(map(_fmt, row)) for row in zip(*columns)])
 
 
 def _write_ber_csv(base: Path, curve) -> Path:

@@ -76,7 +76,7 @@ class SchemeConfig:
         if self.kind == "cbf":
             if self.geometry.num_subarrays != 2:
                 raise ValueError("cbf needs a two-sub-array geometry")
-            if self.beams is None or len(self.beams.weights) != 2:
+            if self.beams is None:
                 raise ValueError("cbf needs a complementary beam pair")
             if astuple(self.beams.geometry) != astuple(self.geometry):
                 raise ValueError("beam set geometry does not match the scheme geometry")

@@ -4,16 +4,16 @@ These are the textbook per-codeword forms of Alamouti encoding, the effective
 2x2 channel seen after conjugate restacking of the second receive sample,
 and the matrix MMSE/zero-forcing solve.  The simulator itself uses only
 ``cbfsim.simulate.CbfSignal.decode``; the tests compare it against these.
-``fallback_pattern`` is the correlated-stream pattern that motivates
+``fallback_pattern`` is the correlated-stream gain that motivates
 independent streams in the first place, and ``rbf_qpsk_ber`` is the expected
 bit error rate of random beamforming.  ``uniform_psi_grid`` and
 ``pattern_variance`` are the grid and flatness metric the array tests check
-beam patterns with.
+power patterns with.
 """
 
 import numpy as np
 
-from cbfsim.arrays import AngleGrid, ArrayGeometry, BeamPattern, WeightVector, steering_basis
+from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, steering_basis
 from cbfsim.channel import q_function
 
 
@@ -66,8 +66,8 @@ def mmse_decode(y, channel: np.ndarray, noise_variance: float = 0.0) -> np.ndarr
 
 def fallback_pattern(
     w1: WeightVector, w2: WeightVector, geometry: ArrayGeometry, grid: AngleGrid
-) -> BeamPattern:
-    """Full-array pattern of the concatenated weights [w1; w2].
+) -> np.ndarray:
+    """Full-array complex gain of the concatenated weights [w1; w2].
 
     This is what radiates when both sub-arrays carry the same signal over a
     common channel: the split collapses to plain analog beamforming, and the
@@ -80,7 +80,7 @@ def fallback_pattern(
         raise ValueError("weight lengths must match the sub-array size")
     entries = np.concatenate([w1.entries, w2.entries])
     basis = steering_basis(np.arange(2 * ns), geometry.spacing, grid.points)
-    return BeamPattern(grid=grid, gains=(basis @ entries) * (1.0 / np.sqrt(ns)))
+    return (basis @ entries) * (1.0 / np.sqrt(ns))
 
 
 def rbf_qpsk_ber(eb_n0_db: float, elements: int, channel: str,
@@ -122,7 +122,7 @@ def uniform_psi_grid(num_points: int = 512, spacing: float = 0.5) -> AngleGrid:
     return AngleGrid(np.arcsin(psi / (2 * np.pi * spacing)), "psi", name="uniform-psi")
 
 
-def pattern_variance(pattern) -> float:
-    """Mean squared deviation of |gain|^2 from its grid mean; zero iff flat.
-    Accepts a BeamPattern or CompositePattern."""
-    return float(np.var(pattern.power))
+def pattern_variance(power) -> float:
+    """Mean squared deviation of a power pattern (|gain|^2 on a grid, or a
+    composite of such) from its grid mean; zero iff flat."""
+    return float(np.var(power))

@@ -1,4 +1,5 @@
-"""Unit tests for the array model: geometry, steering, patterns, variance."""
+"""Unit tests for the array model: geometry, steering, patterns, variance,
+and the composite power tables of a beam set."""
 
 import math
 
@@ -10,11 +11,17 @@ from cbfsim.arrays import (
     ArrayGeometry,
     WeightVector,
     beam_pattern,
-    composite_pattern,
+    gain_power,
     steering_basis,
     subarray_gains,
 )
+from cbfsim.beams import ComplementaryBeamSet, SearchMeta
 from oracles import pattern_variance, uniform_psi_grid
+
+
+def beam_set(geometry, weights, grid):
+    return ComplementaryBeamSet(geometry, [WeightVector(w) for w in weights], grid,
+                                SearchMeta("explicit", 0))
 
 
 def steering(geometry, subarray, angle):
@@ -115,20 +122,22 @@ class TestWeightVector:
 class TestBeamPattern:
     def test_single_element_isotropic(self):
         grid = AngleGrid.uniform_theta(128)
-        bp = beam_pattern(WeightVector([1.0]), ArrayGeometry(1, 1), 0, grid)
-        assert np.allclose(np.abs(bp.gains), 1.0)
+        gains = beam_pattern(WeightVector([1.0]), ArrayGeometry(1, 1), 0, grid)
+        assert np.allclose(np.abs(gains), 1.0)
+        with pytest.raises(ValueError):
+            gains[0] = 2.0
 
     def test_boresight_coherent_gain(self):
         # uniform weights: |g|^2 = N_s at broadside after 1/sqrt(N_s) scaling
         grid = AngleGrid(np.array([-0.2, 0.0, 0.2]))
-        bp = beam_pattern(WeightVector(np.ones(8)), ArrayGeometry(8, 1), 0, grid)
-        assert bp.power[1] == pytest.approx(8.0, abs=1e-12)
+        gains = beam_pattern(WeightVector(np.ones(8)), ArrayGeometry(8, 1), 0, grid)
+        assert gain_power(gains)[1] == pytest.approx(8.0, abs=1e-12)
 
     def test_first_null_of_uniform_beam(self):
         null = math.asin(0.25)  # psi = 2*pi/8 for half-wavelength pitch
         grid = AngleGrid(np.array([0.0, null]))
-        bp = beam_pattern(WeightVector(np.ones(8)), ArrayGeometry(8, 1), 0, grid)
-        assert abs(bp.gains[1]) < 1e-12
+        gains = beam_pattern(WeightVector(np.ones(8)), ArrayGeometry(8, 1), 0, grid)
+        assert abs(gains[1]) < 1e-12
 
     def test_length_mismatch(self):
         grid = AngleGrid.uniform_theta(16)
@@ -141,18 +150,18 @@ class TestBeamPattern:
         rng = np.random.default_rng(11)
         for _ in range(50):
             w = WeightVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 8)))
-            bp = beam_pattern(w, geom, rng.integers(0, 2), grid)
-            assert bp.power.mean() == pytest.approx(1.0, abs=1e-6)
+            power = gain_power(beam_pattern(w, geom, rng.integers(0, 2), grid))
+            assert power.mean() == pytest.approx(1.0, abs=1e-6)
 
     def test_global_phase_invariance(self):
         grid = AngleGrid.uniform_theta(256)
         geom = ArrayGeometry(8, 2)
         rng = np.random.default_rng(3)
         w = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-        base = np.abs(beam_pattern(WeightVector(w), geom, 0, grid).gains)
+        base = np.abs(beam_pattern(WeightVector(w), geom, 0, grid))
         for alpha in (0.1, 1.0, 2.5):
             rotated = np.abs(
-                beam_pattern(WeightVector(np.exp(1j * alpha) * w), geom, 0, grid).gains
+                beam_pattern(WeightVector(np.exp(1j * alpha) * w), geom, 0, grid)
             )
             assert np.max(np.abs(rotated - base)) < 1e-12
 
@@ -171,75 +180,66 @@ class TestBeamPattern:
 
 class TestCompositePattern:
     def test_single_flat_member(self):
-        grid = AngleGrid.uniform_theta(64)
-        bp = beam_pattern(WeightVector([1.0]), ArrayGeometry(1, 1), 0, grid)
-        comp = composite_pattern([bp])
-        assert np.allclose(np.sqrt(comp.power), 1.0)
-        assert comp.variance == pytest.approx(0.0, abs=1e-15)
+        beams = beam_set(ArrayGeometry(1, 1), [[1.0]], AngleGrid.uniform_theta(64))
+        assert np.allclose(np.sqrt(beams.composite_power), 1.0)
+        assert beams.variance == pytest.approx(0.0, abs=1e-15)
 
     def test_two_element_complementary_pair_is_flat(self):
         # |1+e^{-j psi}|^2 + |1-e^{-j psi}|^2 = 4 -> composite power 1
-        grid = AngleGrid.uniform_theta(512)
-        geom = ArrayGeometry(4, 2)
-        p1 = beam_pattern(WeightVector([1, 1]), geom, 0, grid)
-        p2 = beam_pattern(WeightVector([1, -1]), geom, 1, grid)
-        comp = composite_pattern([p1, p2])
-        assert np.max(np.abs(np.sqrt(comp.power) - 1.0)) < 1e-12
-        assert comp.variance < 1e-30
+        beams = beam_set(ArrayGeometry(4, 2), [[1, 1], [1, -1]],
+                         AngleGrid.uniform_theta(512))
+        assert np.max(np.abs(np.sqrt(beams.composite_power) - 1.0)) < 1e-12
+        assert beams.variance < 1e-30
 
     def test_amplitude_is_root_mean_member_power(self):
         grid = AngleGrid.uniform_theta(64)
         geom = ArrayGeometry(8, 2)
         rng = np.random.default_rng(9)
-        pats = [
-            beam_pattern(WeightVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 4))),
-                         geom, m, grid)
-            for m in range(2)
-        ]
-        comp = composite_pattern(pats)
-        expected = (pats[0].power + pats[1].power) / 2
-        assert np.array_equal(comp.power, expected)
+        weights = [np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) for _ in range(2)]
+        beams = beam_set(geom, weights, grid)
+        powers = [gain_power(beam_pattern(WeightVector(w), geom, m, grid))
+                  for m, w in enumerate(weights)]
+        assert np.array_equal(beams.member_powers, powers)
+        assert np.array_equal(beams.composite_power, (powers[0] + powers[1]) / 2)
+
+    def test_power_tables_read_only(self):
+        beams = beam_set(ArrayGeometry(4, 2), [[1, 1], [1, -1]],
+                         AngleGrid.uniform_theta(64))
+        for table in (beams.member_powers, beams.composite_power):
+            with pytest.raises(ValueError):
+                table[0] = 2.0
 
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            composite_pattern([])
+        with pytest.raises(ValueError, match="got 0 for 1"):
+            beam_set(ArrayGeometry(1, 1), [], AngleGrid.uniform_theta(64))
 
-    def test_mismatched_grids_rejected(self):
-        geom = ArrayGeometry(2, 1)
-        p1 = beam_pattern(WeightVector([1, 1]), geom, 0, AngleGrid.uniform_theta(64))
-        p2 = beam_pattern(WeightVector([1, 1]), geom, 0, AngleGrid.uniform_theta(65))
-        with pytest.raises(ValueError):
-            composite_pattern([p1, p2])
+    def test_member_count_mismatch_rejected(self):
+        for members in (1, 3):
+            with pytest.raises(ValueError, match=f"got {members} for 2"):
+                beam_set(ArrayGeometry(4, 2), [[1, 1]] * members,
+                         AngleGrid.uniform_theta(64))
 
 
 class TestPatternVariance:
     def test_flat_pattern_is_zero(self):
         grid = AngleGrid.uniform_theta(64)
-        bp = beam_pattern(WeightVector([1.0]), ArrayGeometry(1, 1), 0, grid)
-        assert pattern_variance(bp) == 0.0
+        gains = beam_pattern(WeightVector([1.0]), ArrayGeometry(1, 1), 0, grid)
+        assert pattern_variance(gain_power(gains)) == 0.0
 
     def test_two_element_pair_zero_on_any_grid(self):
-        geom = ArrayGeometry(4, 2)
         for grid in (AngleGrid.uniform_theta(333), uniform_psi_grid(512)):
-            comp = composite_pattern([
-                beam_pattern(WeightVector([1, 1]), geom, 0, grid),
-                beam_pattern(WeightVector([1, -1]), geom, 1, grid),
-            ])
-            assert pattern_variance(comp) < 1e-30
+            beams = beam_set(ArrayGeometry(4, 2), [[1, 1], [1, -1]], grid)
+            assert pattern_variance(beams.composite_power) < 1e-30
 
     def test_half_for_two_element_beam_on_psi_grid(self):
         # |g|^2 = 1 + cos(psi); E[cos^2] = 1/2 over a full period.  The 0.5
         # was cross-checked against dense trapezoid integration of the same
         # functional before being frozen here.
         grid = uniform_psi_grid(512)
-        bp = beam_pattern(WeightVector([1, 1]), ArrayGeometry(4, 2), 0, grid)
-        assert pattern_variance(bp) == pytest.approx(0.5, abs=1e-9)
+        gains = beam_pattern(WeightVector([1, 1]), ArrayGeometry(4, 2), 0, grid)
+        assert pattern_variance(gain_power(gains)) == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_variance_is_measure_invariant(self):
-        geom = ArrayGeometry(4, 2)
         for grid in (AngleGrid.uniform_theta(512), uniform_psi_grid(512)):
-            comp = composite_pattern([
-                beam_pattern(WeightVector([1, 1]), geom, 0, grid),
-                beam_pattern(WeightVector([1, -1]), geom, 1, grid),
-            ])
-            assert comp.variance < 1e-10
+            beams = beam_set(ArrayGeometry(4, 2), [[1, 1], [1, -1]], grid)
+            assert beams.variance < 1e-10

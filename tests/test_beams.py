@@ -16,12 +16,13 @@ from cbfsim.arrays import (
     _composite_power,
     _variance_of_power,
     beam_pattern,
-    composite_pattern,
+    gain_power,
 )
 from cbfsim.beams import (
     ComplementaryBeamSet,
     PhaseCodebook,
     SearchCapacityError,
+    SearchMeta,
     find_complementary_set,
     _lag_features,
     golay_construct,
@@ -31,27 +32,25 @@ from oracles import uniform_psi_grid
 GRID = AngleGrid.uniform_theta(512)
 
 
+def composite_variance(powers):
+    """A beam set's variance arithmetic on member power tables."""
+    return float(_variance_of_power(_composite_power(powers)))
+
+
+def power_tables(geometry, codebook, grid, vectors):
+    """|gain|^2 of every phase-index vector on every sub-array."""
+    return {(m, idx): gain_power(beam_pattern(
+                WeightVector(codebook.coefficients[list(idx)]), geometry, m, grid))
+            for m in range(geometry.num_subarrays) for idx in vectors}
+
+
 def brute_force_minimum(geometry, codebook, grid, group_size=2):
     """Independent oracle: scan every raw weight tuple, no symmetry reduction."""
-    k = codebook.accuracy
-    ns = geometry.subarray_size
-    coeffs = codebook.coefficients
-    cache = {}
-
-    def pattern(m, idx):
-        if (m, idx) not in cache:
-            w = WeightVector(coeffs[list(idx)])
-            cache[(m, idx)] = beam_pattern(w, geometry, m, grid)
-        return cache[(m, idx)]
-
-    best = math.inf
-    for combo in itertools.product(itertools.product(range(k), repeat=ns),
-                                   repeat=group_size):
-        members = [pattern(m, idx) for m, idx in enumerate(combo)]
-        var = composite_pattern(members).variance
-        if var < best:
-            best = var
-    return best
+    vectors = list(itertools.product(range(codebook.accuracy),
+                                     repeat=geometry.subarray_size))
+    power = power_tables(geometry, codebook, grid, vectors)
+    return min(composite_variance([power[m, idx] for m, idx in enumerate(combo)])
+               for combo in itertools.product(vectors, repeat=group_size))
 
 
 class TestPhaseCodebook:
@@ -105,11 +104,8 @@ class TestGolayConstruct:
         geom = ArrayGeometry(16, 2)
         a, b = golay_construct(8)
         grid = AngleGrid.uniform_theta(4096)
-        comp = composite_pattern([
-            beam_pattern(a, geom, 0, grid),
-            beam_pattern(b, geom, 1, grid),
-        ])
-        assert comp.variance < 1e-12
+        beams = ComplementaryBeamSet(geom, (a, b), grid, SearchMeta("golay", 1))
+        assert beams.variance < 1e-12
 
     def test_unsupported_length(self):
         for n in (3, 6, 12):
@@ -174,10 +170,11 @@ class TestFindComplementaryPair:
                                ("stochastic", {"seed": 5, "budget": 300})):
             found = find_complementary_set(geom, PhaseCodebook(2), GRID,
                                            method, **kwargs)
-            recomputed = composite_pattern([beam_pattern(w, geom, m, GRID)
-                                            for m, w in enumerate(found.weights)])
-            assert found.variance == recomputed.variance
-            assert np.array_equal(found.composite.power, recomputed.power)
+            powers = [gain_power(beam_pattern(w, geom, m, GRID))
+                      for m, w in enumerate(found.weights)]
+            assert found.variance == composite_variance(powers)
+            assert np.array_equal(found.member_powers, powers)
+            assert np.array_equal(found.composite_power, _composite_power(powers))
 
     @pytest.mark.parametrize("elements,group_size,accuracy", [
         (4, 2, 2), (6, 3, 2), (8, 2, 2), (8, 2, 4), (9, 3, 2),
@@ -190,13 +187,10 @@ class TestFindComplementaryPair:
         cb = PhaseCodebook(accuracy)
         reduced = [(0,) + s for s in itertools.product(
             range(cb.accuracy), repeat=geom.subarray_size - 1)]
-        patterns = {(m, idx): beam_pattern(WeightVector(cb.coefficients[list(idx)]),
-                                           geom, m, GRID)
-                    for m in range(group_size) for idx in reduced}
-        scores = []
-        for combo in itertools.product(reduced, repeat=group_size):
-            members = [patterns[m, idx] for m, idx in enumerate(combo)]
-            scores.append((composite_pattern(members).variance, combo))
+        power = power_tables(geom, cb, GRID, reduced)
+        scores = [(composite_variance([power[m, idx] for m, idx in enumerate(combo)]),
+                   combo)
+                  for combo in itertools.product(reduced, repeat=group_size)]
         best_var = min(var for var, _ in scores)
         first = next(combo for var, combo in scores if var == best_var)
         found = find_complementary_set(geom, cb, GRID, "exhaustive")
@@ -249,14 +243,16 @@ class TestFindComplementaryPair:
                                             method):
         # on two grid points the screen leaves many near-ties, which are
         # rescored from one power table per distinct member vector; only the
-        # returned set builds a composite pattern
+        # returned set builds its members' patterns a second time
         calls = []
-        counted = lambda patterns: calls.append(1) or composite_pattern(patterns)
-        monkeypatch.setattr(beams, "composite_pattern", counted)
+        counted = lambda w, geom, m, grid: (calls.append((m, w.entries.tobytes()))
+                                            or beam_pattern(w, geom, m, grid))
+        monkeypatch.setattr(beams, "beam_pattern", counted)
         find_complementary_set(geometry, PhaseCodebook(accuracy),
                                AngleGrid.uniform_theta(2), method, seed=1,
                                budget=5000)
-        assert len(calls) <= 1
+        assert len(calls) > 2 * geometry.num_subarrays
+        assert len(calls) - len(set(calls)) <= geometry.num_subarrays
 
     def test_stochastic_draws_and_records_seed(self):
         found = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
@@ -286,7 +282,7 @@ class TestAutocorrelationScreen:
                 w = PhaseCodebook(k).coefficients[rng.integers(0, k, (group_size, ns))]
                 x = _lag_features(w).sum(axis=0)
                 exact = _variance_of_power(_composite_power(
-                    [beam_pattern(WeightVector(w[m]), geom, m, grid).power
+                    [gain_power(beam_pattern(WeightVector(w[m]), geom, m, grid))
                      for m in range(group_size)]))
                 assert abs(x @ form @ x - exact) <= 1e-12
 

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from cbfsim import simulate
+from cbfsim.arrays import (AngleGrid, ArrayGeometry, WeightVector, beam_pattern,
+                           gain_power)
 from cbfsim.beams import DEFAULT_CANDIDATE_CEILING, DEFAULT_STOCHASTIC_BUDGET
 from cbfsim.channel import awgn_qpsk_ber
 from cbfsim.cli import main
+from oracles import pattern_variance
 
 
 def read_csv(path):
@@ -18,6 +21,16 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
+
+
+def lone_member(doc):
+    """A saved 8-element pair cut to its first member, with the variance of
+    that member's own pattern, so only the member count is wrong."""
+    values = doc["weights"][0]["values"]
+    gains = beam_pattern(WeightVector([complex(*v) for v in values]),
+                         ArrayGeometry(8, 2), 0, AngleGrid.uniform_theta(512))
+    return {**doc, "weights": doc["weights"][:1],
+            "variance": pattern_variance(gain_power(gains))}
 
 
 class TestSearchCommand:
@@ -145,9 +158,13 @@ class TestBerCommand:
 
     def test_rerun_byte_identical(self, tmp_path):
         assert main(self.BASE + ["--out", str(tmp_path / "one")]) == 0
+        manifest = (tmp_path / "one.manifest.json").read_bytes()
         assert main(self.BASE + ["--out", str(tmp_path / "two")]) == 0
         assert ((tmp_path / "one.ber.csv").read_bytes()
                 == (tmp_path / "two.ber.csv").read_bytes())
+        # the manifest records the --out path, so compare a rerun to one base
+        assert main(self.BASE + ["--out", str(tmp_path / "one")]) == 0
+        assert (tmp_path / "one.manifest.json").read_bytes() == manifest
 
     def test_manifest_digests_match_outputs(self, tmp_path):
         assert main(self.BASE + ["--out", str(tmp_path / "m")]) == 0
@@ -182,7 +199,11 @@ class TestBerCommand:
         (lambda doc: {k: v for k, v in doc.items() if k != "grid"}, "'grid'"),
         (lambda doc: {k: v for k, v in doc.items() if k != "weights"}, "'weights'"),
         (lambda doc: [doc], "JSON object"),
-    ], ids=["missing-grid", "missing-weights", "not-an-object"])
+        (lone_member, "got 1 for 2"),
+        (lambda doc: {**doc, "weights": doc["weights"] + doc["weights"][:1]},
+         "got 3 for 2"),
+    ], ids=["missing-grid", "missing-weights", "not-an-object", "one-member",
+            "three-members"])
     def test_malformed_beamset_one_line_error(self, tmp_path, capsys, corrupt,
                                               named):
         assert main(["search", "--elements", "8", "--subarrays", "2",
@@ -191,12 +212,14 @@ class TestBerCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(corrupt(doc)))
         capsys.readouterr()
-        code = main(["ber", "--scheme", "cbf", "--snr-db", "4", "--angles", "0",
-                     "--beamset", str(bad), "--out", str(tmp_path / "b")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and named in err
+        for argv in (["pattern"],
+                     ["ber", "--scheme", "cbf", "--snr-db", "4", "--angles", "0"]):
+            code = main(argv + ["--beamset", str(bad), "--out", str(tmp_path / "b")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: ") and named in err
+        assert not list(tmp_path.glob("b.*"))
 
     @pytest.mark.parametrize("scheme, elements, beamset", [
         ("single", None, None), ("rbf", 7, None)])
@@ -472,3 +495,36 @@ def test_search_golden_digests(tmp_path, name):
         (tmp_path / f"{name}{suffix}").read_bytes()).hexdigest()
     assert (digest(".beams.json"), digest(".pattern.csv")) == (beams_sha,
                                                                pattern_sha)
+
+
+# sha256 of .pattern.csv for explicit weights with one, two and three members
+# and for the README replay of a saved golay pair, pinned before the pattern
+# writer moved from pattern objects to the beam set's power tables.
+GOLDEN_PATTERN = {
+    "one-member-k4": (
+        ["--weights", "0,1,2,3", "--accuracy", "4"],
+        "2d3d8b26174987abd319dbe4b5fb9f5aa7122f57999c8b14ed04a75f28cecdb3"),
+    "two-members-spacing-0.7": (
+        ["--weights", "0,1,3", "--weights", "2,2,0", "--accuracy", "4",
+         "--spacing", "0.7"],
+        "1540103393fbb110dd384211ba2935d8b5bc116434b0a628591a40aa4480080e"),
+    "three-members-k2-grid-100": (
+        ["--weights", "0,1", "--weights", "1,1", "--weights", "1,0",
+         "--accuracy", "2", "--grid-points", "100"],
+        "86849ac5669019296bd2d60b83e1133ab01feb9f949484792cfe44f2566c85e3"),
+    "golay-16-replay": (
+        ["--beamset", "{pair}"],
+        "10577a626de10678a8794a7d75c2025c7d7cbad248b1106516b183fbab6f6077"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_PATTERN)
+def test_pattern_golden_digests(tmp_path, name):
+    argv, pattern_sha = GOLDEN_PATTERN[name]
+    pair = tmp_path / "pair"
+    assert main(["search", "--elements", "16", "--subarrays", "2",
+                 "--method", "golay", "--out", str(pair)]) == 0
+    argv = [arg.format(pair=f"{pair}.beams.json") for arg in argv]
+    assert main(["pattern", *argv, "--out", str(tmp_path / name)]) == 0
+    assert hashlib.sha256((tmp_path / f"{name}.pattern.csv").read_bytes()
+                          ).hexdigest() == pattern_sha

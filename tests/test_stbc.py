@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, beam_pattern
+from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, beam_pattern, gain_power
 from cbfsim.beams import golay_construct
 from cbfsim.simulate import CbfSignal
 from oracles import (alamouti_encode, composite_channel, fallback_pattern,
@@ -157,7 +157,7 @@ class TestFallbackPattern:
         fp = fallback_pattern(w, w, self.GEOM, self.GRID)
         # boresight: 8 coherent elements scaled by 1/sqrt(4)
         idx = np.argmin(np.abs(self.GRID.points))
-        assert abs(fp.gains[idx]) == pytest.approx(8 / 2, rel=1e-12)
+        assert abs(fp[idx]) == pytest.approx(8 / 2, rel=1e-12)
 
     def test_equals_sum_of_subarray_patterns(self):
         rng = np.random.default_rng(8)
@@ -165,16 +165,16 @@ class TestFallbackPattern:
             w1 = WeightVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
             w2 = WeightVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
             fp = fallback_pattern(w1, w2, self.GEOM, self.GRID)
-            total = (beam_pattern(w1, self.GEOM, 0, self.GRID).gains
-                     + beam_pattern(w2, self.GEOM, 1, self.GRID).gains)
-            assert np.max(np.abs(fp.gains - total)) < 1e-12
+            total = (beam_pattern(w1, self.GEOM, 0, self.GRID)
+                     + beam_pattern(w2, self.GEOM, 1, self.GRID))
+            assert np.max(np.abs(fp - total)) < 1e-12
 
     def test_complementary_pair_loses_isotropy_when_correlated(self):
         # the 1.10 reference value for the collapsed golay pair was computed
         # once with this very grid and frozen as a sanity floor
         geom = ArrayGeometry(16, 2)
         a, b = golay_construct(8)
-        var = pattern_variance(fallback_pattern(a, b, geom, self.GRID))
+        var = pattern_variance(gain_power(fallback_pattern(a, b, geom, self.GRID)))
         assert var > 0.5
 
     def test_dimension_checks(self):

@@ -8,35 +8,12 @@ beamforming, random beamforming, and a single-antenna benchmark.
 
 __version__ = "0.1.0"
 
-from .arrays import (
-    AngleGrid,
-    ArrayGeometry,
-    WeightVector,
-    beam_pattern,
-)
-from .beams import (
-    ComplementaryBeamSet,
-    PhaseCodebook,
-    SearchCapacityError,
-    find_complementary_set,
-    golay_construct,
-)
-from .channel import (
-    awgn_qpsk_ber,
-    noise_variance,
-    qpsk_demodulate,
-    qpsk_modulate,
-    rayleigh_qpsk_ber,
-)
-from .simulate import (
-    BerCurve,
-    BerPoint,
-    SchemeConfig,
-    SimConfig,
-    run_ber,
-    transmit_cbf,
-    transmit_rbf,
-    transmit_single,
-)
+from .arrays import AngleGrid, ArrayGeometry, WeightVector, beam_pattern
+from .beams import (ComplementaryBeamSet, PhaseCodebook, SearchCapacityError,
+                    find_complementary_set, golay_construct)
+from .channel import (awgn_qpsk_ber, noise_variance, qpsk_demodulate, qpsk_modulate,
+                      rayleigh_qpsk_ber)
+from .simulate import (BerCurve, BerPoint, SchemeConfig, SimConfig, run_ber,
+                       transmit_cbf, transmit_rbf, transmit_single)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

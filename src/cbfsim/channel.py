@@ -3,7 +3,7 @@ variance the block Rayleigh fading), and the noise variance of an Eb/N0 point.
 
 Symbols have unit average energy by construction; ``noise_variance`` sizes
 the noise for that budget, and the transmit chains add ``complex_noise``
-themselves.
+themselves, each sample one (real, imaginary) pair of normal draws.
 Closed-form reference BER curves live here too so simulations can be checked
 against them.
 """
@@ -53,24 +53,26 @@ def qpsk_modulate(bits) -> np.ndarray:
 
 
 def qpsk_demodulate(soft) -> np.ndarray:
-    """Minimum-distance (quadrant sign) bit decisions; inverts the mapper on
-    clean symbols and is invariant to positive scaling."""
+    """Minimum-distance (quadrant sign) ``uint8`` bit decisions; inverts the
+    mapper on clean symbols and is invariant to positive scaling."""
     s = np.atleast_1d(np.asarray(soft))
-    bits = np.empty(2 * s.size, dtype=np.int64)
+    bits = np.empty(2 * s.size, dtype=np.uint8)
     bits[0::2] = s.real < 0
     bits[1::2] = s.imag < 0
     return bits
 
 
 def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Circular complex Gaussian samples with the given total variance
-    (variance/2 per real dimension)."""
+    """Circular complex Gaussian samples of an int or tuple ``shape`` with
+    the given total variance (variance/2 per real dimension), drawn as one
+    array of (real, imaginary) normal pairs."""
     if variance < 0:
         raise ValueError("noise variance must be >= 0")
     if variance == 0:
         return np.zeros(shape, dtype=complex)
-    scale = math.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    pairs = rng.standard_normal((*np.broadcast_shapes(shape), 2))
+    pairs *= math.sqrt(variance / 2.0)
+    return pairs.view(complex)[..., 0]
 
 
 def q_function(x: float) -> float:

@@ -213,18 +213,11 @@ def _write_pattern_csv(base: Path, beams: ComplementaryBeamSet) -> Path:
 
 
 def _write_ber_csv(base: Path, curve) -> Path:
-    lines = ["scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95"]
+    lines = ["scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95,ci_lo,ci_hi"]
     for p in curve.points:
-        lines.append(",".join([
-            curve.scheme,
-            curve.channel,
-            _fmt(math.degrees(p.angle)),
-            _fmt(p.eb_n0_db),
-            str(p.bits),
-            str(p.errors),
-            _fmt(p.ber),
-            _fmt(p.ci95),
-        ]))
+        lines.append(",".join([curve.scheme, curve.channel, _fmt(math.degrees(p.angle)),
+                               _fmt(p.eb_n0_db), str(p.bits), str(p.errors),
+                               *map(_fmt, (p.ber, p.ci95, p.ci_lo, p.ci_hi))]))
     return _write(base, ".ber.csv", lines)
 
 
@@ -301,15 +294,16 @@ def cmd_ber(ns, parser) -> int:
     angles_deg = DEFAULT_ANGLES_DEG if ns.angles is None else tuple(
         float(tok) for tok in ns.angles.split(","))
 
+    # a saved beam set brings its own geometry
+    beamset = ns.beamset if ns.scheme == "cbf" else None
     if ns.scheme == "cbf":
-        geometry = ArrayGeometry(ns.elements, 2, ns.spacing)
-        if ns.beamset is not None:
-            beams = _load_beamset(ns.beamset)
+        if beamset is not None:
+            beams = _load_beamset(beamset)
         else:
-            beams = find_complementary_set(
-                geometry, PhaseCodebook(2), AngleGrid.uniform_theta(512), "golay"
-            )
-        scheme = SchemeConfig(kind="cbf", geometry=geometry, beams=beams)
+            beams = find_complementary_set(ArrayGeometry(ns.elements, 2, ns.spacing),
+                                           PhaseCodebook(2), AngleGrid.uniform_theta(512),
+                                           "golay")
+        scheme = SchemeConfig(kind="cbf", geometry=beams.geometry, beams=beams)
     elif ns.scheme == "rbf":
         geometry = ArrayGeometry(ns.elements, 1, ns.spacing)
         scheme = SchemeConfig(kind="rbf", geometry=geometry,
@@ -340,11 +334,11 @@ def cmd_ber(ns, parser) -> int:
         "max_bits": config.max_bits, "seed": config.seed,
         "workers": config.workers,
         # a flag the scheme never reads is recorded as null
-        "elements": None if ns.scheme == "single" else ns.elements,
-        "spacing": ns.spacing,
+        "elements": None if ns.scheme == "single" or beamset is not None else ns.elements,
+        "spacing": None if beamset is not None else ns.spacing,
         "rbf_block": scheme.rbf_block_symbols if ns.scheme == "rbf" else None,
         "fading": ns.fading if ns.scheme == "cbf" else None,
-        "beamset": ns.beamset if ns.scheme == "cbf" else None, "out": str(base),
+        "beamset": beamset, "out": str(base),
     }
     _write_manifest(base, "ber", resolved, written)
     return 0

@@ -12,6 +12,9 @@ point.  Campaigns are bit-identical for the same configuration and seed,
 whatever the worker count: each batch is driven by an rng stream keyed on
 (seed, angle index, SNR index, batch index), so its error count does not
 depend on which process runs it, and counts are folded in batch order.
+A batch draws, in order: its bits as packed random bytes, for rbf one
+float32 phase per element and block, then the fading and noise, each complex
+sample one pair of normal draws.
 A batch sent past its point's stop is discarded rather than cancelled; run in
 the calling process, a batch is computed only when its count is folded, so
 none runs past a stop.
@@ -55,6 +58,7 @@ BATCH_BITS = 200_000
 MAX_LATTICE_POINTS = 10_000
 POWER_TOL = 1e-6
 _CI95 = 1.96
+_CP_TAIL = 0.025  # each tail of the 95% Clopper-Pearson interval
 _SQRT2 = math.sqrt(2.0)
 
 _SCHEMES = ("cbf", "rbf", "single")
@@ -160,6 +164,8 @@ class BerPoint:
     errors: int
     ber: float
     ci95: float
+    ci_lo: float
+    ci_hi: float
 
 
 @dataclass(frozen=True)
@@ -242,7 +248,8 @@ def _energy(s: np.ndarray, weights=(), block: int = 1) -> float:
     p = gain_power(s)
     if weights:
         n = sum(w.shape[-1] for w in weights)
-        norm = sum(gain_power(w).sum(axis=-1) for w in weights) / n
+        norm = sum(np.einsum("...i,...i->...", v, v)
+                   for v in (w.view(float) for w in weights)) / n
         p = p * np.repeat(norm, block)
     return float(np.mean(p)) if s.size else 0.0
 
@@ -284,10 +291,15 @@ def _transmit_scalar(s: np.ndarray, link: LinkChannel, block_symbols: int,
 def transmit_rbf(s: np.ndarray, geometry: ArrayGeometry, angle: float,
                  link: LinkChannel, block_symbols: int = 2) -> ScalarSignal:
     """Single full-array stream, re-weighted with fresh random unit-modulus
-    phases every block so the long-run average gain is flat over angle."""
+    phases every block so the long-run average gain is flat over angle.
+    Phases are float32 draws, continuous to 2^-24 of a turn, and float32
+    cos/sin fill the complex128 weights, unit-modulus to float32 precision."""
     n_el = geometry.total_elements
     blocks = s.size // block_symbols
-    weights = np.exp(1j * link.rng.uniform(0.0, 2 * np.pi, (blocks, n_el)))
+    phases = link.rng.random((blocks, n_el), dtype=np.float32)
+    phases *= np.float32(2 * np.pi)
+    weights = np.empty((blocks, n_el), dtype=complex)
+    weights.real, weights.imag = np.cos(phases), np.sin(phases)
     steer = steering_basis(np.arange(n_el), geometry.spacing, angle)[0]
     # einsum, not @: a threaded BLAS product would oversubscribe the CPUs
     # that pool workers already fill.
@@ -317,7 +329,8 @@ def _run_batch(config: SimConfig, ai: int, si: int, batch: int) -> int:
     noise_variance = chan.noise_variance(config.snr_db[si])
     full, cap = _point_bits(config)
     rng = np.random.default_rng([config.seed, ai, si, batch])
-    bits = rng.integers(0, 2, min(full, cap - batch * full))
+    n = min(full, cap - batch * full)
+    bits = np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), np.uint8), count=n)
     s = chan.qpsk_modulate(bits)
     link = LinkChannel(config.channel, noise_variance, rng, config.equal_subarrays)
     if scheme.kind == "cbf":
@@ -332,6 +345,63 @@ def _run_batch(config: SimConfig, ai: int, si: int, batch: int) -> int:
                            f"{sig.energy_per_period!r} per period vs budget {budget!r}")
     decided = chan.qpsk_demodulate(sig.decode(noise_variance))
     return int(np.count_nonzero(decided != bits))
+
+
+def _log_beta(a: int, b: int) -> float:
+    """log B(a, b).  lgamma rounds to about 1e-16 of its value, so past 1e4
+    the larger argument's share comes from Stirling's series instead."""
+    s, big = sorted((a, b))
+    if big < 1e4:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (math.lgamma(s) - s * math.log(big) - (big + s - 0.5) * math.log1p(s / big)
+            + s + s / (12 * big * (big + s)))
+
+
+def _beta_cdf(a: int, b: int, x: float, y: float) -> tuple[float, float]:
+    """The regularized incomplete beta I_x(a, b), y = 1 - x, and its
+    derivative in x, by Lentz's continued fraction, which converges fast
+    below the mean a/(a+b), where every root sought lies."""
+    # 1 - p rounds only where p < 1/2: take the log of the smaller of x, y
+    lx, ly = (math.log(x), math.log1p(-x)) if x < y else (math.log1p(-y), math.log(y))
+    core = math.exp(a * lx + b * ly - _log_beta(a, b))
+    cf, c, d = 1.0, 1.0, 0.0
+    for m in range(1, 1_000_000):
+        for t in (-(a + m - 1) * (a + b + m - 1) * x / ((a + 2 * m - 2) * (a + 2 * m - 1)),
+                  m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))):
+            d, c = 1.0 / (1.0 + t * d), 1.0 + t / c
+            cf *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return core / (a * cf), core / (x * y)
+
+
+def _cp_end(k: int, n: int, p: float, upper: bool) -> float:
+    """The Clopper-Pearson end, to about 1e-9 relative, at which k or more
+    errors (k or fewer for the upper end) have probability 2.5%: Newton
+    steps from ``p``, bisecting whenever a step would leave the bracket."""
+    lo, hi = 0.0, 1.0
+    for _ in range(100):        # bisection alone would settle within 60
+        # P(X >= k) = I_p(k, n-k+1) rises with p; P(X <= k) = I_{1-p}(n-k, k+1) falls
+        tail, slope = (_beta_cdf(n - k, k + 1, 1.0 - p, p) if upper
+                       else _beta_cdf(k, n - k + 1, p, 1.0 - p))
+        slope = -slope if upper else slope
+        lo, hi = (p, hi) if (tail < _CP_TAIL) != upper else (lo, p)
+        step = p - (tail - _CP_TAIL) / slope if slope else lo
+        tol = 1e-10 * min(p, 1.0 - p)
+        if abs(step - p) <= tol or hi - lo <= tol:
+            return step
+        p = step if lo < step < hi else (lo + hi) / 2
+    return p
+
+
+def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """Exact 95% interval for k errors in n bits (Clopper & Pearson,
+    Biometrika 1934), each end started from its Wilson score bound."""
+    z2 = _CI95 ** 2
+    centre = (k + z2 / 2) / (n + z2)
+    half = _CI95 * math.sqrt(k * (n - k) / n + z2 / 4) / (n + z2)
+    return (_cp_end(k, n, centre - half, False) if k else 0.0,
+            _cp_end(k, n, centre + half, True) if k < n else 1.0)
 
 
 def _available_cpus() -> int:
@@ -377,9 +447,11 @@ def _schedule(config: SimConfig, procs: int, submit) -> list[BerPoint]:
     for (ai, si), f, e in zip(lattice, folded, errors):
         n = min(f * full, cap)
         ber = e / n
+        lo, hi = _clopper_pearson(e, n)
         points.append(BerPoint(angle=config.angles[ai], eb_n0_db=config.snr_db[si],
                                bits=n, errors=e, ber=ber,
-                               ci95=_CI95 * math.sqrt(ber * (1.0 - ber) / n)))
+                               ci95=_CI95 * math.sqrt(ber * (1.0 - ber) / n),
+                               ci_lo=lo, ci_hi=hi))
     return points
 
 
@@ -413,7 +485,8 @@ def run_ber(config: SimConfig) -> BerCurve:
 
     Each point simulates at least min_bits and keeps going until
     target_errors bit errors are seen, then reports the error count, the BER
-    estimate, and its 95% normal-approximation half-width.  Batches run in a
+    estimate, its 95% normal-approximation half-width and the exact 95%
+    Clopper-Pearson bounds, which treat the bit count as fixed.  Batches run in a
     pool of min(workers, available CPUs) forked processes, or lazily in the
     calling process when that is one or fork is missing; results do not
     depend on the worker count, and an error in a batch reaches the caller.

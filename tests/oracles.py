@@ -8,8 +8,11 @@ and the matrix MMSE/zero-forcing solve.  The simulator itself uses only
 independent streams in the first place, and ``rbf_qpsk_ber`` is the expected
 bit error rate of random beamforming.  ``uniform_psi_grid`` and
 ``pattern_variance`` are the grid and flatness metric the array tests check
-power patterns with.
+power patterns with.  ``binomial_cdf`` sums the binomial pmf term by term,
+the defining tail the Clopper-Pearson interval ends are checked against.
 """
+
+import math
 
 import numpy as np
 
@@ -126,3 +129,16 @@ def pattern_variance(power) -> float:
     """Mean squared deviation of a power pattern (|gain|^2 on a grid, or a
     composite of such) from its grid mean; zero iff flat."""
     return float(np.var(power))
+
+
+def binomial_cdf(k: int, n: int, p: float) -> float:
+    """P(X <= k) for X ~ Binomial(n, p), 0 < p < 1: the pmf from i = 0 up,
+    each term from the last by the ratio (n-i)/(i+1) * p/(1-p), summed in
+    log space so that no term underflows."""
+    log_ratio = math.log(p) - math.log1p(-p)
+    logs, log_term = [], n * math.log1p(-p)
+    for i in range(k + 1):
+        logs.append(log_term)
+        log_term += math.log((n - i) / (i + 1)) + log_ratio
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(t - top) for t in logs)

@@ -73,11 +73,17 @@ class TestAwgn:
         assert np.array_equal(s + complex_noise(s.shape, 0.0, rng), s)
 
     def test_sample_variance_calibrated(self):
+        # an int or a tuple shape; circular: variance/2 in each real
+        # dimension, and the two uncorrelated
         rng = np.random.default_rng(5)
-        noise = complex_noise(1_000_000, 1.0, rng)
-        assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0, abs=0.01)
-        # circular: equal power per real dimension
-        assert np.mean(noise.real ** 2) == pytest.approx(0.5, abs=0.01)
+        for shape in (1_000_000, (500, 2_000)):
+            noise = complex_noise(shape, 0.6, rng)
+            assert noise.shape == np.broadcast_shapes(shape)
+            assert noise.dtype == complex
+            assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.6, abs=0.006)
+            assert np.mean(noise.real ** 2) == pytest.approx(0.3, abs=0.003)
+            assert np.mean(noise.imag ** 2) == pytest.approx(0.3, abs=0.003)
+            assert np.mean(noise.real * noise.imag) == pytest.approx(0.0, abs=0.003)
 
     def test_deterministic_under_seed(self):
         a = complex_noise(64, 0.7, np.random.default_rng(9))

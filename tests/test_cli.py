@@ -148,11 +148,12 @@ class TestBerCommand:
         assert code == 0
         header, rows = read_csv(tmp_path / "b.ber.csv")
         assert header == ["scheme", "channel", "angle_deg", "ebn0_db", "bits",
-                          "errors", "ber", "ci95"]
+                          "errors", "ber", "ci95", "ci_lo", "ci_hi"]
         assert [r["ebn0_db"] for r in rows] == ["2", "4", "6"]
         for r in rows:
             assert r["scheme"] == "single" and r["channel"] == "awgn"
             assert int(r["errors"]) <= int(r["bits"])
+            assert float(r["ci_lo"]) <= float(r["ber"]) <= float(r["ci_hi"])
             oracle = awgn_qpsk_ber(float(r["ebn0_db"]))
             assert abs(float(r["ber"]) - oracle) <= 4 * float(r["ci95"])
 
@@ -186,7 +187,9 @@ class TestBerCommand:
         assert [r["angle_deg"] for r in rows] == ["0", "30"]
 
     def test_cbf_with_saved_beamset(self, tmp_path):
-        assert main(["search", "--elements", "8", "--subarrays", "2",
+        # a 16-element set replays without --elements: the set's geometry is
+        # used, so the array flags are recorded as null
+        assert main(["search", "--elements", "16", "--subarrays", "2",
                      "--method", "golay", "--out", str(tmp_path / "s")]) == 0
         code = main(["ber", "--scheme", "cbf", "--channel", "awgn",
                      "--snr-db", "4", "--angles", "0", "--min-bits", "20000",
@@ -194,6 +197,9 @@ class TestBerCommand:
                      "--beamset", str(tmp_path / "s.beams.json"),
                      "--out", str(tmp_path / "bs")])
         assert code == 0
+        config = json.loads((tmp_path / "bs.manifest.json").read_text())["config"]
+        assert (config["elements"], config["spacing"], config["beamset"]) == (
+            None, None, str(tmp_path / "s.beams.json"))
 
     @pytest.mark.parametrize("corrupt, named", [
         (lambda doc: {k: v for k, v in doc.items() if k != "grid"}, "'grid'"),
@@ -406,51 +412,52 @@ def test_infinite_spacing_one_line_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-# Full .ber.csv text of four small seeded runs, pinned when the batch
-# pipeline was last restructured: a refactor that keeps these bytes keeps the
-# RNG streams, the stopping rule and the number formatting.
+# Full .ber.csv text of six small seeded runs, pinned when the batch draws
+# last changed (packed bits, normal pairs, float32 rbf phases): a refactor
+# that keeps these bytes keeps the RNG streams, the stopping rule, the
+# interval arithmetic and the number formatting.
 GOLDEN_BER = {
     "cbf-awgn-two-angles": (
         ["--scheme", "cbf", "--channel", "awgn", "--snr-db", "2,6",
          "--angles", "0,30", "--min-bits", "10000", "--target-errors", "20",
          "--seed", "7"],
-        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
-        "cbf,awgn,0,2,100000,3737,0.03737,0.00117556681\n"
-        "cbf,awgn,0,6,100000,244,0.00244,0.000305788042\n"
-        "cbf,awgn,30,2,100000,3683,0.03683,0.00116736967\n"
-        "cbf,awgn,30,6,100000,276,0.00276,0.00032516999\n"),
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95,ci_lo,ci_hi\n"
+        "cbf,awgn,0,2,100000,3654,0.03654,0.00116293968,0.03538554,0.0377214403\n"
+        "cbf,awgn,0,6,100000,219,0.00219,0.00028973573,0.00190979472,0.00249967448\n"
+        "cbf,awgn,30,2,100000,3710,0.0371,0.0011714766,0.0359369869,0.0382899596\n"
+        "cbf,awgn,30,6,100000,260,0.0026,0.000315629384,0.002293881,0.00293551091\n"),
     "cbf-rayleigh-independent": (
         ["--scheme", "cbf", "--channel", "rayleigh", "--fading", "independent",
          "--snr-db", "5,15", "--angles", "30", "--min-bits", "10000",
          "--target-errors", "20", "--seed", "3"],
-        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
-        "cbf,rayleigh,30,5,100000,3304,0.03304,0.00110784843\n"
-        "cbf,rayleigh,30,15,100000,96,0.00096,0.000191947795\n"),
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95,ci_lo,ci_hi\n"
+        "cbf,rayleigh,30,5,100000,3215,0.03215,0.00109332829,0.0310652781,0.0332619675\n"
+        "cbf,rayleigh,30,15,100000,66,0.00066,0.000159178598,0.000510479578,0.000839606379\n"),
     "cbf-rayleigh-equal": (
         ["--scheme", "cbf", "--channel", "rayleigh", "--snr-db", "5,15",
          "--angles", "30", "--min-bits", "10000", "--target-errors", "20",
          "--seed", "3"],
-        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
-        "cbf,rayleigh,30,5,100000,6389,0.06389,0.00151577925\n"
-        "cbf,rayleigh,30,15,100000,807,0.00807,0.000554540604\n"),
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95,ci_lo,ci_hi\n"
+        "cbf,rayleigh,30,5,100000,6456,0.06456,0.00152316096,0.0630445122,0.066100803\n"
+        "cbf,rayleigh,30,15,100000,790,0.0079,0.000548715644,0.00736060525,0.00846822283\n"),
     "rbf-rayleigh-block-4": (
         ["--scheme", "rbf", "--channel", "rayleigh", "--rbf-block", "4",
          "--snr-db", "10", "--angles", "0", "--min-bits", "10000",
          "--target-errors", "20", "--seed", "5"],
-        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
-        "rbf,rayleigh,0,10,100000,5683,0.05683,0.00143496031\n"),
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95,ci_lo,ci_hi\n"
+        "rbf,rayleigh,0,10,100000,5631,0.05631,0.00142877391,0.0548891365,0.0577566657\n"),
     "single-rayleigh": (
         ["--scheme", "single", "--channel", "rayleigh", "--snr-db", "10",
          "--angles", "0", "--min-bits", "10000", "--target-errors", "20",
          "--seed", "4"],
-        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
-        "single,rayleigh,0,10,100000,2224,0.02224,0.000913986111\n"),
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95,ci_lo,ci_hi\n"
+        "single,rayleigh,0,10,100000,2305,0.02305,0.000930095846,0.0221287741,0.0239990307\n"),
     "single-awgn-exact": (
         ["--scheme", "single", "--channel", "awgn", "--snr-db", "4",
          "--angles", "0", "--min-bits", "10000", "--max-bits", "10000",
          "--target-errors", "0", "--seed", "11"],
-        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95\n"
-        "single,awgn,0,4,10000,131,0.0131,0.00222858033\n"),
+        "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95,ci_lo,ci_hi\n"
+        "single,awgn,0,4,10000,156,0.0156,0.00242886945,0.0132630406,0.0182248857\n"),
 }
 
 

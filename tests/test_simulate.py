@@ -23,6 +23,7 @@ from cbfsim.channel import (
 from cbfsim.cli import main
 from cbfsim.simulate import (
     DEFAULT_ANGLES_DEG,
+    POWER_TOL,
     LinkChannel,
     SchemeConfig,
     SimConfig,
@@ -31,6 +32,7 @@ from cbfsim.simulate import (
     transmit_rbf,
     transmit_single,
 )
+from oracles import binomial_cdf
 
 GEOM = ArrayGeometry(8, 2)
 BEAMS = find_complementary_set(GEOM, PhaseCodebook(2),
@@ -210,6 +212,17 @@ class TestTransmitRbf:
         b = transmit_rbf(s, GEOM, 0.3, quiet_link(np.random.default_rng(33)))
         assert np.array_equal(a.y, b.y)
 
+    def test_weights_unit_modulus_and_continuous(self):
+        # through one element with a unit steering phase, each block's gain is
+        # its weight: unit modulus to float32 precision, and no phase repeats
+        # more often than 2^24 float32 levels a turn make likely
+        blocks = 50_000
+        s = make_symbols(np.random.default_rng(7), 4 * blocks)
+        g = transmit_rbf(s, ArrayGeometry(1, 1), 0.3,
+                         quiet_link(np.random.default_rng(34))).gains[::2]
+        assert np.max(np.abs(np.abs(g) ** 2 - 1)) < 4 * np.finfo(np.float32).eps
+        assert len(np.unique(np.angle(g))) > 0.99 * blocks
+
     def test_partial_block_rejected(self):
         s = make_symbols(np.random.default_rng(6), 6)
         with pytest.raises(ValueError):
@@ -237,14 +250,15 @@ class TestTransmitSingle:
 
 class TestPowerFairness:
     def test_energy_meter_identical_across_schemes(self):
+        # a full batch, whose 50,000 float32-phase rbf patterns all count
         rng = np.random.default_rng(51)
-        s = make_symbols(rng, 4000)
+        s = make_symbols(rng, simulate.BATCH_BITS)
         budget = np.mean(np.abs(s) ** 2)
         cbf = transmit_cbf(s, BEAMS, 0.4, quiet_link())
         rbf = transmit_rbf(s, GEOM, 0.4, quiet_link(np.random.default_rng(2)))
         single = transmit_single(s, quiet_link())
         for sig in (cbf, rbf, single):
-            assert abs(sig.energy_per_period - budget) < 1e-6
+            assert abs(sig.energy_per_period - budget) < POWER_TOL
 
 
 class TestRunBer:
@@ -357,15 +371,17 @@ class TestRunBer:
 
     def test_equal_min_and_max_bits_is_exact(self):
         # a point never exceeds max_bits; with 12-bit rbf blocks, 9,996 bits
-        # is the most that fits in whole blocks
-        for scheme, bits in (
-            (SchemeConfig("single", ArrayGeometry(1, 1)), 10_000),
-            (SchemeConfig("cbf", GEOM, beams=BEAMS), 10_000),
-            (SchemeConfig("rbf", GEOM, rbf_block_symbols=6), 9_996),
+        # is the most that fits in whole blocks, and a 10,004-bit batch draws
+        # 1,251 random bytes and uses all but 4 of their bits
+        for scheme, cap, bits in (
+            (SchemeConfig("single", ArrayGeometry(1, 1)), 10_000, 10_000),
+            (SchemeConfig("single", ArrayGeometry(1, 1)), 10_004, 10_004),
+            (SchemeConfig("cbf", GEOM, beams=BEAMS), 10_000, 10_000),
+            (SchemeConfig("rbf", GEOM, rbf_block_symbols=6), 10_000, 9_996),
         ):
             cfg = SimConfig(scheme=scheme, channel="awgn", angles=(0.0,),
-                            snr_db=(4.0,), min_bits=10_000, target_errors=0,
-                            max_bits=10_000, seed=3)
+                            snr_db=(4.0,), min_bits=cap, target_errors=0,
+                            max_bits=cap, seed=3)
             assert run_ber(cfg).points[0].bits == bits
 
     def test_lattice_ordering(self):
@@ -375,6 +391,44 @@ class TestRunBer:
         pts = run_ber(cfg).points
         assert [(p.angle, p.eb_n0_db) for p in pts] == [
             (0.0, 2.0), (0.0, 4.0), (0.5, 2.0), (0.5, 4.0)]
+
+
+class TestClopperPearson:
+    @pytest.mark.parametrize("k, n", [
+        (1, 10), (9, 10), (10, 10), (1, 100_000), (3, 100_000), (3_000, 100_000),
+        (200, 1_000_000), (2, 8_000_000), (40, 7_000_000)])
+    def test_ends_have_two_and_a_half_percent_tails(self, k, n):
+        # the defining property, against a term-by-term binomial sum; the
+        # ends are solved to about 1e-9 relative
+        lo, hi = simulate._clopper_pearson(k, n)
+        assert 0 < lo < k / n
+        assert 1 - binomial_cdf(k - 1, n, lo) == pytest.approx(0.025, rel=1e-8)
+        if k < n:
+            assert binomial_cdf(k, n, hi) == pytest.approx(0.025, rel=1e-8)
+        else:
+            assert hi == 1.0
+
+    def test_zero_error_point_is_not_certain(self):
+        # Wald's half-width is 0 here; the exact upper end is 1 - 0.025^(1/n)
+        point = run_ber(SimConfig(SchemeConfig("single", ArrayGeometry(1, 1)),
+                                  "awgn", (0.0,), (14.0,), min_bits=200_000,
+                                  max_bits=200_000, target_errors=0, seed=1)).points[0]
+        assert (point.errors, point.ci95, point.ci_lo) == (0, 0.0, 0.0)
+        assert point.ci_hi == pytest.approx(1.84e-5, rel=3e-3)
+        assert point.ci_hi == pytest.approx(-math.expm1(math.log(0.025) / 200_000),
+                                            rel=1e-9)
+
+    def test_covers_rare_errors_where_wald_cannot(self):
+        # at p = 1e-5 and n = 1e5 a count is 0 with probability e^-1, and
+        # Wald's interval then excludes p, so Wald covers at most about 63%
+        p, n = 1e-5, 100_000
+        counts = np.random.default_rng(61).binomial(n, p, 400).tolist()
+        cp = [lo <= p <= hi for lo, hi in map(simulate._clopper_pearson,
+                                               counts, [n] * len(counts))]
+        wald = [abs(k / n - p) <= 1.96 * math.sqrt(k / n * (1 - k / n) / n)
+                for k in counts]
+        assert np.mean(cp) >= 0.95
+        assert np.mean(wald) <= 1 - counts.count(0) / len(counts) <= 0.7
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -22,7 +22,6 @@ __all__ = [
     "gain_power",
     "subarray_gains",
     "steering_basis",
-    "beam_pattern",
 ]
 
 UNIT_MODULUS_TOL = 1e-12
@@ -61,15 +60,6 @@ class ArrayGeometry:
     @property
     def subarray_size(self) -> int:
         return self.total_elements // self.num_subarrays
-
-    def subarray_offsets(self, subarray: int) -> np.ndarray:
-        """Global element indices driven by RF chain ``subarray`` (0-based)."""
-        if not 0 <= subarray < self.num_subarrays:
-            raise ValueError(
-                f"sub-array index {subarray} outside 0..{self.num_subarrays - 1}"
-            )
-        start = subarray * self.subarray_size
-        return np.arange(start, start + self.subarray_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +101,7 @@ class WeightVector:
         ent = _readonly(self.entries, dtype=complex)
         if ent.ndim != 1 or ent.size < 1:
             raise ValueError("weights must be a non-empty 1-D sequence")
-        if np.max(np.abs(np.abs(ent) - 1.0)) > UNIT_MODULUS_TOL:
+        if not np.max(np.abs(np.abs(ent) - 1.0)) <= UNIT_MODULUS_TOL:
             raise ValueError("weight entries must have unit modulus")
         object.__setattr__(self, "entries", ent)
 
@@ -128,23 +118,12 @@ def steering_basis(offsets, spacing: float, angles) -> np.ndarray:
 
 def subarray_gains(entries, geometry: ArrayGeometry, subarray: int, angles) -> np.ndarray:
     """Gain of raw weight entries on the given sub-array, 1/sqrt(N_s) scaled."""
-    basis = steering_basis(geometry.subarray_offsets(subarray), geometry.spacing, angles)
-    scale = 1.0 / np.sqrt(geometry.subarray_size)
-    return (basis @ np.asarray(entries, dtype=complex)) * scale
-
-
-def beam_pattern(
-    weights: WeightVector, geometry: ArrayGeometry, subarray: int, grid: AngleGrid
-) -> np.ndarray:
-    """Read-only complex gain on the grid of a weight vector driving one
-    sub-array."""
-    if len(weights) != geometry.subarray_size:
-        raise ValueError(
-            f"weight length {len(weights)} != sub-array size {geometry.subarray_size}"
-        )
-    gains = subarray_gains(weights.entries, geometry, subarray, grid.points)
-    gains.setflags(write=False)
-    return gains
+    ns = geometry.subarray_size
+    if not 0 <= subarray < geometry.num_subarrays:
+        raise ValueError(f"sub-array index {subarray} outside "
+                         f"0..{geometry.num_subarrays - 1}")
+    basis = steering_basis(subarray * ns + np.arange(ns), geometry.spacing, angles)
+    return (basis @ np.asarray(entries, dtype=complex)) * (1.0 / np.sqrt(ns))
 
 
 def _composite_power(powers):

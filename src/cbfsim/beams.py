@@ -25,8 +25,8 @@ from .arrays import (
     _composite_power,
     _readonly,
     _variance_of_power,
-    beam_pattern,
     gain_power,
+    subarray_gains,
 )
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
 DEFAULT_CANDIDATE_CEILING = 2 ** 22
 DEFAULT_STOCHASTIC_BUDGET = 100_000
 
-_SNAP_TOL = 1e-12
 _SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
 _SCREEN_BLOCK_FLOATS = 2 ** 22  # one 32 MB block of exhaustive scores
 _RESCORE_BLOCK_FLOATS = 2 ** 15  # 256 kB of each member's rescoring table
@@ -67,18 +66,13 @@ class PhaseCodebook:
     def coefficients(self) -> np.ndarray:
         k = np.arange(self.accuracy)
         coeffs = np.exp(2j * np.pi * k / self.accuracy)
-        # Quarter-circle coefficients snapped to exact 1, j, -1, -j so that
-        # fixing the leading phase of a weight vector is a bitwise-lossless
-        # symmetry reduction.
-        re = coeffs.real.copy()
-        im = coeffs.imag.copy()
-        for comp in (re, im):
-            comp[np.abs(comp) < _SNAP_TOL] = 0.0
-            comp[np.abs(comp - 1.0) < _SNAP_TOL] = 1.0
-            comp[np.abs(comp + 1.0) < _SNAP_TOL] = -1.0
-        out = re + 1j * im
-        out.setflags(write=False)
-        return out
+        # Quarter-turn levels are exactly 1, j, -1, -j so that fixing the
+        # leading phase of a weight vector is a bitwise-lossless symmetry
+        # reduction.  complex(0, -1), unlike -1j, has a +0.0 real part.
+        quarter = k[4 * k % self.accuracy == 0]
+        levels = np.array([1, 1j, -1, complex(0, -1)])
+        coeffs[quarter] = levels[4 * quarter // self.accuracy]
+        return _readonly(coeffs)
 
 
 @dataclass(frozen=True)
@@ -109,14 +103,19 @@ class ComplementaryBeamSet:
             raise ValueError(f"a beam set needs one weight vector per sub-array: "
                              f"got {len(self.weights)} for "
                              f"{self.geometry.num_subarrays}")
+        for m, w in enumerate(self.weights):
+            if len(w) != self.geometry.subarray_size:
+                raise ValueError(f"weight vector {m} has length {len(w)}, not the "
+                                 f"sub-array size {self.geometry.subarray_size}")
         object.__setattr__(self, "variance",
                            float(_variance_of_power(self.composite_power)))
 
     @cached_property
     def member_powers(self) -> np.ndarray:
         """Read-only |gain|^2 of each member on the set's grid, one row each."""
-        return _readonly(gain_power([beam_pattern(w, self.geometry, m, self.grid)
-                                     for m, w in enumerate(self.weights)]))
+        return _readonly(gain_power([
+            subarray_gains(w.entries, self.geometry, m, self.grid.points)
+            for m, w in enumerate(self.weights)]))
 
     @cached_property
     def composite_power(self) -> np.ndarray:
@@ -176,7 +175,7 @@ class ComplementaryBeamSet:
         out = cls(geometry, weights, _grid_from_spec(_field(doc, "grid", dict)),
                   meta, _field(doc, "accuracy", _INT_OR_NONE),
                   None if None in indices else tuple(indices))
-        if abs(out.variance - _field(doc, "variance", _REAL)) > 1e-12:
+        if not abs(out.variance - _field(doc, "variance", _REAL)) <= 1e-12:
             raise ValueError("beam set variance does not match its weights")
         return out
 
@@ -297,8 +296,8 @@ def _member_powers(geometry, grid, coeffs):
     def power(m, idx):
         key = (m, tuple(idx))
         if key not in tables:
-            tables[key] = gain_power(beam_pattern(WeightVector(coeffs[list(idx)]),
-                                                  geometry, m, grid))
+            tables[key] = gain_power(subarray_gains(coeffs[list(idx)], geometry, m,
+                                                    grid.points))
         return tables[key]
 
     return power

@@ -174,7 +174,8 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         if not steps < MAX_LATTICE_POINTS:
             raise ValueError(f"SNR range {text!r} has more than "
                              f"{MAX_LATTICE_POINTS} points")
-        return tuple(start + i * step for i in range(int(round(steps)) + 1))
+        # the most points that do not pass stop, allowing for rounding in steps
+        return tuple(start + i * step for i in range(math.floor(steps + 1e-9) + 1))
     return tuple(float(p) for p in text.split(","))
 
 
@@ -309,7 +310,7 @@ def cmd_ber(ns, parser) -> int:
         scheme = SchemeConfig(kind="rbf", geometry=geometry,
                               rbf_block_symbols=ns.rbf_block)
     else:
-        scheme = SchemeConfig(kind="single", geometry=ArrayGeometry(1, 1, ns.spacing))
+        scheme = SchemeConfig(kind="single", geometry=ArrayGeometry(1, 1))
 
     config = SimConfig(
         scheme=scheme,
@@ -335,7 +336,7 @@ def cmd_ber(ns, parser) -> int:
         "workers": config.workers,
         # a flag the scheme never reads is recorded as null
         "elements": None if ns.scheme == "single" or beamset is not None else ns.elements,
-        "spacing": None if beamset is not None else ns.spacing,
+        "spacing": None if ns.scheme == "single" or beamset is not None else ns.spacing,
         "rbf_block": scheme.rbf_block_symbols if ns.scheme == "rbf" else None,
         "fading": ns.fading if ns.scheme == "cbf" else None,
         "beamset": beamset, "out": str(base),

@@ -483,7 +483,8 @@ def _pool_batch(ai: int, si: int, batch: int) -> int:
 def run_ber(config: SimConfig) -> BerCurve:
     """Run the campaign over the (angle, SNR) lattice.
 
-    Each point simulates at least min_bits and keeps going until
+    Each point simulates at least min_bits, unless a max_bits that rounds
+    below it to whole blocks stops it first, and keeps going until
     target_errors bit errors are seen, then reports the error count, the BER
     estimate, its 95% normal-approximation half-width and the exact 95%
     Clopper-Pearson bounds, which treat the bit count as fixed.  Batches run in a

@@ -19,8 +19,8 @@ from cbfsim.arrays import (
     WeightVector,
     _composite_power,
     _variance_of_power,
-    beam_pattern,
     gain_power,
+    subarray_gains,
 )
 from cbfsim.beams import PhaseCodebook, find_complementary_set
 from cbfsim.channel import awgn_qpsk_ber, rayleigh_qpsk_ber
@@ -89,8 +89,8 @@ def _brute_force_pair_minimum(geometry, codebook, grid):
 
     def power(member, idx):
         if idx not in powers[member]:
-            powers[member][idx] = gain_power(beam_pattern(
-                WeightVector(coeffs[list(idx)]), geometry, member, grid))
+            powers[member][idx] = gain_power(subarray_gains(
+                coeffs[list(idx)], geometry, member, grid.points))
         return powers[member][idx]
 
     best = math.inf
@@ -245,7 +245,8 @@ def test_criterion_7_stbc_property_suite():
         w1 = WeightVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
         w2 = WeightVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
         combined = fallback_pattern(w1, w2, geometry, grid)
-        total = beam_pattern(w1, geometry, 0, grid) + beam_pattern(w2, geometry, 1, grid)
+        total = (subarray_gains(w1.entries, geometry, 0, grid.points)
+                 + subarray_gains(w2.entries, geometry, 1, grid.points))
         worst_fallback = max(worst_fallback, float(np.max(np.abs(combined - total))))
 
     ok = (worst_gram <= GRAM_TOL and worst_zf <= ZF_TOL

@@ -15,8 +15,8 @@ from cbfsim.arrays import (
     _autocorrelation_form,
     _composite_power,
     _variance_of_power,
-    beam_pattern,
     gain_power,
+    subarray_gains,
 )
 from cbfsim.beams import (
     ComplementaryBeamSet,
@@ -39,8 +39,9 @@ def composite_variance(powers):
 
 def power_tables(geometry, codebook, grid, vectors):
     """|gain|^2 of every phase-index vector on every sub-array."""
-    return {(m, idx): gain_power(beam_pattern(
-                WeightVector(codebook.coefficients[list(idx)]), geometry, m, grid))
+    return {(m, idx): gain_power(subarray_gains(
+                WeightVector(codebook.coefficients[list(idx)]).entries, geometry, m,
+                grid.points))
             for m in range(geometry.num_subarrays) for idx in vectors}
 
 
@@ -54,9 +55,17 @@ def brute_force_minimum(geometry, codebook, grid, group_size=2):
 
 
 class TestPhaseCodebook:
-    def test_coefficients_k4_are_exact(self):
-        cb = PhaseCodebook(4)
-        assert np.array_equal(cb.coefficients, np.array([1, 1j, -1, -1j]))
+    @pytest.mark.parametrize("accuracy", [1, 2, 3, 4, 5, 8, 12, 360, 4096])
+    def test_coefficients_k4_are_exact(self, accuracy):
+        # compared as bit patterns, so that a -0.0 real part (Python's -1j)
+        # shows: quarter turns are exactly 1, j, -1, -j and every other level
+        # is exp(2j*pi*k/K)
+        expected = np.exp(2j * np.pi * np.arange(accuracy) / accuracy)
+        for turns, level in enumerate([1, 1j, -1, complex(0, -1)]):
+            if turns * accuracy % 4 == 0:
+                expected[turns * accuracy // 4] = level
+        coeffs = PhaseCodebook(accuracy).coefficients
+        assert np.array_equal(coeffs.view(np.uint64), expected.view(np.uint64))
 
     def test_coefficients_are_distinct_unit_modulus(self):
         cb = PhaseCodebook(5)
@@ -170,7 +179,7 @@ class TestFindComplementaryPair:
                                ("stochastic", {"seed": 5, "budget": 300})):
             found = find_complementary_set(geom, PhaseCodebook(2), GRID,
                                            method, **kwargs)
-            powers = [gain_power(beam_pattern(w, geom, m, GRID))
+            powers = [gain_power(subarray_gains(w.entries, geom, m, GRID.points))
                       for m, w in enumerate(found.weights)]
             assert found.variance == composite_variance(powers)
             assert np.array_equal(found.member_powers, powers)
@@ -245,9 +254,9 @@ class TestFindComplementaryPair:
         # rescored from one power table per distinct member vector; only the
         # returned set builds its members' patterns a second time
         calls = []
-        counted = lambda w, geom, m, grid: (calls.append((m, w.entries.tobytes()))
-                                            or beam_pattern(w, geom, m, grid))
-        monkeypatch.setattr(beams, "beam_pattern", counted)
+        counted = lambda w, geom, m, angles: (calls.append((m, w.tobytes()))
+                                              or subarray_gains(w, geom, m, angles))
+        monkeypatch.setattr(beams, "subarray_gains", counted)
         find_complementary_set(geometry, PhaseCodebook(accuracy),
                                AngleGrid.uniform_theta(2), method, seed=1,
                                budget=5000)
@@ -282,7 +291,7 @@ class TestAutocorrelationScreen:
                 w = PhaseCodebook(k).coefficients[rng.integers(0, k, (group_size, ns))]
                 x = _lag_features(w).sum(axis=0)
                 exact = _variance_of_power(_composite_power(
-                    [gain_power(beam_pattern(WeightVector(w[m]), geom, m, grid))
+                    [gain_power(subarray_gains(w[m], geom, m, grid.points))
                      for m in range(group_size)]))
                 assert abs(x @ form @ x - exact) <= 1e-12
 

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from cbfsim import simulate
-from cbfsim.arrays import (AngleGrid, ArrayGeometry, WeightVector, beam_pattern,
-                           gain_power)
+from cbfsim.arrays import AngleGrid, ArrayGeometry, gain_power, subarray_gains
 from cbfsim.beams import DEFAULT_CANDIDATE_CEILING, DEFAULT_STOCHASTIC_BUDGET
 from cbfsim.channel import awgn_qpsk_ber
 from cbfsim.cli import main
@@ -27,10 +26,24 @@ def lone_member(doc):
     """A saved 8-element pair cut to its first member, with the variance of
     that member's own pattern, so only the member count is wrong."""
     values = doc["weights"][0]["values"]
-    gains = beam_pattern(WeightVector([complex(*v) for v in values]),
-                         ArrayGeometry(8, 2), 0, AngleGrid.uniform_theta(512))
+    gains = subarray_gains([complex(*v) for v in values], ArrayGeometry(8, 2), 0,
+                           AngleGrid.uniform_theta(512).points)
     return {**doc, "weights": doc["weights"][:1],
             "variance": pattern_variance(gain_power(gains))}
+
+
+def nan_weight(doc):
+    """A saved pair with one NaN weight entry and a NaN variance."""
+    doc = json.loads(json.dumps(doc))
+    doc["weights"][0]["values"][1] = [math.nan, 0.0]
+    return {**doc, "variance": math.nan}
+
+
+def short_member(doc):
+    """A saved 8-element pair whose first member has only 3 values."""
+    doc = json.loads(json.dumps(doc))
+    del doc["weights"][0]["values"][3:]
+    return doc
 
 
 class TestSearchCommand:
@@ -208,8 +221,11 @@ class TestBerCommand:
         (lone_member, "got 1 for 2"),
         (lambda doc: {**doc, "weights": doc["weights"] + doc["weights"][:1]},
          "got 3 for 2"),
+        (nan_weight, "unit modulus"),
+        (lambda doc: {**doc, "variance": math.nan}, "variance does not match"),
+        (short_member, "length 3, not the sub-array size 4"),
     ], ids=["missing-grid", "missing-weights", "not-an-object", "one-member",
-            "three-members"])
+            "three-members", "nan-weight", "nan-variance", "short-member"])
     def test_malformed_beamset_one_line_error(self, tmp_path, capsys, corrupt,
                                               named):
         assert main(["search", "--elements", "8", "--subarrays", "2",
@@ -227,24 +243,38 @@ class TestBerCommand:
             assert err.startswith("error: ") and named in err
         assert not list(tmp_path.glob("b.*"))
 
-    @pytest.mark.parametrize("scheme, elements, beamset", [
-        ("single", None, None), ("rbf", 7, None)])
+    @pytest.mark.parametrize("scheme, spacing_flag, elements, spacing", [
+        ("single", "inf", None, None), ("rbf", "0.5", 7, 0.5)], ids=["single", "rbf"])
     def test_manifest_nulls_flags_the_scheme_never_read(self, tmp_path, scheme,
-                                                        elements, beamset):
+                                                        spacing_flag, elements,
+                                                        spacing):
+        # single never reads the array flags, so even an invalid spacing runs
         out = tmp_path / scheme
         assert main(["ber", "--scheme", scheme, "--snr-db", "4", "--angles", "0",
                      "--min-bits", "20000", "--max-bits", "20000",
-                     "--elements", "7", "--beamset", str(tmp_path / "none.json"),
+                     "--elements", "7", "--spacing", spacing_flag,
+                     "--beamset", str(tmp_path / "none.json"),
                      "--fading", "independent", "--out", str(out)]) == 0
         config = json.loads((tmp_path / f"{scheme}.manifest.json").read_text())["config"]
-        assert (config["elements"], config["beamset"], config["fading"]) == (
-            elements, beamset, None)
+        assert (config["elements"], config["spacing"], config["beamset"],
+                config["fading"]) == (elements, spacing, None, None)
 
     def test_invalid_scheme_usage_error(self):
         assert main(["ber", "--scheme", "mimo", "--snr-db", "4"]) == 2
 
     def test_missing_snr_usage_error(self):
         assert main(["ber", "--scheme", "single"]) == 2
+
+    @pytest.mark.parametrize("snr, expected", [
+        ("0:5:13", [0.0, 5.0, 10.0]), ("0:1:2.6", [0.0, 1.0, 2.0]),
+        ("0:0.1:1", [i * 0.1 for i in range(11)]), ("-3:1.5:0", [-3.0, -1.5, 0.0]),
+    ])
+    def test_snr_range_ends_at_or_before_stop(self, tmp_path, snr, expected):
+        assert main(["ber", "--scheme", "single", f"--snr-db={snr}", "--angles", "0",
+                     "--min-bits", "10000", "--max-bits", "10000",
+                     "--out", str(tmp_path / "r")]) == 0
+        config = json.loads((tmp_path / "r.manifest.json").read_text())["config"]
+        assert config["snr_db"] == expected
 
     def test_bad_snr_range_runtime_error(self, tmp_path, capsys):
         assert main(["ber", "--scheme", "single", "--snr-db", "5:0:1",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, beam_pattern, gain_power
+from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, gain_power, subarray_gains
 from cbfsim.beams import golay_construct
 from cbfsim.simulate import CbfSignal
 from oracles import (alamouti_encode, composite_channel, fallback_pattern,
@@ -165,8 +165,8 @@ class TestFallbackPattern:
             w1 = WeightVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
             w2 = WeightVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
             fp = fallback_pattern(w1, w2, self.GEOM, self.GRID)
-            total = (beam_pattern(w1, self.GEOM, 0, self.GRID)
-                     + beam_pattern(w2, self.GEOM, 1, self.GRID))
+            total = (subarray_gains(w1.entries, self.GEOM, 0, self.GRID.points)
+                     + subarray_gains(w2.entries, self.GEOM, 1, self.GRID.points))
             assert np.max(np.abs(fp - total)) < 1e-12
 
     def test_complementary_pair_loses_isotropy_when_correlated(self):

@@ -55,8 +55,12 @@ def brute_force_minimum(geometry, codebook, grid, group_size=2):
 
 
 class TestPhaseCodebook:
+    def test_coefficients_k4_are_exact(self):
+        cb = PhaseCodebook(4)
+        assert np.array_equal(cb.coefficients, np.array([1, 1j, -1, -1j]))
+
     @pytest.mark.parametrize("accuracy", [1, 2, 3, 4, 5, 8, 12, 360, 4096])
-    def test_coefficients_k4_are_exact(self, accuracy):
+    def test_quarter_turns_are_exact_bit_patterns(self, accuracy):
         # compared as bit patterns, so that a -0.0 real part (Python's -1j)
         # shows: quarter turns are exactly 1, j, -1, -j and every other level
         # is exp(2j*pi*k/K)

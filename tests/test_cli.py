@@ -243,12 +243,12 @@ class TestBerCommand:
             assert err.startswith("error: ") and named in err
         assert not list(tmp_path.glob("b.*"))
 
-    @pytest.mark.parametrize("scheme, spacing_flag, elements, spacing", [
-        ("single", "inf", None, None), ("rbf", "0.5", 7, 0.5)], ids=["single", "rbf"])
+    @pytest.mark.parametrize("scheme, elements, beamset", [
+        ("single", None, None), ("rbf", 7, None)])
     def test_manifest_nulls_flags_the_scheme_never_read(self, tmp_path, scheme,
-                                                        spacing_flag, elements,
-                                                        spacing):
+                                                        elements, beamset):
         # single never reads the array flags, so even an invalid spacing runs
+        spacing_flag, spacing = {"single": ("inf", None), "rbf": ("0.5", 0.5)}[scheme]
         out = tmp_path / scheme
         assert main(["ber", "--scheme", scheme, "--snr-db", "4", "--angles", "0",
                      "--min-bits", "20000", "--max-bits", "20000",
@@ -257,7 +257,7 @@ class TestBerCommand:
                      "--fading", "independent", "--out", str(out)]) == 0
         config = json.loads((tmp_path / f"{scheme}.manifest.json").read_text())["config"]
         assert (config["elements"], config["spacing"], config["beamset"],
-                config["fading"]) == (elements, spacing, None, None)
+                config["fading"]) == (elements, spacing, beamset, None)
 
     def test_invalid_scheme_usage_error(self):
         assert main(["ber", "--scheme", "mimo", "--snr-db", "4"]) == 2

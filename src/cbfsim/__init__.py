@@ -8,7 +8,7 @@ beamforming, random beamforming, and a single-antenna benchmark.
 
 __version__ = "0.1.0"
 
-from .arrays import AngleGrid, ArrayGeometry, WeightVector
+from .arrays import AngleGrid, ArrayGeometry
 from .beams import (ComplementaryBeamSet, PhaseCodebook, SearchCapacityError,
                     find_complementary_set, golay_construct)
 from .channel import (awgn_qpsk_ber, noise_variance, qpsk_demodulate, qpsk_modulate,

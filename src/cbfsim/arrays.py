@@ -18,7 +18,6 @@ __all__ = [
     "UNIT_MODULUS_TOL",
     "ArrayGeometry",
     "AngleGrid",
-    "WeightVector",
     "gain_power",
     "subarray_gains",
     "steering_basis",
@@ -89,24 +88,6 @@ class AngleGrid:
         """Angles uniform in theta over the ULA visible region [-pi/2, pi/2)."""
         pts = np.linspace(-np.pi / 2, np.pi / 2, num_points, endpoint=False)
         return cls(pts, "theta", name="uniform-theta")
-
-
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Analog phase-shifter settings for one sub-array; entries unit modulus."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        ent = _readonly(self.entries, dtype=complex)
-        if ent.ndim != 1 or ent.size < 1:
-            raise ValueError("weights must be a non-empty 1-D sequence")
-        if not np.max(np.abs(np.abs(ent) - 1.0)) <= UNIT_MODULUS_TOL:
-            raise ValueError("weight entries must have unit modulus")
-        object.__setattr__(self, "entries", ent)
-
-    def __len__(self) -> int:
-        return self.entries.size
 
 
 def steering_basis(offsets, spacing: float, angles) -> np.ndarray:

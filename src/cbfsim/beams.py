@@ -18,9 +18,9 @@ from functools import cached_property
 import numpy as np
 
 from .arrays import (
+    UNIT_MODULUS_TOL,
     AngleGrid,
     ArrayGeometry,
-    WeightVector,
     _autocorrelation_form,
     _composite_power,
     _readonly,
@@ -84,13 +84,14 @@ class SearchMeta:
 
 @dataclass(frozen=True, eq=False)
 class ComplementaryBeamSet:
-    """One weight vector per sub-array whose composite power pattern is
-    (near-)flat over angle.
+    """One unit-modulus weight vector per sub-array whose composite power
+    pattern is (near-)flat over angle.
 
-    ``variance`` is derived from the weights' composite power on ``grid``."""
+    ``weights`` is read-only complex, one row per sub-array, and ``variance``
+    is derived from the weights' composite power on ``grid``."""
 
     geometry: ArrayGeometry
-    weights: tuple[WeightVector, ...]
+    weights: np.ndarray
     grid: AngleGrid
     meta: SearchMeta
     accuracy: int | None = None
@@ -98,15 +99,18 @@ class ComplementaryBeamSet:
     variance: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if len(self.weights) != self.geometry.num_subarrays:
+        rows = [np.asarray(w, dtype=complex) for w in self.weights]
+        if len(rows) != self.geometry.num_subarrays:
             raise ValueError(f"a beam set needs one weight vector per sub-array: "
-                             f"got {len(self.weights)} for "
-                             f"{self.geometry.num_subarrays}")
-        for m, w in enumerate(self.weights):
-            if len(w) != self.geometry.subarray_size:
-                raise ValueError(f"weight vector {m} has length {len(w)}, not the "
+                             f"got {len(rows)} for {self.geometry.num_subarrays}")
+        for m, w in enumerate(rows):
+            if w.shape != (self.geometry.subarray_size,):
+                raise ValueError(f"weight vector {m} has length {w.size}, not the "
                                  f"sub-array size {self.geometry.subarray_size}")
+        weights = _readonly(rows)
+        if not np.max(np.abs(np.abs(weights) - 1.0)) <= UNIT_MODULUS_TOL:  # NaN fails
+            raise ValueError("weight entries must have unit modulus")
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "variance",
                            float(_variance_of_power(self.composite_power)))
 
@@ -114,7 +118,7 @@ class ComplementaryBeamSet:
     def member_powers(self) -> np.ndarray:
         """Read-only |gain|^2 of each member on the set's grid, one row each."""
         return _readonly(gain_power([
-            subarray_gains(w.entries, self.geometry, m, self.grid.points)
+            subarray_gains(w, self.geometry, m, self.grid.points)
             for m, w in enumerate(self.weights)]))
 
     @cached_property
@@ -139,7 +143,7 @@ class ComplementaryBeamSet:
             "weights": [
                 {
                     "phase_indices": (list(map(int, idx)) if idx is not None else None),
-                    "values": [[float(v.real), float(v.imag)] for v in w.entries],
+                    "values": [[float(v.real), float(v.imag)] for v in w],
                 }
                 for w, idx in zip(self.weights, self.phase_indices
                                   or (None,) * len(self.weights))
@@ -165,7 +169,7 @@ class ComplementaryBeamSet:
             values = _field(member, "values", list, where)
             idx = _field(member, "phase_indices", (list, type(None)), where)
             try:
-                weights.append(WeightVector([complex(re, im) for re, im in values]))
+                weights.append([complex(re, im) for re, im in values])
                 indices.append(None if idx is None else tuple(int(k) for k in idx))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"beam set field {where!r}: {exc}") from None
@@ -218,8 +222,8 @@ def _grid_from_spec(spec: dict) -> AngleGrid:
         raise ValueError(f"beam set field 'grid': {exc}") from None
 
 
-def golay_construct(length: int) -> tuple[WeightVector, WeightVector]:
-    """Binary complementary pair by recursive doubling from ([1], [1]).
+def golay_construct(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Binary complementary pair of complex arrays by doubling from ([1], [1]).
 
     The two sequences a, b satisfy |A(psi)|^2 + |B(psi)|^2 = 2*length at every
     phase, which makes their equal-split composite exactly flat.
@@ -232,7 +236,7 @@ def golay_construct(length: int) -> tuple[WeightVector, WeightVector]:
     b = np.ones(1)
     while a.size < length:
         a, b = np.concatenate([a, b]), np.concatenate([a, -b])
-    return WeightVector(a.astype(complex)), WeightVector(b.astype(complex))
+    return a.astype(complex), b.astype(complex)
 
 
 def find_complementary_set(
@@ -272,9 +276,8 @@ def find_complementary_set(
         best, meta = _stochastic(geometry, codebook, seed, budget, form, power)
     else:
         raise ValueError(f"unknown search method {method!r}")
-    weights = [WeightVector(codebook.coefficients[list(t)]) for t in best]
-    return ComplementaryBeamSet(geometry, weights, grid, meta, codebook.accuracy,
-                                best)
+    return ComplementaryBeamSet(geometry, codebook.coefficients[list(best)], grid, meta,
+                                codebook.accuracy, best)
 
 
 def _lag_features(weights: np.ndarray) -> np.ndarray:

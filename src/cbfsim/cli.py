@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arrays import AngleGrid, ArrayGeometry, WeightVector
+from .arrays import AngleGrid, ArrayGeometry
 from .beams import (
     DEFAULT_CANDIDATE_CEILING,
     DEFAULT_STOCHASTIC_BUDGET,
@@ -272,8 +272,7 @@ def cmd_pattern(ns, parser) -> int:
         geometry = ArrayGeometry(ns_size * len(indices), len(indices), ns.spacing)
         grid_points = ns.grid_points
         grid = AngleGrid.uniform_theta(grid_points)
-        weights = [WeightVector(codebook.coefficients[list(ix)]) for ix in indices]
-        beams = ComplementaryBeamSet(geometry, weights, grid,
+        beams = ComplementaryBeamSet(geometry, codebook.coefficients[indices], grid,
                                      SearchMeta("explicit", 0, None),
                                      codebook.accuracy, tuple(indices))
     base = Path(ns.out)

@@ -240,17 +240,15 @@ class ScalarSignal:
         return self.y * np.conj(self.gains)
 
 
-def _energy(s: np.ndarray, weights=(), block: int = 1) -> float:
+def _energy(s: np.ndarray, weights: np.ndarray | None = None, block: int = 1) -> float:
     """Radiated energy per symbol period, mean |s|^2 * ||w||^2/N over the
-    N-element weights w each symbol leaves through: ``weights`` lists w's
-    sub-array parts, one row per block of ``block`` symbols (none: one unit
-    element).  ||w||^2/N is measured, not assumed, to catch scaling slips."""
+    N-element weights w each symbol leaves through: ``weights`` is one w, or
+    a row per block of ``block`` symbols (None: one unit element).  ||w||^2/N
+    is measured, not assumed, to catch scaling slips."""
     p = gain_power(s)
-    if weights:
-        n = sum(w.shape[-1] for w in weights)
-        norm = sum(np.einsum("...i,...i->...", v, v)
-                   for v in (w.view(float) for w in weights)) / n
-        p = p * np.repeat(norm, block)
+    if weights is not None:
+        v = weights.view(float)
+        p = p * np.repeat(np.einsum("...i,...i->...", v, v) / weights.shape[-1], block)
     return float(np.mean(p)) if s.size else 0.0
 
 
@@ -262,7 +260,7 @@ def transmit_cbf(s: np.ndarray, beams: ComplementaryBeamSet, angle: float,
         raise ValueError("cbf transmits whole symbol pairs")
     s1, s2 = s[0::2], s[1::2]
     n = s1.size
-    g1, g2 = (complex(subarray_gains(w.entries, beams.geometry, m, angle)[0])
+    g1, g2 = (complex(subarray_gains(w, beams.geometry, m, angle)[0])
               for m, w in enumerate(beams.weights))
     h1 = link.fading(n)
     h2 = h1 if link.equal_subarrays else link.fading(n)
@@ -270,13 +268,13 @@ def transmit_cbf(s: np.ndarray, beams: ComplementaryBeamSet, angle: float,
     b = (g2 / _SQRT2) * h2
     y1 = a * s1 + b * s2 + link.noise(n)
     y2 = -a * np.conj(s2) + b * np.conj(s1) + link.noise(n)
-    energy = _energy(s, [w.entries for w in beams.weights])
+    energy = _energy(s, beams.weights.ravel())
     return CbfSignal(y1=y1, y2=y2, gain1=a, gain2=b, energy_per_period=energy)
 
 
 def _transmit_scalar(s: np.ndarray, link: LinkChannel, block_symbols: int,
                      array_gains: np.ndarray | None = None,
-                     weights=()) -> ScalarSignal:
+                     weights: np.ndarray | None = None) -> ScalarSignal:
     """One stream through a per-block gain: the fading draw times the array
     gain of each block (none for a single element), then noise."""
     if s.size % block_symbols:
@@ -304,7 +302,7 @@ def transmit_rbf(s: np.ndarray, geometry: ArrayGeometry, angle: float,
     # einsum, not @: a threaded BLAS product would oversubscribe the CPUs
     # that pool workers already fill.
     g = np.einsum("ij,j->i", weights, steer) / math.sqrt(n_el)
-    return _transmit_scalar(s, link, block_symbols, g, [weights])
+    return _transmit_scalar(s, link, block_symbols, g, weights)
 
 
 def transmit_single(s: np.ndarray, link: LinkChannel) -> ScalarSignal:
@@ -395,8 +393,11 @@ def _cp_end(k: int, n: int, p: float, upper: bool) -> float:
 
 
 def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
-    """Exact 95% interval for k errors in n bits (Clopper & Pearson,
-    Biometrika 1934), each end started from its Wilson score bound."""
+    """Exact 95% interval for k errors in n bits (Clopper & Pearson, Biometrika
+    1934); ends start from the Wilson bounds, mirrored past k = n/2 to converge."""
+    if 2 * k > n:
+        lo, hi = _clopper_pearson(n - k, n)
+        return 1.0 - hi, 1.0 - lo
     z2 = _CI95 ** 2
     centre = (k + z2 / 2) / (n + z2)
     half = _CI95 * math.sqrt(k * (n - k) / n + z2 / 4) / (n + z2)

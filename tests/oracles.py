@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, steering_basis
+from cbfsim.arrays import AngleGrid, ArrayGeometry, steering_basis
 from cbfsim.channel import q_function
 
 
@@ -68,7 +68,7 @@ def mmse_decode(y, channel: np.ndarray, noise_variance: float = 0.0) -> np.ndarr
 
 
 def fallback_pattern(
-    w1: WeightVector, w2: WeightVector, geometry: ArrayGeometry, grid: AngleGrid
+    w1: np.ndarray, w2: np.ndarray, geometry: ArrayGeometry, grid: AngleGrid
 ) -> np.ndarray:
     """Full-array complex gain of the concatenated weights [w1; w2].
 
@@ -81,9 +81,9 @@ def fallback_pattern(
     ns = geometry.subarray_size
     if len(w1) != ns or len(w2) != ns:
         raise ValueError("weight lengths must match the sub-array size")
-    entries = np.concatenate([w1.entries, w2.entries])
+    weights = np.concatenate([w1, w2])
     basis = steering_basis(np.arange(2 * ns), geometry.spacing, grid.points)
-    return (basis @ entries) * (1.0 / np.sqrt(ns))
+    return (basis @ weights) * (1.0 / np.sqrt(ns))
 
 
 def rbf_qpsk_ber(eb_n0_db: float, elements: int, channel: str,

@@ -9,7 +9,6 @@ import pytest
 from cbfsim.arrays import (
     AngleGrid,
     ArrayGeometry,
-    WeightVector,
     gain_power,
     steering_basis,
     subarray_gains,
@@ -19,8 +18,7 @@ from oracles import pattern_variance, uniform_psi_grid
 
 
 def beam_set(geometry, weights, grid):
-    return ComplementaryBeamSet(geometry, [WeightVector(w) for w in weights], grid,
-                                SearchMeta("explicit", 0))
+    return ComplementaryBeamSet(geometry, weights, grid, SearchMeta("explicit", 0))
 
 
 def steering(geometry, subarray, angle):
@@ -31,8 +29,7 @@ def steering(geometry, subarray, angle):
 
 
 def pattern(weights, geometry, subarray, grid):
-    return subarray_gains(WeightVector(weights).entries, geometry, subarray,
-                          grid.points)
+    return subarray_gains(weights, geometry, subarray, grid.points)
 
 
 class TestArrayGeometry:
@@ -117,14 +114,19 @@ class TestSteeringVector:
 
 
 class TestWeightVector:
+    """A beam set's weights: unit-modulus rows of one read-only array."""
+
     def test_unit_modulus_enforced(self):
-        with pytest.raises(ValueError):
-            WeightVector([1.0, 0.5])
+        with pytest.raises(ValueError, match="unit modulus"):
+            beam_set(ArrayGeometry(4, 2), [[1.0, 0.5], [1.0, -1.0]],
+                     AngleGrid.uniform_theta(64))
 
     def test_entries_read_only(self):
-        w = WeightVector([1.0, -1.0])
+        beams = beam_set(ArrayGeometry(4, 2), [[1.0, 1.0], [1.0, -1.0]],
+                         AngleGrid.uniform_theta(64))
+        assert beams.weights.shape == (2, 2) and beams.weights.dtype == complex
         with pytest.raises(ValueError):
-            w.entries[0] = 2.0
+            beams.weights[0, 0] = 2
 
 
 class TestBeamPattern:

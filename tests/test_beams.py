@@ -11,7 +11,6 @@ from cbfsim import beams
 from cbfsim.arrays import (
     AngleGrid,
     ArrayGeometry,
-    WeightVector,
     _autocorrelation_form,
     _composite_power,
     _variance_of_power,
@@ -40,8 +39,7 @@ def composite_variance(powers):
 def power_tables(geometry, codebook, grid, vectors):
     """|gain|^2 of every phase-index vector on every sub-array."""
     return {(m, idx): gain_power(subarray_gains(
-                WeightVector(codebook.coefficients[list(idx)]).entries, geometry, m,
-                grid.points))
+                codebook.coefficients[list(idx)], geometry, m, grid.points))
             for m in range(geometry.num_subarrays) for idx in vectors}
 
 
@@ -85,21 +83,21 @@ class TestPhaseCodebook:
 class TestGolayConstruct:
     def test_length_one(self):
         a, b = golay_construct(1)
-        assert np.array_equal(a.entries, [1.0])
-        assert np.array_equal(b.entries, [1.0])
+        assert np.array_equal(a, [1.0])
+        assert np.array_equal(b, [1.0])
 
     def test_length_two(self):
         a, b = golay_construct(2)
-        assert np.array_equal(a.entries, [1.0, 1.0])
-        assert np.array_equal(b.entries, [1.0, -1.0])
+        assert np.array_equal(a, [1.0, 1.0])
+        assert np.array_equal(b, [1.0, -1.0])
 
     def test_autocorrelation_sums_to_delta(self):
         # exact integer oracle: aperiodic autocorrelations of the pair sum to
         # 2*N at lag zero and to 0 elsewhere
         for n in (2, 4, 8, 16):
             a, b = golay_construct(n)
-            ra = np.correlate(a.entries.real, a.entries.real, "full")
-            rb = np.correlate(b.entries.real, b.entries.real, "full")
+            ra = np.correlate(a.real, a.real, "full")
+            rb = np.correlate(b.real, b.real, "full")
             total = ra + rb
             expected = np.zeros(2 * n - 1)
             expected[n - 1] = 2 * n
@@ -110,7 +108,7 @@ class TestGolayConstruct:
         a, b = golay_construct(n)
         psi = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
         basis = np.exp(-1j * np.outer(psi, np.arange(n)))
-        total = np.abs(basis @ a.entries) ** 2 + np.abs(basis @ b.entries) ** 2
+        total = np.abs(basis @ a) ** 2 + np.abs(basis @ b) ** 2
         assert np.max(np.abs(total - 2 * n)) < 1e-9 * n
 
     def test_composite_variance_is_tiny(self):
@@ -130,8 +128,8 @@ class TestFindComplementaryPair:
     def test_trivial_single_elements(self):
         found = find_complementary_set(ArrayGeometry(2, 2), PhaseCodebook(1),
                                        GRID, "exhaustive")
-        assert np.array_equal(found.weights[0].entries, [1.0])
-        assert np.array_equal(found.weights[1].entries, [1.0])
+        assert np.array_equal(found.weights[0], [1.0])
+        assert np.array_equal(found.weights[1], [1.0])
         assert found.variance == pytest.approx(0.0, abs=1e-15)
 
     def test_exhaustive_matches_brute_force_exactly(self):
@@ -146,7 +144,7 @@ class TestFindComplementaryPair:
         # minimum of 0 is achieved by ([1,1],[1,-1]) up to symmetry
         found = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
                                        GRID, "exhaustive")
-        mags = sorted(tuple(np.sign(w.entries.real).astype(int)) for w in found.weights)
+        mags = sorted(tuple(np.sign(w.real).astype(int)) for w in found.weights)
         assert mags == [(1, -1), (1, 1)]
 
     def test_golay_method_zero_variance(self):
@@ -183,7 +181,7 @@ class TestFindComplementaryPair:
                                ("stochastic", {"seed": 5, "budget": 300})):
             found = find_complementary_set(geom, PhaseCodebook(2), GRID,
                                            method, **kwargs)
-            powers = [gain_power(subarray_gains(w.entries, geom, m, GRID.points))
+            powers = [gain_power(subarray_gains(w, geom, m, GRID.points))
                       for m, w in enumerate(found.weights)]
             assert found.variance == composite_variance(powers)
             assert np.array_equal(found.member_powers, powers)
@@ -216,9 +214,9 @@ class TestFindComplementaryPair:
                                        "stochastic", seed=2, budget=500)
         members = set(cb.coefficients.tolist())
         for w in found.weights:
-            assert set(w.entries.tolist()) <= members
+            assert set(w.tolist()) <= members
         a, b = find_complementary_set(ArrayGeometry(16, 2), cb, GRID, "golay").weights
-        assert set(a.entries.tolist()) | set(b.entries.tolist()) <= {1.0 + 0j, -1.0 + 0j}
+        assert set(a.tolist()) | set(b.tolist()) <= {1.0 + 0j, -1.0 + 0j}
 
     def test_stochastic_deterministic_under_seed(self):
         geom = ArrayGeometry(8, 2)
@@ -350,7 +348,7 @@ class TestBeamSetJson:
         back = ComplementaryBeamSet.from_json_dict(doc)
         assert back.variance == found.variance
         for w1, w2 in zip(back.weights, found.weights):
-            assert np.array_equal(w1.entries, w2.entries)
+            assert np.array_equal(w1, w2)
         assert back.phase_indices == found.phase_indices
         assert back.meta == found.meta
 

@@ -105,7 +105,7 @@ class TestRayleighBlock:
         """Each cbf stream's gain over its beam gain: the stream's fading."""
         beams = find_complementary_set(ArrayGeometry(8, 2), PhaseCodebook(2),
                                        AngleGrid.uniform_theta(512), "golay")
-        g1, g2 = (subarray_gains(w.entries, beams.geometry, m, 0.3)[0]
+        g1, g2 = (subarray_gains(w, beams.geometry, m, 0.3)[0]
                   for m, w in enumerate(beams.weights))
         s = qpsk_modulate(np.random.default_rng(2).integers(0, 2, 400))
         sig = transmit_cbf(s, beams, 0.3, rayleigh_link(3, equal_subarrays))

@@ -370,6 +370,13 @@ class TestSeedPrecedence:
         manifest = self.run_seeded(tmp_path, "flag", ["--seed", "4"], None)
         assert manifest["config"]["seed"] == 4
 
+    def test_config_seed_overrides_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CBF_SIM_SEED", "99")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        manifest = self.run_seeded(tmp_path, "config", ["--config", str(cfg)], None)
+        assert manifest["config"]["seed"] == 3
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("command, doc, flags", [

@@ -151,7 +151,7 @@ class TestTransmitCbf:
         pair = find_complementary_set(geom, PhaseCodebook(2),
                                       AngleGrid.uniform_theta(512), "exhaustive")
         angle = math.pi / 2
-        gains = [abs(subarray_gains(w.entries, geom, m, angle)[0])
+        gains = [abs(subarray_gains(w, geom, m, angle)[0])
                  for m, w in enumerate(pair.weights)]
         assert min(gains) < 1e-12
         rng = np.random.default_rng(22)
@@ -429,6 +429,23 @@ class TestClopperPearson:
                 for k in counts]
         assert np.mean(cp) >= 0.95
         assert np.mean(wald) <= 1 - counts.count(0) / len(counts) <= 0.7
+
+    def test_near_all_errors_mirrors_few_errors(self, monkeypatch):
+        # past k = n/2 the interval is the mirror of n - k errors' interval,
+        # whose ends converge in a few steps; solved directly, the lower end
+        # of (12465700, 12465703) runs to its 100-step cap
+        calls = []
+        beta_cdf = simulate._beta_cdf
+        monkeypatch.setattr(simulate, "_beta_cdf",
+                            lambda *args: calls.append(args) or beta_cdf(*args))
+        k, n = 12_465_700, 12_465_703
+        lo, hi = simulate._clopper_pearson(k, n)
+        assert len(calls) <= 15
+        assert lo < k / n < hi
+        for k, n in ((k, n), (9, 10), (10, 10), (60_000, 100_000)):
+            lo, hi = simulate._clopper_pearson(k, n)
+            mirror_lo, mirror_hi = simulate._clopper_pearson(n - k, n)
+            assert (lo, hi) == (1.0 - mirror_hi, 1.0 - mirror_lo)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cbfsim.arrays import AngleGrid, ArrayGeometry, WeightVector, gain_power, subarray_gains
+from cbfsim.arrays import AngleGrid, ArrayGeometry, gain_power, subarray_gains
 from cbfsim.beams import golay_construct
 from cbfsim.simulate import CbfSignal
 from oracles import (alamouti_encode, composite_channel, fallback_pattern,
@@ -153,7 +153,7 @@ class TestFallbackPattern:
     GRID = AngleGrid.uniform_theta(512)
 
     def test_uniform_concatenation(self):
-        w = WeightVector(np.ones(4))
+        w = np.ones(4)
         fp = fallback_pattern(w, w, self.GEOM, self.GRID)
         # boresight: 8 coherent elements scaled by 1/sqrt(4)
         idx = np.argmin(np.abs(self.GRID.points))
@@ -162,11 +162,11 @@ class TestFallbackPattern:
     def test_equals_sum_of_subarray_patterns(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            w1 = WeightVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
-            w2 = WeightVector(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
+            w1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+            w2 = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
             fp = fallback_pattern(w1, w2, self.GEOM, self.GRID)
-            total = (subarray_gains(w1.entries, self.GEOM, 0, self.GRID.points)
-                     + subarray_gains(w2.entries, self.GEOM, 1, self.GRID.points))
+            total = (subarray_gains(w1, self.GEOM, 0, self.GRID.points)
+                     + subarray_gains(w2, self.GEOM, 1, self.GRID.points))
             assert np.max(np.abs(fp - total)) < 1e-12
 
     def test_complementary_pair_loses_isotropy_when_correlated(self):
@@ -179,8 +179,6 @@ class TestFallbackPattern:
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
-            fallback_pattern(WeightVector(np.ones(3)), WeightVector(np.ones(4)),
-                             self.GEOM, self.GRID)
+            fallback_pattern(np.ones(3), np.ones(4), self.GEOM, self.GRID)
         with pytest.raises(ValueError):
-            fallback_pattern(WeightVector(np.ones(4)), WeightVector(np.ones(4)),
-                             ArrayGeometry(12, 3), self.GRID)
+            fallback_pattern(np.ones(4), np.ones(4), ArrayGeometry(12, 3), self.GRID)

@@ -7,7 +7,9 @@ climbing for large instances, and the beam-set JSON format.
 Both searches screen candidates by the members' summed autocorrelation, in
 which the composite variance is a quadratic form whatever the grid size, and
 rescore those the screen cannot rule out with the exact pattern arithmetic
-of ``ComplementaryBeamSet``, which alone decides minima and ties.
+of ``ComplementaryBeamSet``, which alone decides minima and ties.  The climb
+runs its restarts in lockstep blocks, each scoring its moves a chunk at a
+time, and returns the set that climbing one restart at a time returns.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ DEFAULT_STOCHASTIC_BUDGET = 100_000
 _SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
 _SCREEN_BLOCK_FLOATS = 2 ** 22  # one 32 MB block of exhaustive scores
 _RESCORE_BLOCK_FLOATS = 2 ** 15  # 256 kB of each member's rescoring table
+_CLIMB_BLOCK = 64  # stochastic restarts that climb in lockstep
+_CLIMB_CHUNK = 4  # coefficient slots, K moves each, a climb scores per round
 
 
 class SearchCapacityError(ValueError):
@@ -128,7 +132,7 @@ class ComplementaryBeamSet:
 
     def to_json_dict(self) -> dict:
         geo = self.geometry
-        doc = {
+        return {
             "geometry": {
                 "total_elements": geo.total_elements,
                 "num_subarrays": geo.num_subarrays,
@@ -149,7 +153,6 @@ class ComplementaryBeamSet:
                                   or (None,) * len(self.weights))
             ],
         }
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ComplementaryBeamSet":
@@ -255,9 +258,11 @@ def find_complementary_set(
     Methods: "exhaustive" scans the phase-reduced codebook space and returns
     the global minimizer (lexicographically first among ties); "golay" uses
     the doubling construction (power-of-two pairs only); "stochastic" runs
-    seeded random restarts with single-coefficient hill climbing and returns
-    the best of its evaluation budget.  No flat triple construction is known,
-    so a triple's best found variance is reported, never asserted to be zero.
+    seeded random restarts of single-coefficient hill climbing, in lockstep
+    blocks that score moves a chunk at a time, and returns the best of its
+    evaluation budget, as one restart at a time would.  No flat triple
+    construction is known, so a triple's best found variance is reported,
+    never asserted to be zero.
     """
     if geometry.num_subarrays not in (2, 3):
         raise ValueError(f"geometry must have 2 or 3 sub-arrays, "
@@ -366,62 +371,92 @@ def _stochastic(geometry, codebook, seed, budget, form, power):
         seed = int(np.random.SeedSequence().entropy % (2 ** 63))
     rng = np.random.default_rng(seed)
     ns, k, group_size = geometry.subarray_size, codebook.accuracy, geometry.num_subarrays
-    # Single-coefficient moves in (member, position, level) order.  Member m's
-    # weights are w[m*(3ns-2) + ns-1 + p] of a flat array with zero gaps, so a
-    # move at flat index i changes lag l through w[i-l] and w[i+l].
-    member, pos, level = (a.ravel() for a in np.indices((group_size, ns - 1, k)))
-    at = member * (3 * ns - 2) + ns + pos
-    below, above = at[:, None] - np.arange(1, ns), at[:, None] + np.arange(1, ns)
-    target = codebook.coefficients[level]
-    evals, best_var, best_score, best = 0, np.inf, np.inf, None
-    while evals < budget:
-        state = np.array([(0,) + tuple(int(x) for x in rng.integers(0, k, ns - 1))
-                          for _ in range(group_size)])
-        w = np.zeros((group_size, 3 * ns - 2), complex)
-        w[:, ns - 1:2 * ns - 1] = codebook.coefficients[state]
-        x = _lag_features(w[:, ns - 1:2 * ns - 1]).sum(axis=0)
-        w = w.ravel()
-        cur, start, improved = x @ form @ x, 0, False
-        evals += 1
-        while True:
-            # Rescore a visited state exactly unless the screen rules it out.
-            if cur <= best_score + _SCREEN_SLACK:
-                best_score = min(best_score, cur)
-                if (var := exact(state)) < best_var:
-                    best_var, best = var, tuple(map(tuple, state.tolist()))
-            # Score the rest of the sweep at once and take the first neighbour
-            # that improves; a screened near-tie is decided exactly, so each
-            # step is the one an exact comparison takes.  A sweep that
-            # improved nothing ends the climb.
-            hit = None
-            while hit is None and evals < budget:
-                todo = start + np.flatnonzero(w[at[start:]] != target[start:])
-                todo = todo[:budget - evals]
-                if not todo.size:
-                    if not improved:
-                        break
-                    start, improved = 0, False
-                    continue
-                delta = target[todo] - w[at[todo]]
-                dr = (delta[:, None] * w[below[todo]].conj()
-                      + w[above[todo]] * delta.conj()[:, None])
-                dx = np.concatenate((dr.real, dr.imag), axis=1)
-                scores = np.einsum("ij,ij->i", (x + dx) @ form, x + dx)
-                for h in np.flatnonzero(scores < cur + _SCREEN_SLACK).tolist():
-                    if scores[h] > cur - _SCREEN_SLACK:
-                        cand = state.copy()
-                        cand[member[todo[h]], pos[todo[h]] + 1] = level[todo[h]]
-                        if not exact(cand) < exact(state):
-                            continue
-                    hit = h
-                    break
-                evals += todo.size if hit is None else hit + 1
-                start = len(level) if hit is None else todo[hit] + 1
-            if hit is None:
-                break
-            move = todo[hit]
-            state[member[move], pos[move] + 1] = level[move]
-            w[at[move]] = target[move]
-            x, cur, improved = x + dx[hit], scores[hit], True
+    coeffs, width = codebook.coefficients, _CLIMB_CHUNK * k
+    # Single-coefficient moves in (member, position, level) order: move s*k + l
+    # sets slot s to level l.  Member m's weights are w[m*(3ns-2) + ns-1 + p]
+    # of a flat array with zero gaps, so adding a + jb to w[i] adds a*u + b*v
+    # to the lag features: u and v are [Re; Im] of w[i+l] + conj(w[i-l]) and of
+    # j*(conj(w[i-l]) - w[i+l]).  Slots past the last read w[0] and never move.
+    member, pos = (a.ravel() for a in np.indices((group_size, ns - 1)))
+    at = np.append(member * (3 * ns - 2) + ns + pos, np.zeros(_CLIMB_CHUNK, int))
+    num_moves, cell = member.size * k, lambda m: (member[m // k], pos[m // k] + 1)
 
+    def climb(states, cap):
+        """Climb from each start in lockstep until the climbs, counted in order,
+        spend cap evaluations or a full sweep improves nothing."""
+        n, state = len(states), np.array(states)
+        w = np.zeros((n, group_size, 3 * ns - 2), complex)
+        w[..., ns - 1:2 * ns - 1] = coeffs[state]
+        x = _lag_features(w[..., ns - 1:2 * ns - 1]).sum(axis=1)
+        cur, w = np.einsum("ij,ij->i", x @ form, x), w.reshape(n, -1)
+        win = np.lib.stride_tricks.sliding_window_view(w, ns - 1, axis=1)
+        start, improved, evals = np.zeros(n, int), np.zeros(n, bool), np.ones(n, int)
+        visits = [[(-1, score)] for score in cur.tolist()]
+        while True:
+            # A climb past its last move sweeps again if it improved, else ends.
+            end = start >= num_moves
+            live = (np.cumsum(evals) < cap) & (improved | ~end)
+            start, improved = np.where(end & improved, 0, start), improved & ~end
+            if not (r := np.flatnonzero(live)).size:
+                return evals.tolist(), visits
+            # Score each live climb's next chunk of slots, expanding the form
+            # about cur, and take the first improving move; a screened near-tie
+            # is decided exactly, so each step is the one an exact comparison takes.
+            move = start[r, None] // k * k + np.arange(width)
+            i = at[move[:, ::k] // k]
+            delta = coeffs - w[r[:, None], i][..., None]
+            todo = ((delta.reshape(move.shape) != 0) & (move >= start[r, None])
+                    & (move < num_moves))
+            todo &= np.cumsum(todo, axis=1) <= (cap - np.cumsum(evals))[r, None]
+            rank = np.cumsum(todo, axis=1)
+            wa, wb = win[r[:, None], i + 1], win[r[:, None], i - ns + 1][..., ::-1].conj()
+            u, v = (np.concatenate((p.real, p.imag), axis=-1).reshape(-1, x.shape[1])
+                    for p in (wa + wb, 1j * (wb - wa)))
+            uc, vc, xr = u @ form, v @ form, np.repeat(x[r], _CLIMB_CHUNK, axis=0)
+            dot = lambda p, q: np.einsum("ij,ij->i", p, q).reshape(i.shape + (1,))
+            a, b = delta.real, delta.imag
+            scores = (cur[r, None, None]
+                      + a * (2 * dot(uc, xr) + a * dot(uc, u) + 2 * b * dot(uc, v))
+                      + b * (2 * dot(vc, xr) + b * dot(vc, v))).reshape(move.shape)
+            near = todo & (scores < cur[r, None] + _SCREEN_SLACK)
+            sure = near & ~(scores > cur[r, None] - _SCREEN_SLACK)
+            first = np.where(sure.any(axis=1), sure.argmax(axis=1), width)
+            for j in np.flatnonzero((near & (sure.cumsum(axis=1) == 0)).any(axis=1)):
+                tie, now = np.flatnonzero(near[j, :first[j]]), exact(state[r[j]])
+                alt = np.repeat(state[r[j], None], tie.size, axis=0)
+                alt[(np.arange(tie.size), *cell(move[j, tie]))] = tie % k
+                first[j] = next((h for h, c in zip(tie, alt) if exact(c) < now), first[j])
+            hit, pick = first < width, (np.arange(r.size), np.minimum(first, width - 1))
+            evals[r], start[r] = evals[r] + rank[pick], move[pick] + 1
+            j, h = r[hit], first[hit]
+            m, dd = move[hit, h], delta.reshape(move.shape)[hit, h, None]
+            state[(j, *cell(m))], w[j, at[m // k]] = m % k, coeffs[m % k]
+            row = np.flatnonzero(hit) * _CLIMB_CHUNK + h // k
+            x[j] += dd.real * u[row] + dd.imag * v[row]
+            cur[j], improved[j] = scores[hit, h], True
+            for c, visit in zip(j.tolist(), zip(m.tolist(), cur[j].tolist())):
+                visits[c].append(visit)
+
+    # Blocks of restarts climb together from start states drawn in restart
+    # order and count against the budget in that order.  The restart that
+    # passes it climbs again under its own remaining budget; later ones drop.
+    evals, kept = 0, []
+    while evals < budget:
+        block = np.array([[np.append(0, rng.integers(0, k, ns - 1))
+                           for _ in range(group_size)] for _ in range(_CLIMB_BLOCK)])
+        for state, e, visits in zip(block, *climb(block, budget - evals)):
+            if evals + e > budget:
+                (e,), (visits,) = climb(state[None], budget - evals)
+            kept.append((state, visits))
+            if (evals := evals + e) >= budget:
+                break
+    # The best is the first visited state of least exact variance; only
+    # states screened within the slack of the least score can be it.
+    least, best_var, best = min(s for _, v in kept for _, s in v), np.inf, None
+    for state, visits in kept:
+        for move, score in visits:
+            if move >= 0:
+                state[cell(move)] = move % k
+            if score <= least + _SCREEN_SLACK and (var := exact(state)) < best_var:
+                best_var, best = var, tuple(map(tuple, state.tolist()))
     return best, SearchMeta("stochastic", evals, seed)

@@ -30,7 +30,7 @@ from .beams import (
     find_complementary_set,
 )
 from .simulate import (DEFAULT_ANGLES_DEG, MAX_LATTICE_POINTS, SchemeConfig,
-                       SimConfig, run_ber)
+                       SimConfig, _keep_batch_memory, run_ber)
 
 SEED_ENV_VAR = "CBF_SIM_SEED"
 # Flags without a default; each must come from the command line or --config.
@@ -323,6 +323,7 @@ def cmd_ber(ns, parser) -> int:
         workers=ns.workers,
         equal_subarrays=ns.fading == "equal",
     )
+    _keep_batch_memory()        # the command's process ends with the campaign
     curve = run_ber(config)
     base = Path(ns.out)
     base.parent.mkdir(parents=True, exist_ok=True)

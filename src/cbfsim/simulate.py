@@ -22,6 +22,7 @@ none runs past a stop.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from collections import deque
@@ -464,15 +465,14 @@ _pool_config: SimConfig | None = None
 def _pool_init(config: SimConfig):
     global _pool_config
     _pool_config = config
-    # By default glibc maps each batch array afresh and unmaps it when freed, so
-    # every batch re-faults its pages; keep freed arrays on the heap for reuse.
-    import ctypes
+    _keep_batch_memory()
 
+
+def _keep_batch_memory():
+    """Keep freed batch arrays mapped, up to 128 MiB, so batches reuse pages."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return                  # no glibc malloc here (macOS, for example)
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD, at glibc's 64-bit maximum
     mallopt(-1, 128 << 20)      # M_TRIM_THRESHOLD
 

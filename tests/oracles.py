@@ -10,13 +10,22 @@ bit error rate of random beamforming.  ``uniform_psi_grid`` and
 ``pattern_variance`` are the grid and flatness metric the array tests check
 power patterns with.  ``binomial_cdf`` sums the binomial pmf term by term,
 the defining tail the Clopper-Pearson interval ends are checked against.
+``sequential_climb`` is the stochastic search one restart at a time, the
+reference the lockstep climb must reproduce exactly.
 """
 
 import math
 
 import numpy as np
 
-from cbfsim.arrays import AngleGrid, ArrayGeometry, steering_basis
+from cbfsim.arrays import (
+    AngleGrid,
+    ArrayGeometry,
+    _composite_power,
+    _variance_of_power,
+    steering_basis,
+)
+from cbfsim.beams import _SCREEN_SLACK, SearchMeta, _lag_features
 from cbfsim.channel import q_function
 
 
@@ -142,3 +151,78 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
         log_term += math.log((n - i) / (i + 1)) + log_ratio
     top = max(logs)
     return math.exp(top) * math.fsum(math.exp(t - top) for t in logs)
+
+
+def sequential_climb(geometry, codebook, seed, budget, form, power):
+    """The one-restart-at-a-time hill climb that ``cbfsim.beams._stochastic``
+    replaced, kept verbatim: restarts run in order under one evaluation
+    budget, each sweep scores every remaining move and takes the first that
+    improves, and the best state settles through the shared screen as it is
+    visited.  The lockstep search must return the same set and count."""
+    if budget < 1:
+        raise ValueError("stochastic search needs a positive budget")
+    exact = lambda rows: _variance_of_power(_composite_power(
+        [power(m, idx) for m, idx in enumerate(rows.tolist())]))
+    if seed is None:
+        seed = int(np.random.SeedSequence().entropy % (2 ** 63))
+    rng = np.random.default_rng(seed)
+    ns, k, group_size = geometry.subarray_size, codebook.accuracy, geometry.num_subarrays
+    # Single-coefficient moves in (member, position, level) order.  Member m's
+    # weights are w[m*(3ns-2) + ns-1 + p] of a flat array with zero gaps, so a
+    # move at flat index i changes lag l through w[i-l] and w[i+l].
+    member, pos, level = (a.ravel() for a in np.indices((group_size, ns - 1, k)))
+    at = member * (3 * ns - 2) + ns + pos
+    below, above = at[:, None] - np.arange(1, ns), at[:, None] + np.arange(1, ns)
+    target = codebook.coefficients[level]
+    evals, best_var, best_score, best = 0, np.inf, np.inf, None
+    while evals < budget:
+        state = np.array([(0,) + tuple(int(x) for x in rng.integers(0, k, ns - 1))
+                          for _ in range(group_size)])
+        w = np.zeros((group_size, 3 * ns - 2), complex)
+        w[:, ns - 1:2 * ns - 1] = codebook.coefficients[state]
+        x = _lag_features(w[:, ns - 1:2 * ns - 1]).sum(axis=0)
+        w = w.ravel()
+        cur, start, improved = x @ form @ x, 0, False
+        evals += 1
+        while True:
+            # Rescore a visited state exactly unless the screen rules it out.
+            if cur <= best_score + _SCREEN_SLACK:
+                best_score = min(best_score, cur)
+                if (var := exact(state)) < best_var:
+                    best_var, best = var, tuple(map(tuple, state.tolist()))
+            # Score the rest of the sweep at once and take the first neighbour
+            # that improves; a screened near-tie is decided exactly, so each
+            # step is the one an exact comparison takes.  A sweep that
+            # improved nothing ends the climb.
+            hit = None
+            while hit is None and evals < budget:
+                todo = start + np.flatnonzero(w[at[start:]] != target[start:])
+                todo = todo[:budget - evals]
+                if not todo.size:
+                    if not improved:
+                        break
+                    start, improved = 0, False
+                    continue
+                delta = target[todo] - w[at[todo]]
+                dr = (delta[:, None] * w[below[todo]].conj()
+                      + w[above[todo]] * delta.conj()[:, None])
+                dx = np.concatenate((dr.real, dr.imag), axis=1)
+                scores = np.einsum("ij,ij->i", (x + dx) @ form, x + dx)
+                for h in np.flatnonzero(scores < cur + _SCREEN_SLACK).tolist():
+                    if scores[h] > cur - _SCREEN_SLACK:
+                        cand = state.copy()
+                        cand[member[todo[h]], pos[todo[h]] + 1] = level[todo[h]]
+                        if not exact(cand) < exact(state):
+                            continue
+                    hit = h
+                    break
+                evals += todo.size if hit is None else hit + 1
+                start = len(level) if hit is None else todo[hit] + 1
+            if hit is None:
+                break
+            move = todo[hit]
+            state[member[move], pos[move] + 1] = level[move]
+            w[at[move]] = target[move]
+            x, cur, improved = x + dx[hit], scores[hit], True
+
+    return best, SearchMeta("stochastic", evals, seed)

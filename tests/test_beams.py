@@ -26,7 +26,7 @@ from cbfsim.beams import (
     _lag_features,
     golay_construct,
 )
-from oracles import uniform_psi_grid
+from oracles import sequential_climb, uniform_psi_grid
 
 GRID = AngleGrid.uniform_theta(512)
 
@@ -50,6 +50,38 @@ def brute_force_minimum(geometry, codebook, grid, group_size=2):
     power = power_tables(geometry, codebook, grid, vectors)
     return min(composite_variance([power[m, idx] for m, idx in enumerate(combo)])
                for combo in itertools.product(vectors, repeat=group_size))
+
+
+class CountingGenerator(np.random.Generator):
+    """A seed's generator that counts its ``integers`` calls: one per member
+    of each restart's start state."""
+
+    draws = 0
+
+    def integers(self, *args, **kwargs):
+        self.draws += 1
+        return super().integers(*args, **kwargs)
+
+
+def restarts_spend(geometry, codebook, seed, restarts, lo=1):
+    """Evaluations the sequential climb spends on its first ``restarts``
+    restarts: the largest budget under which it draws no more start states,
+    searched upwards from a budget lo that draws no more either."""
+    form = _autocorrelation_form(geometry, GRID)
+    power = beams._member_powers(geometry, GRID, codebook.coefficients)
+
+    def drawn(budget):
+        rng = CountingGenerator(np.random.PCG64(seed))
+        sequential_climb(geometry, codebook, rng, budget, form, power)
+        return rng.draws // geometry.num_subarrays
+
+    hi = 2 * lo
+    while drawn(hi) <= restarts:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:          # drawn(lo) <= restarts < drawn(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if drawn(mid) <= restarts else (lo, mid)
+    return lo
 
 
 class TestPhaseCodebook:
@@ -245,6 +277,38 @@ class TestFindComplementaryPair:
                                        GRID, "stochastic", seed=5, budget=20000)
         assert found.phase_indices == ((0, 7, 0, 3, 6), (0, 1, 0, 5, 2))
         assert found.variance < 1e-20
+
+    @pytest.mark.parametrize("geometry, accuracy, seed, budget", [
+        (ArrayGeometry(32, 2), 4, 5, 100_000),
+        (ArrayGeometry(32, 2), 4, 7, 100_000),
+        (ArrayGeometry(24, 3), 3, 2, 10_000),
+        (ArrayGeometry(10, 2), 8, 5, 20_000),
+        (ArrayGeometry(8, 2), 4, 3, 1),
+        (ArrayGeometry(8, 2), 4, 3, "one restart + 1"),
+        (ArrayGeometry(8, 2), 4, 3, "inside a block's middle restart"),
+    ], ids=["n32-k4-seed5", "n32-k4-seed7", "triple-k3", "near-ties-k8",
+            "budget-1", "one-restart-plus-1", "cut-mid-block"])
+    def test_stochastic_matches_sequential_climb(self, geometry, accuracy, seed,
+                                                 budget):
+        # restarts climbing in lockstep blocks, a chunk of moves at a time,
+        # return the set and count of the one-restart-at-a-time climb
+        cb = PhaseCodebook(accuracy)
+        if budget == "one restart + 1":
+            budget = restarts_spend(geometry, cb, seed, 1) + 1
+        elif isinstance(budget, str):
+            spent = restarts_spend(geometry, cb, seed, beams._CLIMB_BLOCK // 2)
+            after = restarts_spend(geometry, cb, seed, beams._CLIMB_BLOCK // 2 + 1, spent)
+            budget = (spent + after) // 2
+            assert spent < budget < after
+        power = beams._member_powers(geometry, GRID, cb.coefficients)
+        best, meta = sequential_climb(geometry, cb, seed, budget,
+                                      _autocorrelation_form(geometry, GRID), power)
+        found = find_complementary_set(geometry, cb, GRID, "stochastic", seed=seed,
+                                       budget=budget)
+        assert found.phase_indices == best
+        assert found.variance.hex() == composite_variance(
+            [power(m, idx) for m, idx in enumerate(best)]).hex()
+        assert found.meta == meta and meta.candidates == budget
 
     @pytest.mark.parametrize("geometry, accuracy, method", [
         (ArrayGeometry(20, 2), 2, "exhaustive"),

@@ -1,6 +1,7 @@
 """README promises that are checked against the package itself."""
 
 import argparse
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -33,13 +34,17 @@ def command_names():
 @pytest.mark.parametrize("module_name, names", layout_rows(),
                          ids=[row[0] for row in layout_rows()])
 def test_layout_names_resolve(module_name, names):
-    # a name is the module's, a member of a class defined there, or the command
+    # a name is the module's, a member or dataclass field of a class defined
+    # there, or the command
     module = importlib.import_module(module_name)
     classes = [obj for obj in vars(module).values()
                if isinstance(obj, type) and obj.__module__ == module_name]
+    fields = {f.name for c in classes if dataclasses.is_dataclass(c)
+              for f in dataclasses.fields(c)}
     for name in names:
         assert (hasattr(module, name) or any(hasattr(c, name) for c in classes)
-                or name in command_names()), f"{module_name} has no {name!r}"
+                or name in fields or name in command_names()), \
+            f"{module_name} has no {name!r}"
 
 
 def test_layout_lists_the_modules():

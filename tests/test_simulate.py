@@ -6,11 +6,15 @@ import math
 import os
 import platform
 import resource
+import subprocess
 import sys
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cbfsim
 from cbfsim import simulate
 from cbfsim.arrays import AngleGrid, ArrayGeometry, subarray_gains
 from cbfsim.beams import PhaseCodebook, find_complementary_set
@@ -487,3 +491,54 @@ def test_pool_workers_reuse_batch_memory(pool_sizes):
     extra = worker_faults(2 * batches) - worker_faults(batches)
     assert pool_sizes == [2, 2]
     assert extra / batches < 200
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and platform.libc_ver()[0] == "glibc"),
+                    reason="tunes glibc's allocator in the ber command's process")
+def test_inline_campaign_reuses_batch_memory(tmp_path):
+    # with one worker the ber command runs every batch in its own process,
+    # which keeps freed batch arrays on its heap as a pool worker does
+    src = str(Path(cbfsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def command_faults(batches):
+        bits = str(batches * simulate.BATCH_BITS)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, "-m", "cbfsim.cli", "ber", "--scheme", "cbf",
+                        "--snr-db", "4", "--angles", "0", "--min-bits", bits,
+                        "--max-bits", bits, "--target-errors", "0", "--workers", "1",
+                        "--out", str(tmp_path / "run")],
+                       check=True, env=env, capture_output=True)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    batches = 10
+    extra = command_faults(2 * batches) - command_faults(batches)
+    assert extra / batches < 200
+
+
+@pytest.mark.parametrize("min_bits, target_errors",
+                         [(100_000, 200), (1_000_000, 200), (100_000, 20)])
+def test_clopper_pearson_coverage_under_the_stopping_rule(min_bits, target_errors):
+    # stopping at target_errors makes a point's bit count random, so the
+    # exact interval's coverage is only approximate (Haldane 1945).  The
+    # scheduler folds seeded Binomial(batch, p) counts at 4,000 known rates,
+    # and each end of the 95% interval may miss p at most 2.5% plus four
+    # binomial standard errors of a 4,000-point rate: 3.49%.
+    cfg = SimConfig(SchemeConfig("single", ArrayGeometry(1, 1)), "awgn",
+                    tuple(np.linspace(-1.5, 1.5, 40)), tuple(np.linspace(0, 9.9, 100)),
+                    min_bits=min_bits, target_errors=target_errors, workers=1)
+    p = np.geomspace(3e-4, 1e-2, 4000).reshape(40, 100)
+    full, _ = simulate._point_bits(cfg)
+
+    def submit(ai, si, batch):
+        rng = np.random.default_rng([min_bits, target_errors, ai, si, batch])
+        return partial(int, rng.binomial(full, p[ai, si]))
+
+    points = simulate._schedule(cfg, 1, submit)
+    lo, hi = (np.array([getattr(pt, end) for pt in points]) for end in ("ci_lo", "ci_hi"))
+    bound = 0.025 + 4 * math.sqrt(0.025 * 0.975 / p.size)
+    assert round(bound, 4) == 0.0349
+    assert np.mean(p.ravel() < lo) <= bound
+    assert np.mean(p.ravel() > hi) <= bound

@@ -55,11 +55,8 @@ def qpsk_modulate(bits) -> np.ndarray:
 def qpsk_demodulate(soft) -> np.ndarray:
     """Minimum-distance (quadrant sign) ``uint8`` bit decisions; inverts the
     mapper on clean symbols and is invariant to positive scaling."""
-    s = np.atleast_1d(np.asarray(soft))
-    bits = np.empty(2 * s.size, dtype=np.uint8)
-    bits[0::2] = s.real < 0
-    bits[1::2] = s.imag < 0
-    return bits
+    s = np.ascontiguousarray(soft, dtype=complex)
+    return (s.view(float).ravel() < 0).view(np.uint8)
 
 
 def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarray:

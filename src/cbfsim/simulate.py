@@ -14,10 +14,9 @@ whatever the worker count: each batch is driven by an rng stream keyed on
 depend on which process runs it, and counts are folded in batch order.
 A batch draws, in order: its bits as packed random bytes, for rbf one
 float32 phase per element and block, then the fading and noise, each complex
-sample one pair of normal draws.
-A batch sent past its point's stop is discarded rather than cancelled; run in
-the calling process, a batch is computed only when its count is folded, so
-none runs past a stop.
+sample one pair of normal draws.  Each complex product keeps the operand
+order full batches have always rounded in, as numpy's complex multiply is not
+bitwise commutative.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import channel as chan
-from .arrays import ArrayGeometry, gain_power, steering_basis, subarray_gains
+from .arrays import ArrayGeometry, steering_basis, subarray_gains
 from .beams import ComplementaryBeamSet
 
 __all__ = [
@@ -186,10 +185,10 @@ class LinkChannel:
     equal_subarrays: bool = True
 
     def fading(self, num_blocks: int) -> np.ndarray:
-        """Per-block complex gains with E[|h|^2] = 1: ones in AWGN, the
-        noise's circular-Gaussian draw at unit variance in Rayleigh."""
+        """Per-block complex gains with E[|h|^2] = 1: in AWGN one unit gain of shape
+        (1,) for every block, in Rayleigh the noise's draw at unit variance."""
         if self.kind == "awgn":
-            return np.ones(num_blocks, dtype=complex)
+            return np.ones(1, dtype=complex)
         return chan.complex_noise(num_blocks, 1.0, self.rng)
 
     def noise(self, num_samples: int) -> np.ndarray:
@@ -198,7 +197,7 @@ class LinkChannel:
 
 @dataclass(frozen=True, eq=False)
 class CbfSignal:
-    """Received codeword samples plus the receiver-known stream gains."""
+    """Received codeword samples and receiver-known stream gains, shape (1,) in AWGN."""
 
     y1: np.ndarray
     y2: np.ndarray
@@ -218,18 +217,19 @@ class CbfSignal:
         """
         if noise_variance < 0:
             raise ValueError("noise variance must be >= 0")
-        a, b, y1, y2 = self.gain1, self.gain2, self.y1, self.y2
+        a, b, y1, y2c = self.gain1, self.gain2, self.y1, np.conj(self.y2)
         scale = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2 + noise_variance
         if np.any(scale == 0):
             raise np.linalg.LinAlgError("zero channel with zero noise variance")
-        s1 = (np.conj(a) * y1 + b * np.conj(y2)) / scale
-        s2 = (np.conj(b) * y1 - a * np.conj(y2)) / scale
-        return np.stack((s1, s2), axis=1).ravel()
+        out = np.empty((y1.size, 2), dtype=complex)
+        np.divide(np.conj(a) * y1 + y2c * b, scale, out=out[:, 0])
+        np.divide(np.conj(b) * y1 - y2c * a, scale, out=out[:, 1])
+        return out.ravel()
 
 
 @dataclass(frozen=True, eq=False)
 class ScalarSignal:
-    """Received single-stream samples plus per-symbol effective gains."""
+    """Received samples and per-symbol gains, or one of shape (1,) shared by all."""
 
     y: np.ndarray
     gains: np.ndarray
@@ -238,19 +238,21 @@ class ScalarSignal:
     def decode(self, noise_variance: float) -> np.ndarray:
         """Coherent de-rotation by the known effective gain; the positive
         scale left over is irrelevant to QPSK decisions."""
-        return self.y * np.conj(self.gains)
+        return np.conj(self.gains) * self.y
 
 
-def _energy(s: np.ndarray, weights: np.ndarray | None = None, block: int = 1) -> float:
+def _energy(s: np.ndarray, weights: np.ndarray | None = None) -> float:
     """Radiated energy per symbol period, mean |s|^2 * ||w||^2/N over the
-    N-element weights w each symbol leaves through: ``weights`` is one w, or
-    a row per block of ``block`` symbols (None: one unit element).  ||w||^2/N
-    is measured, not assumed, to catch scaling slips."""
-    p = gain_power(s)
-    if weights is not None:
-        v = weights.view(float)
-        p = p * np.repeat(np.einsum("...i,...i->...", v, v) / weights.shape[-1], block)
-    return float(np.mean(p)) if s.size else 0.0
+    N-element weights w each symbol leaves through: one w, or one per row with
+    the symbols split evenly over the rows in order (None: a unit element).
+    Per-row einsum sums differ from a per-symbol mean only by rounding, and
+    ||w||^2/N is measured, not assumed, to catch scaling slips."""
+    if not s.size:
+        return 0.0
+    w = np.ones((1, 1), complex) if weights is None else np.atleast_2d(weights)
+    v, u = np.ascontiguousarray(s, complex).view(float).reshape(len(w), -1), w.view(float)
+    per_row = np.einsum("i,i->", np.einsum("ij,ij->i", v, v), np.einsum("ij,ij->i", u, u))
+    return float(per_row) / (w.shape[1] * s.size)
 
 
 def transmit_cbf(s: np.ndarray, beams: ComplementaryBeamSet, angle: float,
@@ -268,7 +270,7 @@ def transmit_cbf(s: np.ndarray, beams: ComplementaryBeamSet, angle: float,
     a = (g1 / _SQRT2) * h1
     b = (g2 / _SQRT2) * h2
     y1 = a * s1 + b * s2 + link.noise(n)
-    y2 = -a * np.conj(s2) + b * np.conj(s1) + link.noise(n)
+    y2 = -a * np.conj(s2) + np.conj(s1) * b + link.noise(n)
     energy = _energy(s, beams.weights.ravel())
     return CbfSignal(y1=y1, y2=y2, gain1=a, gain2=b, energy_per_period=energy)
 
@@ -281,10 +283,10 @@ def _transmit_scalar(s: np.ndarray, link: LinkChannel, block_symbols: int,
     if s.size % block_symbols:
         raise ValueError("symbols must fill a whole number of blocks")
     h = link.fading(s.size // block_symbols)
-    eff = np.repeat(h if array_gains is None else array_gains * h, block_symbols)
+    eff = h if array_gains is None else array_gains * h
+    eff = np.repeat(eff, block_symbols) if eff.size > 1 else eff
     y = eff * s + link.noise(s.size)
-    return ScalarSignal(y=y, gains=eff,
-                        energy_per_period=_energy(s, weights, block_symbols))
+    return ScalarSignal(y=y, gains=eff, energy_per_period=_energy(s, weights))
 
 
 def transmit_rbf(s: np.ndarray, geometry: ArrayGeometry, angle: float,
@@ -339,6 +341,7 @@ def _run_batch(config: SimConfig, ai: int, si: int, batch: int) -> int:
     else:
         sig = transmit_single(s, link)
     budget = _energy(s)
+    del s                       # free the symbols before decode, the batch's peak
     if abs(sig.energy_per_period - budget) > POWER_TOL:
         raise RuntimeError(f"transmit power budget violated: radiated "
                            f"{sig.energy_per_period!r} per period vs budget {budget!r}")

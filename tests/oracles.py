@@ -11,7 +11,11 @@ bit error rate of random beamforming.  ``uniform_psi_grid`` and
 power patterns with.  ``binomial_cdf`` sums the binomial pmf term by term,
 the defining tail the Clopper-Pearson interval ends are checked against.
 ``sequential_climb`` is the stochastic search one restart at a time, the
-reference the lockstep climb must reproduce exactly.
+reference the lockstep climb must reproduce exactly.  ``fading``,
+``energy``, ``transmit_cbf``, ``cbf_decode``, ``transmit_scalar``,
+``scalar_decode`` and ``qpsk_demodulate`` are the batch arithmetic before
+AWGN fading became one broadcast value, the reference the batch path must
+match bit for bit.
 """
 
 import math
@@ -23,10 +27,13 @@ from cbfsim.arrays import (
     ArrayGeometry,
     _composite_power,
     _variance_of_power,
+    gain_power,
     steering_basis,
+    subarray_gains,
 )
 from cbfsim.beams import _SCREEN_SLACK, SearchMeta, _lag_features
-from cbfsim.channel import q_function
+from cbfsim.channel import complex_noise, q_function
+from cbfsim.simulate import _SQRT2, CbfSignal, ScalarSignal
 
 
 def alamouti_encode(s1, s2) -> np.ndarray:
@@ -226,3 +233,99 @@ def sequential_climb(geometry, codebook, seed, budget, form, power):
             x, cur, improved = x + dx[hit], scores[hit], True
 
     return best, SearchMeta("stochastic", evals, seed)
+
+
+# The batch arithmetic as it stood before AWGN fading became one broadcast
+# value, kept verbatim but for ``fading`` (``LinkChannel.fading``, which then
+# built one unit gain per block in AWGN) and the names.  On a full batch the
+# batch path must reproduce every received sample, soft estimate and decision
+# of these bit for bit, and its energy meter this per-symbol mean to rounding
+# level.  numpy's complex multiply is not bitwise commutative, and numpy
+# reuses a temporary of 256 KiB or more as the output of ``x * temporary``,
+# computing ``temporary * x`` instead; so ``b * np.conj(s1)`` and the like
+# below round in one operand order on full batches and in the other on
+# short ones, where the package, which fixes the full-batch order, agrees
+# with them to rounding only.
+
+def fading(link, num_blocks: int) -> np.ndarray:
+    """Per-block complex gains with E[|h|^2] = 1: ones in AWGN, the
+    noise's circular-Gaussian draw at unit variance in Rayleigh."""
+    if link.kind == "awgn":
+        return np.ones(num_blocks, dtype=complex)
+    return complex_noise(num_blocks, 1.0, link.rng)
+
+
+def energy(s: np.ndarray, weights: np.ndarray | None = None, block: int = 1) -> float:
+    """Radiated energy per symbol period, mean |s|^2 * ||w||^2/N over the
+    N-element weights w each symbol leaves through: ``weights`` is one w, or
+    a row per block of ``block`` symbols (None: one unit element).  ||w||^2/N
+    is measured, not assumed, to catch scaling slips."""
+    p = gain_power(s)
+    if weights is not None:
+        v = weights.view(float)
+        p = p * np.repeat(np.einsum("...i,...i->...", v, v) / weights.shape[-1], block)
+    return float(np.mean(p)) if s.size else 0.0
+
+
+def cbf_decode(self, noise_variance: float) -> np.ndarray:
+    """MMSE soft estimates (H^H H + sigma^2 I)^-1 H^H [y1, y2*]^T of the
+    Alamouti codewords [[s1, -s2*], [s2, s1*]], re-interleaved into the
+    original symbol order (``CbfSignal.decode``'s arithmetic)."""
+    if noise_variance < 0:
+        raise ValueError("noise variance must be >= 0")
+    a, b, y1, y2 = self.gain1, self.gain2, self.y1, self.y2
+    scale = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2 + noise_variance
+    if np.any(scale == 0):
+        raise np.linalg.LinAlgError("zero channel with zero noise variance")
+    s1 = (np.conj(a) * y1 + b * np.conj(y2)) / scale
+    s2 = (np.conj(b) * y1 - a * np.conj(y2)) / scale
+    return np.stack((s1, s2), axis=1).ravel()
+
+
+def transmit_cbf(s: np.ndarray, beams, angle: float, link) -> CbfSignal:
+    """Alamouti-encode symbol pairs and push the two streams through their
+    complementary beams with an equal (1/sqrt(2) amplitude) power split."""
+    if s.size % 2:
+        raise ValueError("cbf transmits whole symbol pairs")
+    s1, s2 = s[0::2], s[1::2]
+    n = s1.size
+    g1, g2 = (complex(subarray_gains(w, beams.geometry, m, angle)[0])
+              for m, w in enumerate(beams.weights))
+    h1 = fading(link, n)
+    h2 = h1 if link.equal_subarrays else fading(link, n)
+    a = (g1 / _SQRT2) * h1
+    b = (g2 / _SQRT2) * h2
+    y1 = a * s1 + b * s2 + link.noise(n)
+    y2 = -a * np.conj(s2) + b * np.conj(s1) + link.noise(n)
+    energy_ = energy(s, beams.weights.ravel())
+    return CbfSignal(y1=y1, y2=y2, gain1=a, gain2=b, energy_per_period=energy_)
+
+
+def transmit_scalar(s: np.ndarray, link, block_symbols: int,
+                    array_gains: np.ndarray | None = None,
+                    weights: np.ndarray | None = None) -> ScalarSignal:
+    """One stream through a per-block gain: the fading draw times the array
+    gain of each block (none for a single element), then noise."""
+    if s.size % block_symbols:
+        raise ValueError("symbols must fill a whole number of blocks")
+    h = fading(link, s.size // block_symbols)
+    eff = np.repeat(h if array_gains is None else array_gains * h, block_symbols)
+    y = eff * s + link.noise(s.size)
+    return ScalarSignal(y=y, gains=eff,
+                        energy_per_period=energy(s, weights, block_symbols))
+
+
+def scalar_decode(self, noise_variance: float) -> np.ndarray:
+    """Coherent de-rotation by the known effective gain; the positive
+    scale left over is irrelevant to QPSK decisions (``ScalarSignal.decode``)."""
+    return self.y * np.conj(self.gains)
+
+
+def qpsk_demodulate(soft) -> np.ndarray:
+    """Minimum-distance (quadrant sign) ``uint8`` bit decisions; inverts the
+    mapper on clean symbols and is invariant to positive scaling."""
+    s = np.atleast_1d(np.asarray(soft))
+    bits = np.empty(2 * s.size, dtype=np.uint8)
+    bits[0::2] = s.real < 0
+    bits[1::2] = s.imag < 0
+    return bits

@@ -179,10 +179,6 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write(base: Path, suffix: str, lines: list[str]) -> Path:
     """<base><suffix> as UTF-8 text, each line ended by LF."""
     path = base.with_name(base.name + suffix)
@@ -196,7 +192,8 @@ def _write_manifest(base: Path, command: str, config: dict, outputs: list[Path])
         "command": command,
         "config": config,
         "outputs": [
-            {"path": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}
+            {"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
+             "bytes": p.stat().st_size}
             for p in outputs
         ],
     }
@@ -254,7 +251,6 @@ def cmd_search(ns, parser) -> int:
 def cmd_pattern(ns, parser) -> int:
     if ns.beamset is not None:
         beams = _load_beamset(ns.beamset)
-        grid_points = len(beams.grid)
     else:
         if not ns.weights:
             parser.error("pattern requires --weights (repeatable) or --beamset")
@@ -270,8 +266,7 @@ def cmd_pattern(ns, parser) -> int:
             parser.error("all weight vectors must have the same length")
         ns_size = sizes.pop()
         geometry = ArrayGeometry(ns_size * len(indices), len(indices), ns.spacing)
-        grid_points = ns.grid_points
-        grid = AngleGrid.uniform_theta(grid_points)
+        grid = AngleGrid.uniform_theta(ns.grid_points)
         beams = ComplementaryBeamSet(geometry, codebook.coefficients[indices], grid,
                                      SearchMeta("explicit", 0, None),
                                      codebook.accuracy, tuple(indices))
@@ -284,7 +279,7 @@ def cmd_pattern(ns, parser) -> int:
                 "weights": [list(ix) for ix in beams.phase_indices] if explicit else None,
                 "accuracy": beams.accuracy if explicit else None,
                 "spacing": beams.geometry.spacing if explicit else None,
-                "grid_points": grid_points, "beamset": ns.beamset, "out": str(base)}
+                "grid_points": len(beams.grid), "beamset": ns.beamset, "out": str(base)}
     _write_manifest(base, "pattern", resolved, written)
     return 0
 
@@ -370,9 +365,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

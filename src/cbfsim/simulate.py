@@ -60,6 +60,7 @@ POWER_TOL = 1e-6
 _CI95 = 1.96
 _CP_TAIL = 0.025  # each tail of the 95% Clopper-Pearson interval
 _SQRT2 = math.sqrt(2.0)
+_CHUNK_WEIGHTS = 1 << 15        # rbf weights built at a time: 512 KiB of complex128
 
 _SCHEMES = ("cbf", "rbf", "single")
 _CHANNELS = ("awgn", "rayleigh")
@@ -241,18 +242,17 @@ class ScalarSignal:
         return np.conj(self.gains) * self.y
 
 
-def _energy(s: np.ndarray, weights: np.ndarray | None = None) -> float:
+def _energy(s: np.ndarray, norms=(1.0,), elements: int = 1) -> float:
     """Radiated energy per symbol period, mean |s|^2 * ||w||^2/N over the
-    N-element weights w each symbol leaves through: one w, or one per row with
-    the symbols split evenly over the rows in order (None: a unit element).
-    Per-row einsum sums differ from a per-symbol mean only by rounding, and
-    ||w||^2/N is measured, not assumed, to catch scaling slips."""
+    N-element weights w each symbol leaves through, given each weight row's
+    ||w||^2 (by default one unit element), with the symbols split evenly over
+    the rows in order.  Per-row einsum sums differ from a per-symbol mean only
+    by rounding, and ||w||^2/N is measured, not assumed, to catch scaling slips."""
     if not s.size:
         return 0.0
-    w = np.ones((1, 1), complex) if weights is None else np.atleast_2d(weights)
-    v, u = np.ascontiguousarray(s, complex).view(float).reshape(len(w), -1), w.view(float)
-    per_row = np.einsum("i,i->", np.einsum("ij,ij->i", v, v), np.einsum("ij,ij->i", u, u))
-    return float(per_row) / (w.shape[1] * s.size)
+    v = np.ascontiguousarray(s, complex).view(float).reshape(len(norms), -1)
+    per_row = np.einsum("i,i->", np.einsum("ij,ij->i", v, v), norms)
+    return float(per_row) / (elements * s.size)
 
 
 def transmit_cbf(s: np.ndarray, beams: ComplementaryBeamSet, angle: float,
@@ -271,13 +271,13 @@ def transmit_cbf(s: np.ndarray, beams: ComplementaryBeamSet, angle: float,
     b = (g2 / _SQRT2) * h2
     y1 = a * s1 + b * s2 + link.noise(n)
     y2 = -a * np.conj(s2) + np.conj(s1) * b + link.noise(n)
-    energy = _energy(s, beams.weights.ravel())
+    energy = _energy(s, [np.vdot(beams.weights, beams.weights).real], beams.weights.size)
     return CbfSignal(y1=y1, y2=y2, gain1=a, gain2=b, energy_per_period=energy)
 
 
 def _transmit_scalar(s: np.ndarray, link: LinkChannel, block_symbols: int,
                      array_gains: np.ndarray | None = None,
-                     weights: np.ndarray | None = None) -> ScalarSignal:
+                     norms=(1.0,), elements: int = 1) -> ScalarSignal:
     """One stream through a per-block gain: the fading draw times the array
     gain of each block (none for a single element), then noise."""
     if s.size % block_symbols:
@@ -286,7 +286,7 @@ def _transmit_scalar(s: np.ndarray, link: LinkChannel, block_symbols: int,
     eff = h if array_gains is None else array_gains * h
     eff = np.repeat(eff, block_symbols) if eff.size > 1 else eff
     y = eff * s + link.noise(s.size)
-    return ScalarSignal(y=y, gains=eff, energy_per_period=_energy(s, weights))
+    return ScalarSignal(y=y, gains=eff, energy_per_period=_energy(s, norms, elements))
 
 
 def transmit_rbf(s: np.ndarray, geometry: ArrayGeometry, angle: float,
@@ -294,18 +294,30 @@ def transmit_rbf(s: np.ndarray, geometry: ArrayGeometry, angle: float,
     """Single full-array stream, re-weighted with fresh random unit-modulus
     phases every block so the long-run average gain is flat over angle.
     Phases are float32 draws, continuous to 2^-24 of a turn, and float32
-    cos/sin fill the complex128 weights, unit-modulus to float32 precision."""
+    cos/sin fill the complex128 weights, unit-modulus to float32 precision.
+    Weights are built in even chunks of blocks in one reused buffer: the same
+    draws and gains as one matrix, in memory that does not grow with N."""
     n_el = geometry.total_elements
     blocks = s.size // block_symbols
-    phases = link.rng.random((blocks, n_el), dtype=np.float32)
-    phases *= np.float32(2 * np.pi)
-    weights = np.empty((blocks, n_el), dtype=complex)
-    weights.real, weights.imag = np.cos(phases), np.sin(phases)
+    # three rows or more, as einsum sums a lone row past 8192 numbers in another order
+    rows = max(_CHUNK_WEIGHTS // n_el, 3)
+    chunks = -(-blocks // rows)
+    buf = np.empty((min(rows, blocks), n_el), dtype=complex)
     steer = steering_basis(np.arange(n_el), geometry.spacing, angle)[0]
-    # einsum, not @: a threaded BLAS product would oversubscribe the CPUs
-    # that pool workers already fill.
-    g = np.einsum("ij,j->i", weights, steer) / math.sqrt(n_el)
-    return _transmit_scalar(s, link, block_symbols, g, weights)
+    g, norms = np.empty(blocks, dtype=complex), np.empty(blocks)
+    for c in range(chunks):
+        lo, hi = c * blocks // chunks, (c + 1) * blocks // chunks
+        w, u = buf[:hi - lo], buf[:hi - lo].view(float)
+        phases = link.rng.random(w.shape, dtype=np.float32)
+        phases *= np.float32(2 * np.pi)
+        np.cos(phases, out=w.real, dtype=np.float32)
+        np.sin(phases, out=w.imag, dtype=np.float32)
+        # einsum, not @: a threaded BLAS product would oversubscribe the CPUs
+        # that pool workers already fill.
+        np.einsum("ij,j->i", w, steer, out=g[lo:hi])
+        np.einsum("ij,ij->i", u, u, out=norms[lo:hi])
+    g /= math.sqrt(n_el)
+    return _transmit_scalar(s, link, block_symbols, g, norms, n_el)
 
 
 def transmit_single(s: np.ndarray, link: LinkChannel) -> ScalarSignal:
@@ -460,15 +472,9 @@ def _schedule(config: SimConfig, procs: int, submit) -> list[BerPoint]:
     return points
 
 
-# A pool worker's campaign, set once by the pool's initializer, so that a
-# task is only an (ai, si, batch) tuple and its result an int.
+# A pool worker's campaign, set by run_ber before the pool forks its workers,
+# so that a task is only an (ai, si, batch) tuple and its result an int.
 _pool_config: SimConfig | None = None
-
-
-def _pool_init(config: SimConfig):
-    global _pool_config
-    _pool_config = config
-    _keep_batch_memory()
 
 
 def _keep_batch_memory():
@@ -501,14 +507,17 @@ def run_ber(config: SimConfig) -> BerCurve:
     if procs == 1:
         points = _schedule(config, 1, lambda *key: partial(_run_batch, config, *key))
     else:
-        # Imported here so that importing the package does not pay for them.
-        # Forked workers inherit the imported package and the config.
+        # Imported here so that importing the package does not pay for them;
+        # forked workers inherit the package, numpy.random (loaded lazily) and the config.
         import concurrent.futures
         import multiprocessing
+        import numpy.random  # noqa: F401
 
+        global _pool_config
+        _pool_config = config
         pool = concurrent.futures.ProcessPoolExecutor(
             procs, mp_context=multiprocessing.get_context("fork"),
-            initializer=_pool_init, initargs=(config,))
+            initializer=_keep_batch_memory)
         try:
             points = _schedule(config, procs, lambda *key: pool.submit(
                 _pool_batch, *key).result)

@@ -15,7 +15,9 @@ reference the lockstep climb must reproduce exactly.  ``fading``,
 ``energy``, ``transmit_cbf``, ``cbf_decode``, ``transmit_scalar``,
 ``scalar_decode`` and ``qpsk_demodulate`` are the batch arithmetic before
 AWGN fading became one broadcast value, the reference the batch path must
-match bit for bit.
+match bit for bit.  ``transmit_rbf`` and ``weights_energy`` are random
+beamforming before its weights were built a chunk of blocks at a time: one
+whole (blocks, elements) weight matrix per batch, and the meter that read it.
 """
 
 import math
@@ -329,3 +331,43 @@ def qpsk_demodulate(soft) -> np.ndarray:
     bits[0::2] = s.real < 0
     bits[1::2] = s.imag < 0
     return bits
+
+
+# Random beamforming with one whole weight matrix per batch, verbatim but for
+# the names: ``transmit_rbf`` hands its weights to ``transmit_scalar`` above,
+# and ``weights_energy`` is the one-pass meter that took the weight matrix.
+# The chunked path must reproduce every received sample, block gain, soft
+# estimate and decision of ``transmit_rbf`` bit for bit, at every batch size
+# and element count, and these meters to rounding level.
+
+def weights_energy(s: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """Radiated energy per symbol period, mean |s|^2 * ||w||^2/N over the
+    N-element weights w each symbol leaves through: one w, or one per row with
+    the symbols split evenly over the rows in order (None: a unit element).
+    Per-row einsum sums differ from a per-symbol mean only by rounding, and
+    ||w||^2/N is measured, not assumed, to catch scaling slips."""
+    if not s.size:
+        return 0.0
+    w = np.ones((1, 1), complex) if weights is None else np.atleast_2d(weights)
+    v, u = np.ascontiguousarray(s, complex).view(float).reshape(len(w), -1), w.view(float)
+    per_row = np.einsum("i,i->", np.einsum("ij,ij->i", v, v), np.einsum("ij,ij->i", u, u))
+    return float(per_row) / (w.shape[1] * s.size)
+
+
+def transmit_rbf(s: np.ndarray, geometry: ArrayGeometry, angle: float,
+                 link, block_symbols: int = 2) -> ScalarSignal:
+    """Single full-array stream, re-weighted with fresh random unit-modulus
+    phases every block so the long-run average gain is flat over angle.
+    Phases are float32 draws, continuous to 2^-24 of a turn, and float32
+    cos/sin fill the complex128 weights, unit-modulus to float32 precision."""
+    n_el = geometry.total_elements
+    blocks = s.size // block_symbols
+    phases = link.rng.random((blocks, n_el), dtype=np.float32)
+    phases *= np.float32(2 * np.pi)
+    weights = np.empty((blocks, n_el), dtype=complex)
+    weights.real, weights.imag = np.cos(phases), np.sin(phases)
+    steer = steering_basis(np.arange(n_el), geometry.spacing, angle)[0]
+    # einsum, not @: a threaded BLAS product would oversubscribe the CPUs
+    # that pool workers already fill.
+    g = np.einsum("ij,j->i", weights, steer) / math.sqrt(n_el)
+    return transmit_scalar(s, link, block_symbols, g, weights)

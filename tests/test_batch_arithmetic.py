@@ -1,7 +1,8 @@
 """The batch arithmetic against its verbatim earlier form (``tests/oracles.py``):
 received samples, soft estimates and decisions bit for bit on full batches,
-error counts exactly, the energy meter to rounding level, and the demapper
-on edge-case inputs."""
+rbf's chunked weights bit for bit against one whole weight matrix at every
+batch size, error counts exactly, the energy meter to rounding level, and the
+demapper on edge-case inputs."""
 
 import math
 
@@ -49,10 +50,12 @@ def transmit(scheme, s, angle, link, block, beams=BEAMS):
 
 
 def old_transmit(monkeypatch, scheme, s, angle, link, block, beams=BEAMS):
-    """One transmit through the oracle's arithmetic: cbf's whole chain, or
-    the scalar chain that rbf and single share."""
+    """One transmit through the oracle's arithmetic: cbf's whole chain, rbf's
+    whole-matrix chain, or the scalar chain that single uses."""
     if scheme == "cbf":
         return oracles.transmit_cbf(s, beams, angle, link)
+    if scheme == "rbf":
+        return oracles.transmit_rbf(s, GEOM, angle, link, block)
     with monkeypatch.context() as m:
         m.setattr(simulate, "_transmit_scalar", oracles.transmit_scalar)
         return transmit(scheme, s, angle, link, block)
@@ -96,6 +99,10 @@ def test_full_batch_is_bitwise_the_oracle(monkeypatch, scheme, kind, equal, angl
     if kind == "awgn" and scheme != "rbf":
         gains = (new.gain1, new.gain2) if scheme == "cbf" else (new.gains,)
         assert all(g.shape == (1,) for g in gains)     # one value that broadcasts
+    if scheme == "rbf":
+        assert np.array_equal(bits_of(new.gains), bits_of(old.gains))
+        assert new.energy_per_period == pytest.approx(old.energy_per_period,
+                                                      rel=1e-12, abs=0)
     soft_new, soft_old = new.decode(noise_variance), old_decode(old, noise_variance)
     assert np.array_equal(bits_of(soft_new), bits_of(soft_old))
     assert np.array_equal(chan.qpsk_demodulate(soft_new), oracles.qpsk_demodulate(soft_old))
@@ -119,6 +126,7 @@ def test_short_batch_matches_the_oracle_to_rounding(monkeypatch, scheme, kind, e
 def old_arithmetic(monkeypatch):
     """Route every batch through the oracle's transmit, decode and demap."""
     monkeypatch.setattr(simulate, "transmit_cbf", oracles.transmit_cbf)
+    monkeypatch.setattr(simulate, "transmit_rbf", oracles.transmit_rbf)
     monkeypatch.setattr(simulate, "_transmit_scalar", oracles.transmit_scalar)
     monkeypatch.setattr(CbfSignal, "decode", oracles.cbf_decode)
     monkeypatch.setattr(ScalarSignal, "decode", oracles.scalar_decode)
@@ -146,10 +154,41 @@ def test_run_batch_counts_are_the_oracle_counts(monkeypatch, scheme, kind, equal
     assert min(new) > 0
 
 
+# 7 and 33 elements: chunks of 4,681 and 992 rows, neither of which divides a
+# full batch's 50,000 (or 25,000) blocks; 1,000 and 400 blocks: a batch shorter
+# than one chunk; 10,000 and 20,000 elements at 7, 3 and 4 blocks: rows of over
+# 8192 numbers, which einsum sums in another order in a chunk of one row, as
+# fixed chunks of 3, 2 or 1 rows would leave
+CHUNK_CASES = [(7, BATCH_BITS, 2), (33, BATCH_BITS, 2), (7, BATCH_BITS, 4),
+               (7, 4_000, 2), (33, 1_600, 2), (10_000, 28, 2), (20_000, 12, 2),
+               (20_000, 16, 2)]
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("elements, n_bits, block", CHUNK_CASES)
+def test_rbf_chunks_are_bitwise_the_whole_matrix(elements, n_bits, block, kind):
+    s = symbols(72, n_bits)
+    geometry = ArrayGeometry(elements, 1)
+    link = lambda: LinkChannel(kind, 0.3, np.random.default_rng(73))
+    new = simulate.transmit_rbf(s, geometry, 0.4, link(), block)
+    old = oracles.transmit_rbf(s, geometry, 0.4, link(), block)
+    # both decoded by the package, so that only the transmit differs
+    soft_new, soft_old = new.decode(0.3), old.decode(0.3)
+    for got, want in ((new.y, old.y), (new.gains, old.gains), (soft_new, soft_old)):
+        assert np.array_equal(bits_of(got), bits_of(want))
+    assert np.array_equal(chan.qpsk_demodulate(soft_new), oracles.qpsk_demodulate(soft_old))
+    assert new.energy_per_period == pytest.approx(old.energy_per_period, rel=1e-12, abs=0)
+
+
 def rbf_weights(rng, blocks, n_el=8):
     """Random weight rows of uneven norms, so a wrong grouping shows."""
     return (rng.uniform(0.5, 1.5, (blocks, n_el))
             * np.exp(2j * np.pi * rng.random((blocks, n_el))))
+
+
+def row_norms(weights):
+    """||w||^2 of each weight row, summed apart from the package's einsum."""
+    return (np.abs(np.atleast_2d(weights)) ** 2).sum(axis=1)
 
 
 @pytest.mark.parametrize("block", [2, 4])
@@ -157,18 +196,22 @@ def test_meter_matches_the_per_symbol_mean(block):
     rng = np.random.default_rng(66)
     s = symbols(67) * rng.uniform(0.5, 1.5, BATCH_BITS // 2)   # uneven |s|
     weights = rbf_weights(rng, s.size // block)
+    cbf_w = BEAMS.weights.ravel()
     for new, old in [(simulate._energy(s), oracles.energy(s)),
-                     (simulate._energy(s, BEAMS.weights.ravel()),
-                      oracles.energy(s, BEAMS.weights.ravel())),
-                     (simulate._energy(s, weights), oracles.energy(s, weights, block))]:
+                     (simulate._energy(s, row_norms(cbf_w), cbf_w.size),
+                      oracles.energy(s, cbf_w)),
+                     (simulate._energy(s, row_norms(weights), 8),
+                      oracles.energy(s, weights, block)),
+                     (simulate._energy(s, row_norms(weights), 8),
+                      oracles.weights_energy(s, weights))]:
         assert new == pytest.approx(old, rel=1e-12, abs=0)
 
 
 def test_meter_of_no_symbols_is_zero():
-    empty = np.empty(0, dtype=complex)
+    empty, cbf_w = np.empty(0, dtype=complex), BEAMS.weights.ravel()
     assert simulate._energy(empty) == 0.0
-    assert simulate._energy(empty, BEAMS.weights.ravel()) == 0.0
-    assert simulate._energy(empty, np.empty((0, 8), dtype=complex)) == 0.0
+    assert simulate._energy(empty, row_norms(cbf_w), cbf_w.size) == 0.0
+    assert simulate._energy(empty, np.empty(0), 8) == 0.0
 
 
 def test_meter_catches_one_block_scaled_by_one_percent(monkeypatch):
@@ -177,17 +220,18 @@ def test_meter_catches_one_block_scaled_by_one_percent(monkeypatch):
     weights = np.exp(2j * np.pi * rng.random((s.size // 2, 8)))
     scaled = weights.copy()
     scaled[7] *= 1.01
-    assert abs(simulate._energy(s, scaled) - simulate._energy(s, weights)) > POWER_TOL
+    assert abs(simulate._energy(s, row_norms(scaled), 8)
+               - simulate._energy(s, row_norms(weights), 8)) > POWER_TOL
 
     config = SimConfig(SchemeConfig("rbf", GEOM), "awgn", (0.0,), (6.0,),
                        min_bits=10_000, max_bits=10_000)
     simulate._run_batch(config, 0, 0, 0)          # the true weights pass
     real = simulate._transmit_scalar
 
-    def one_block_hot(s, link, block_symbols, array_gains=None, weights=None):
-        weights = weights.copy()
-        weights[0] *= 1.01
-        return real(s, link, block_symbols, array_gains, weights)
+    def one_block_hot(s, link, block_symbols, array_gains=None, norms=(1.0,), elements=1):
+        norms = norms.copy()
+        norms[0] *= 1.01 ** 2       # the first block's weights scaled by 1.01
+        return real(s, link, block_symbols, array_gains, norms, elements)
 
     monkeypatch.setattr(simulate, "_transmit_scalar", one_block_hot)
     with pytest.raises(RuntimeError, match="power budget violated"):

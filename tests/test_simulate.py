@@ -8,6 +8,8 @@ import platform
 import resource
 import subprocess
 import sys
+import textwrap
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -231,6 +233,24 @@ class TestTransmitRbf:
         s = make_symbols(np.random.default_rng(6), 6)
         with pytest.raises(ValueError):
             transmit_rbf(s, GEOM, 0.0, quiet_link(), block_symbols=2)
+
+    @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+    @pytest.mark.parametrize("elements", [8, 256])
+    def test_batch_memory_does_not_grow_with_the_array(self, elements, channel):
+        # the weights are built a chunk at a time, so a full batch peaks at
+        # about 8-9 MiB whatever the array; one whole weight matrix took
+        # 14.7-15.5 MiB at 8 elements and 343.5 MiB at 256
+        config = SimConfig(SchemeConfig("rbf", ArrayGeometry(elements, 1)), channel,
+                           (0.3,), (4.0,), min_bits=simulate.BATCH_BITS,
+                           max_bits=simulate.BATCH_BITS)
+        simulate._run_batch(config, 0, 0, 0)       # lazy imports load first
+        tracemalloc.start()
+        try:
+            simulate._run_batch(config, 0, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
 
 
 class TestTransmitSingle:
@@ -491,6 +511,41 @@ def test_pool_workers_reuse_batch_memory(pool_sizes):
     extra = worker_faults(2 * batches) - worker_faults(batches)
     assert pool_sizes == [2, 2]
     assert extra / batches < 200
+
+
+WARM_FORK = textwrap.dedent("""
+    import concurrent.futures
+    import sys
+
+    from cbfsim import simulate
+    from cbfsim.arrays import ArrayGeometry
+
+    seen = []
+
+    class SpyExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            seen.append("numpy.random" in sys.modules)
+            super().__init__(max_workers, *args, **kwargs)
+
+    concurrent.futures.ProcessPoolExecutor = SpyExecutor
+    simulate._available_cpus = lambda: 2
+    simulate.run_ber(simulate.SimConfig(
+        simulate.SchemeConfig("rbf", ArrayGeometry(8, 1)), "awgn", (0.0,), (10.0,),
+        min_bits=400_000, max_bits=400_000, target_errors=0, workers=2))
+    print(seen)
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="run_ber forks its pool workers")
+def test_pool_workers_fork_with_numpy_random_loaded():
+    # numpy loads numpy.random lazily; loaded before the pool forks, it is
+    # inherited rather than imported again by every worker on its first batch
+    src = str(Path(cbfsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", WARM_FORK], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["[True]"]
 
 
 @pytest.mark.skipif(not (sys.platform.startswith("linux")

@@ -46,8 +46,8 @@ DEFAULT_CANDIDATE_CEILING = 2 ** 22
 DEFAULT_STOCHASTIC_BUDGET = 100_000
 
 _SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
-_SCREEN_BLOCK_FLOATS = 2 ** 22  # one 32 MB block of exhaustive scores
-_RESCORE_BLOCK_FLOATS = 2 ** 15  # 256 kB of each member's rescoring table
+_SCREEN_BLOCK_FLOATS = 2 ** 15  # 256 kB of exhaustive scores per block
+_RESCORE_BLOCK_FLOATS = 2 ** 12  # 32 kB of each member's power tables per block
 _CLIMB_BLOCK = 64  # stochastic restarts that climb in lockstep
 _CLIMB_CHUNK = 4  # coefficient slots, K moves each, a climb scores per round
 
@@ -324,38 +324,35 @@ def _exhaustive(geometry, codebook, ceiling, form, power):
     # Leading coefficient pinned to 1: a global phase never changes |gain|,
     # so the search space shrinks from K^N_s to K^(N_s-1) per vector.  Row v
     # holds the base-K digits of v, so rows run in lexicographic order.
-    digits = (np.arange(num_vectors)[:, None] // k ** np.arange(ns - 2, -1, -1)) % k
-    rows = np.pad(digits, ((0, 0), (1, 0))).tolist()
+    rows = np.indices((1,) + (k,) * (ns - 1)).reshape(ns, -1).T.tolist()
     x = _lag_features(codebook.coefficients[rows])
-    # A group scores q[i] + 2 (xC)[i] . z[r] + (zCz)[r] for leading member i
-    # and trailing members r, z[r] their summed features in C order.
-    z = x
-    for _ in range(group_size - 2):
-        z = (x[:, None] + z[None]).reshape(len(x) * len(z), x.shape[1])
-    y, zc = x @ form, z @ form
-    q, qz = np.einsum("ij,ij->i", y, x), np.einsum("ij,ij->i", zc, z)
-    step = max(1, _SCREEN_BLOCK_FLOATS // len(z))
+    # A group scores (zCz)[l] + 2 (zC)[l] . x[t] + q[t] for last member t and
+    # leading members l, z[l] their summed features in C order: row l of
+    # [2zC, zCz, 1] times row t of [x, 1, q].  A block is rows l by every t.
+    z = x if group_size == 2 else (x[:, None] + x[None]).reshape(len(x) ** 2, -1)
+    zc = z @ (2 * form)
+    lead = np.column_stack([zc, np.einsum("ij,ij->i", zc, z) / 2, np.ones(len(z))])
+    trail = np.column_stack([x, np.ones(len(x)), np.einsum("ij,ij->i", x @ form, x)])
+    step = max(1, _SCREEN_BLOCK_FLOATS // num_vectors)
     least, hits = np.inf, []
-    for i in range(0, num_vectors, step):
-        block = y[i:i + step] @ z.T
-        block *= 2
-        block += q[i:i + step, None] + qz
-        least = min(least, block.min())
-        flat = np.flatnonzero(block <= least + _SCREEN_SLACK)
-        hits.append((block.ravel()[flat], flat + i * len(z)))
+    for i in range(0, len(z), step):
+        block = lead[i:i + step] @ trail.T
+        if (low := block.min()) <= least + _SCREEN_SLACK:
+            least = min(least, low)
+            flat = np.flatnonzero(block <= least + _SCREEN_SLACK)
+            hits.append((block.ravel()[flat], flat + i * num_vectors))
     scores, flat = (np.concatenate(a) for a in zip(*hits))
     near = np.unravel_index(flat[scores <= least + _SCREEN_SLACK],
                             (num_vectors,) * group_size)
-    # Rescore the near-minimal groups exactly from one power table per
-    # distinct member vector, a block of groups at a time, and keep the first
-    # minimum in lexicographic order.
-    distinct = [np.unique(numbers, return_inverse=True) for numbers in near]
-    tables = [np.array([power(m, rows[v]) for v in d.tolist()])
-              for m, (d, _) in enumerate(distinct)]
-    step = max(1, _RESCORE_BLOCK_FLOATS // tables[0].shape[1])
+    # Rescore the near-minimal groups exactly, a block at a time gathered from
+    # the memoised member tables, and keep the first minimum in lexicographic order.
+    tables = [{v: power(m, rows[v]) for v in set(numbers.tolist())}
+              for m, numbers in enumerate(near)]
+    step = max(1, _RESCORE_BLOCK_FLOATS // power(0, rows[near[0][0]]).size)
     variances = []
     for i in range(0, len(near[0]), step):
-        block = [t[inverse[i:i + step]] for t, (_, inverse) in zip(tables, distinct)]
+        block = [np.array([t[v] for v in numbers[i:i + step].tolist()])
+                 for t, numbers in zip(tables, near)]
         variances.append(_variance_of_power(_composite_power(block)))
     first = int(np.argmin(np.concatenate(variances)))
     return (tuple(tuple(rows[numbers[first]]) for numbers in near),

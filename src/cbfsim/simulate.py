@@ -223,8 +223,10 @@ class CbfSignal:
         if np.any(scale == 0):
             raise np.linalg.LinAlgError("zero channel with zero noise variance")
         out = np.empty((y1.size, 2), dtype=complex)
-        np.divide(np.conj(a) * y1 + y2c * b, scale, out=out[:, 0])
-        np.divide(np.conj(b) * y1 - y2c * a, scale, out=out[:, 1])
+        np.add(np.conj(a) * y1, y2c * b, out=out[:, 0])
+        np.subtract(np.conj(b) * y1, y2c * a, out=out[:, 1])
+        # numpy divides by a real s as (re, im) * (1/s); only a zero's sign differs
+        np.multiply(out.view(float), (1.0 / scale)[:, None], out=out.view(float))
         return out.ravel()
 
 

@@ -240,6 +240,29 @@ class TestFindComplementaryPair:
         assert found.phase_indices == first
         assert found.variance == best_var
 
+    @pytest.mark.parametrize("elements, group_size, accuracy, points", [
+        (4, 2, 2, 512), (6, 3, 2, 512), (8, 2, 2, 512), (8, 2, 4, 512), (9, 3, 2, 512),
+        (6, 2, 3, 512), (6, 3, 3, 512), (14, 2, 2, 512), (12, 3, 3, 512), (12, 2, 2, 2),
+    ], ids=["pair", "triple", "pair-8-k2", "pair-8-k4", "triple-9-k2", "pair-k3",
+            "triple-k3", "pair-14-k2", "triple-12-k3", "near-ties-2-points"])
+    def test_exhaustive_is_block_size_invariant(self, monkeypatch, elements, group_size,
+                                                accuracy, points):
+        # blocks of 7 floats end mid-table (3 rows of 2 or 2 of 3 vectors) and,
+        # on 2 points, mid-run of near-ties (3 groups of 236); the screen only
+        # rules candidates out and every near-tie is rescored exactly, so the
+        # block sizes cannot move the result
+        args = (ArrayGeometry(elements, group_size), PhaseCodebook(accuracy),
+                AngleGrid.uniform_theta(points), "exhaustive")
+        default = find_complementary_set(*args)
+        monkeypatch.setattr(beams, "_SCREEN_BLOCK_FLOATS", 7)
+        monkeypatch.setattr(beams, "_RESCORE_BLOCK_FLOATS", 7)
+        tiny = find_complementary_set(*args)
+        assert tiny.phase_indices == default.phase_indices
+        assert tiny.variance.hex() == default.variance.hex()
+        assert tiny.meta == default.meta
+        assert tiny.meta.candidates == accuracy ** ((elements // group_size - 1)
+                                                    * group_size)
+
     def test_codebook_closure(self):
         cb = PhaseCodebook(4)
         found = find_complementary_set(ArrayGeometry(8, 2), cb, GRID,
@@ -371,6 +394,21 @@ class TestAutocorrelationScreen:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2 ** 20
+
+    @pytest.mark.parametrize("elements, group_size, limit_mib", [
+        (24, 2, 8), (21, 3, 3),
+    ], ids=["readme-pair-2^22", "triple-2^18"])
+    def test_exhaustive_memory_stays_small(self, elements, group_size, limit_mib):
+        # the screen and the rescoring work a fixed-size block at a time; one
+        # block of every score would take 32 MiB for the README's 2^22 pairs
+        tracemalloc.start()
+        try:
+            find_complementary_set(ArrayGeometry(elements, group_size),
+                                   PhaseCodebook(2), GRID, "exhaustive")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2 ** 20
 
 
 class TestFindComplementaryTriple:

@@ -9,8 +9,8 @@ beamforming, random beamforming, and a single-antenna benchmark.
 __version__ = "0.1.0"
 
 from .arrays import AngleGrid, ArrayGeometry
-from .beams import (ComplementaryBeamSet, PhaseCodebook, SearchCapacityError,
-                    find_complementary_set, golay_construct)
+from .beams import (ComplementaryBeamSet, SearchCapacityError, find_complementary_set,
+                    golay_construct, phase_levels)
 from .channel import (awgn_qpsk_ber, noise_variance, qpsk_demodulate, qpsk_modulate,
                       rayleigh_qpsk_ber)
 from .simulate import (BerCurve, BerPoint, SchemeConfig, SimConfig, run_ber,

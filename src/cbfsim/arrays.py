@@ -74,6 +74,8 @@ class AngleGrid:
         pts = _readonly(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("an angle grid needs at least two points")
+        if not np.all(np.abs(pts) <= np.pi / 2):  # NaN fails
+            raise ValueError("grid points must lie in the visible region [-pi/2, pi/2]")
         if not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
         if self.measure not in ("theta", "psi"):
@@ -127,8 +129,8 @@ def _autocorrelation_form(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarra
     R(k) = sum_i w[i+k] conj(w[i]), k >= 1.  Each member's power is
     1 + (2/N_s) sum_k Re(R(k) exp(-j*k*psi)), psi = 2*pi*spacing*sin(theta)."""
     ns, members = geometry.subarray_size, geometry.num_subarrays
-    psi = 2 * np.pi * geometry.spacing * np.sin(grid.points)
-    phase = np.outer(psi, np.arange(1, ns))
-    features = np.hstack([np.cos(phase), np.sin(phase)])
+    # steering at offsets -k is exp(j*k*psi): its [Re, Im] are cos(k*psi), sin(k*psi)
+    lags = steering_basis(-np.arange(1, ns), geometry.spacing, grid.points)
+    features = np.hstack([lags.real, lags.imag])
     features -= features.mean(axis=0)
     return (features.T @ features) / len(grid) * (2 / (ns * members)) ** 2

@@ -15,7 +15,7 @@ time, and returns the set that climbing one restart at a time returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .arrays import (
 
 __all__ = [
     "SearchCapacityError",
-    "PhaseCodebook",
+    "phase_levels",
     "SearchMeta",
     "ComplementaryBeamSet",
     "golay_construct",
@@ -56,27 +56,18 @@ class SearchCapacityError(ValueError):
     """Exhaustive enumeration would exceed the configured candidate ceiling."""
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseCodebook:
-    """Uniform K-level phase quantization: coefficients exp(j*2*pi*k/K)."""
-
-    accuracy: int
-
-    def __post_init__(self):
-        if self.accuracy < 1:
-            raise ValueError("accuracy factor K must be >= 1")
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        k = np.arange(self.accuracy)
-        coeffs = np.exp(2j * np.pi * k / self.accuracy)
-        # Quarter-turn levels are exactly 1, j, -1, -j so that fixing the
-        # leading phase of a weight vector is a bitwise-lossless symmetry
-        # reduction.  complex(0, -1), unlike -1j, has a +0.0 real part.
-        quarter = k[4 * k % self.accuracy == 0]
-        levels = np.array([1, 1j, -1, complex(0, -1)])
-        coeffs[quarter] = levels[4 * quarter // self.accuracy]
-        return _readonly(coeffs)
+def phase_levels(accuracy: int) -> np.ndarray:
+    """Read-only uniform K-level phase quantization exp(j*2*pi*k/K), k < K."""
+    if accuracy < 1:
+        raise ValueError("accuracy factor K must be >= 1")
+    k = np.arange(accuracy)
+    levels = np.exp(2j * np.pi * k / accuracy)
+    # Quarter-turn levels are exactly 1, j, -1, -j so that fixing the leading
+    # phase of a weight vector is a bitwise-lossless symmetry reduction.
+    # complex(0, -1), unlike -1j, has a +0.0 real part.
+    quarter = k[4 * k % accuracy == 0]
+    levels[quarter] = np.array([1, 1j, -1, complex(0, -1)])[4 * quarter // accuracy]
+    return _readonly(levels)
 
 
 @dataclass(frozen=True)
@@ -244,7 +235,7 @@ def golay_construct(length: int) -> tuple[np.ndarray, np.ndarray]:
 
 def find_complementary_set(
     geometry: ArrayGeometry,
-    codebook: PhaseCodebook,
+    accuracy: int,
     grid: AngleGrid,
     method: str = "exhaustive",
     *,
@@ -253,7 +244,7 @@ def find_complementary_set(
     candidate_ceiling: int = DEFAULT_CANDIDATE_CEILING,
 ) -> ComplementaryBeamSet:
     """Find one weight vector per sub-array (a pair or a triple) minimizing
-    the composite pattern variance.
+    the composite pattern variance, with phases from ``phase_levels(accuracy)``.
 
     Methods: "exhaustive" scans the phase-reduced codebook space and returns
     the global minimizer (lexicographically first among ties); "golay" uses
@@ -267,22 +258,23 @@ def find_complementary_set(
     if geometry.num_subarrays not in (2, 3):
         raise ValueError(f"geometry must have 2 or 3 sub-arrays, "
                          f"got {geometry.num_subarrays}")
+    if accuracy < 1:
+        raise ValueError("accuracy factor K must be >= 1")
     if method == "golay":
         if geometry.num_subarrays != 2:
             raise ValueError("the doubling construction only yields pairs")
         pair = golay_construct(geometry.subarray_size)
         return ComplementaryBeamSet(geometry, pair, grid,
-                                    SearchMeta("golay", 1, None), codebook.accuracy)
-    form = _autocorrelation_form(geometry, grid)
-    power = _member_powers(geometry, grid, codebook.coefficients)
-    if method == "exhaustive":
-        best, meta = _exhaustive(geometry, codebook, candidate_ceiling, form, power)
-    elif method == "stochastic":
-        best, meta = _stochastic(geometry, codebook, seed, budget, form, power)
-    else:
+                                    SearchMeta("golay", 1, None), accuracy)
+    if method not in ("exhaustive", "stochastic"):
         raise ValueError(f"unknown search method {method!r}")
-    return ComplementaryBeamSet(geometry, codebook.coefficients[list(best)], grid, meta,
-                                codebook.accuracy, best)
+    levels, form = phase_levels(accuracy), _autocorrelation_form(geometry, grid)
+    power = _member_powers(geometry, grid, levels)
+    if method == "exhaustive":
+        best, meta = _exhaustive(geometry, levels, candidate_ceiling, form, power)
+    else:
+        best, meta = _stochastic(geometry, levels, seed, budget, form, power)
+    return ComplementaryBeamSet(geometry, levels[list(best)], grid, meta, accuracy, best)
 
 
 def _lag_features(weights: np.ndarray) -> np.ndarray:
@@ -296,23 +288,26 @@ def _lag_features(weights: np.ndarray) -> np.ndarray:
 
 def _member_powers(geometry, grid, coeffs):
     """power(m, idx): the |gain|^2 table of phase-index vector idx on
-    sub-array m, built once per distinct vector.  Composite variances of such
-    tables are ComplementaryBeamSet's arithmetic, which decides every
-    reported minimum and tie."""
-    tables = {}
-
-    def power(m, idx):
-        key = (m, tuple(idx))
-        if key not in tables:
-            tables[key] = gain_power(subarray_gains(coeffs[list(idx)], geometry, m,
-                                                    grid.points))
-        return tables[key]
-
-    return power
+    sub-array m, built once per distinct vector into a functools.cache memo."""
+    table = cache(lambda m, idx: gain_power(subarray_gains(coeffs[list(idx)], geometry,
+                                                           m, grid.points)))
+    return lambda m, idx: table(m, tuple(idx))
 
 
-def _exhaustive(geometry, codebook, ceiling, form, power):
-    ns, k, group_size = geometry.subarray_size, codebook.accuracy, geometry.num_subarrays
+def _exact_variances(power, groups) -> np.ndarray:
+    """Composite variances of phase-index groups (one index vector per member)
+    by ComplementaryBeamSet's arithmetic, a block of groups at a time: the
+    values that decide every reported minimum and tie."""
+    step = max(1, _RESCORE_BLOCK_FLOATS // power(0, groups[0][0]).size)
+    return np.concatenate([
+        _variance_of_power(_composite_power(
+            [np.array([power(m, g[m]) for g in groups[i:i + step]])
+             for m in range(len(groups[0]))]))
+        for i in range(0, len(groups), step)])
+
+
+def _exhaustive(geometry, levels, ceiling, form, power):
+    ns, k, group_size = geometry.subarray_size, len(levels), geometry.num_subarrays
     num_vectors = k ** (ns - 1)
     total = num_vectors ** group_size
     if total > ceiling:
@@ -324,18 +319,20 @@ def _exhaustive(geometry, codebook, ceiling, form, power):
     # Leading coefficient pinned to 1: a global phase never changes |gain|,
     # so the search space shrinks from K^N_s to K^(N_s-1) per vector.  Row v
     # holds the base-K digits of v, so rows run in lexicographic order.
-    rows = np.indices((1,) + (k,) * (ns - 1)).reshape(ns, -1).T.tolist()
-    x = _lag_features(codebook.coefficients[rows])
+    rows = list(map(tuple, np.indices((1,) + (k,) * (ns - 1)).reshape(ns, -1).T.tolist()))
+    x = _lag_features(levels[rows])
     # A group scores (zCz)[l] + 2 (zC)[l] . x[t] + q[t] for last member t and
     # leading members l, z[l] their summed features in C order: row l of
     # [2zC, zCz, 1] times row t of [x, 1, q].  A block is rows l by every t.
     z = x if group_size == 2 else (x[:, None] + x[None]).reshape(len(x) ** 2, -1)
-    zc = z @ (2 * form)
-    lead = np.column_stack([zc, np.einsum("ij,ij->i", zc, z) / 2, np.ones(len(z))])
     trail = np.column_stack([x, np.ones(len(x)), np.einsum("ij,ij->i", x @ form, x)])
+    lead = np.ones((len(z), z.shape[1] + 2))
+    zc = np.matmul(z, 2 * form, out=lead[:, :-2])
+    lead[:, -2] = np.einsum("ij,ij->i", zc, z) / 2
+    del x, z, zc                # the scan holds only lead and trail
     step = max(1, _SCREEN_BLOCK_FLOATS // num_vectors)
     least, hits = np.inf, []
-    for i in range(0, len(z), step):
+    for i in range(0, len(lead), step):
         block = lead[i:i + step] @ trail.T
         if (low := block.min()) <= least + _SCREEN_SLACK:
             least = min(least, low)
@@ -344,31 +341,21 @@ def _exhaustive(geometry, codebook, ceiling, form, power):
     scores, flat = (np.concatenate(a) for a in zip(*hits))
     near = np.unravel_index(flat[scores <= least + _SCREEN_SLACK],
                             (num_vectors,) * group_size)
-    # Rescore the near-minimal groups exactly, a block at a time gathered from
-    # the memoised member tables, and keep the first minimum in lexicographic order.
-    tables = [{v: power(m, rows[v]) for v in set(numbers.tolist())}
-              for m, numbers in enumerate(near)]
-    step = max(1, _RESCORE_BLOCK_FLOATS // power(0, rows[near[0][0]]).size)
-    variances = []
-    for i in range(0, len(near[0]), step):
-        block = [np.array([t[v] for v in numbers[i:i + step].tolist()])
-                 for t, numbers in zip(tables, near)]
-        variances.append(_variance_of_power(_composite_power(block)))
-    first = int(np.argmin(np.concatenate(variances)))
-    return (tuple(tuple(rows[numbers[first]]) for numbers in near),
+    # Rescore the near-minimal groups exactly and keep the first minimum in
+    # lexicographic order; each group holds references to the row tuples.
+    groups = list(zip(*([rows[v] for v in numbers.tolist()] for numbers in near)))
+    return (groups[int(np.argmin(_exact_variances(power, groups)))],
             SearchMeta("exhaustive", total, None))
 
 
-def _stochastic(geometry, codebook, seed, budget, form, power):
+def _stochastic(geometry, levels, seed, budget, form, power):
     if budget < 1:
         raise ValueError("stochastic search needs a positive budget")
-    exact = lambda rows: _variance_of_power(_composite_power(
-        [power(m, idx) for m, idx in enumerate(rows.tolist())]))
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 63))
     rng = np.random.default_rng(seed)
-    ns, k, group_size = geometry.subarray_size, codebook.accuracy, geometry.num_subarrays
-    coeffs, width = codebook.coefficients, _CLIMB_CHUNK * k
+    ns, k, group_size = geometry.subarray_size, len(levels), geometry.num_subarrays
+    width = _CLIMB_CHUNK * k
     # Single-coefficient moves in (member, position, level) order: move s*k + l
     # sets slot s to level l.  Member m's weights are w[m*(3ns-2) + ns-1 + p]
     # of a flat array with zero gaps, so adding a + jb to w[i] adds a*u + b*v
@@ -383,7 +370,7 @@ def _stochastic(geometry, codebook, seed, budget, form, power):
         spend cap evaluations or a full sweep improves nothing."""
         n, state = len(states), np.array(states)
         w = np.zeros((n, group_size, 3 * ns - 2), complex)
-        w[..., ns - 1:2 * ns - 1] = coeffs[state]
+        w[..., ns - 1:2 * ns - 1] = levels[state]
         x = _lag_features(w[..., ns - 1:2 * ns - 1]).sum(axis=1)
         cur, w = np.einsum("ij,ij->i", x @ form, x), w.reshape(n, -1)
         win = np.lib.stride_tricks.sliding_window_view(w, ns - 1, axis=1)
@@ -401,7 +388,7 @@ def _stochastic(geometry, codebook, seed, budget, form, power):
             # is decided exactly, so each step is the one an exact comparison takes.
             move = start[r, None] // k * k + np.arange(width)
             i = at[move[:, ::k] // k]
-            delta = coeffs - w[r[:, None], i][..., None]
+            delta = levels - w[r[:, None], i][..., None]
             todo = ((delta.reshape(move.shape) != 0) & (move >= start[r, None])
                     & (move < num_moves))
             todo &= np.cumsum(todo, axis=1) <= (cap - np.cumsum(evals))[r, None]
@@ -419,15 +406,16 @@ def _stochastic(geometry, codebook, seed, budget, form, power):
             sure = near & ~(scores > cur[r, None] - _SCREEN_SLACK)
             first = np.where(sure.any(axis=1), sure.argmax(axis=1), width)
             for j in np.flatnonzero((near & (sure.cumsum(axis=1) == 0)).any(axis=1)):
-                tie, now = np.flatnonzero(near[j, :first[j]]), exact(state[r[j]])
-                alt = np.repeat(state[r[j], None], tie.size, axis=0)
-                alt[(np.arange(tie.size), *cell(move[j, tie]))] = tie % k
-                first[j] = next((h for h, c in zip(tie, alt) if exact(c) < now), first[j])
+                tie = np.flatnonzero(near[j, :first[j]])
+                alt = np.repeat(state[r[j], None], tie.size + 1, axis=0)
+                alt[(np.arange(1, tie.size + 1), *cell(move[j, tie]))] = tie % k
+                now, *var = _exact_variances(power, alt.tolist())
+                first[j] = next((h for h, v in zip(tie, var) if v < now), first[j])
             hit, pick = first < width, (np.arange(r.size), np.minimum(first, width - 1))
             evals[r], start[r] = evals[r] + rank[pick], move[pick] + 1
             j, h = r[hit], first[hit]
             m, dd = move[hit, h], delta.reshape(move.shape)[hit, h, None]
-            state[(j, *cell(m))], w[j, at[m // k]] = m % k, coeffs[m % k]
+            state[(j, *cell(m))], w[j, at[m // k]] = m % k, levels[m % k]
             row = np.flatnonzero(hit) * _CLIMB_CHUNK + h // k
             x[j] += dd.real * u[row] + dd.imag * v[row]
             cur[j], improved[j] = scores[hit, h], True
@@ -449,11 +437,12 @@ def _stochastic(geometry, codebook, seed, budget, form, power):
                 break
     # The best is the first visited state of least exact variance; only
     # states screened within the slack of the least score can be it.
-    least, best_var, best = min(s for _, v in kept for _, s in v), np.inf, None
+    least, near = min(s for _, v in kept for _, s in v), []
     for state, visits in kept:
         for move, score in visits:
             if move >= 0:
                 state[cell(move)] = move % k
-            if score <= least + _SCREEN_SLACK and (var := exact(state)) < best_var:
-                best_var, best = var, tuple(map(tuple, state.tolist()))
-    return best, SearchMeta("stochastic", evals, seed)
+            if score <= least + _SCREEN_SLACK:
+                near.append(state.tolist())
+    best = near[int(np.argmin(_exact_variances(power, near)))]
+    return tuple(map(tuple, best)), SearchMeta("stochastic", evals, seed)

@@ -25,9 +25,9 @@ from .beams import (
     DEFAULT_CANDIDATE_CEILING,
     DEFAULT_STOCHASTIC_BUDGET,
     ComplementaryBeamSet,
-    PhaseCodebook,
     SearchMeta,
     find_complementary_set,
+    phase_levels,
 )
 from .simulate import (DEFAULT_ANGLES_DEG, MAX_LATTICE_POINTS, SchemeConfig,
                        SimConfig, _keep_batch_memory, run_ber)
@@ -227,8 +227,7 @@ def _load_beamset(path: str) -> ComplementaryBeamSet:
 def cmd_search(ns, parser) -> int:
     geometry = ArrayGeometry(ns.elements, ns.subarrays, ns.spacing)
     grid = AngleGrid.uniform_theta(ns.grid_points)
-    codebook = PhaseCodebook(ns.accuracy)
-    beams = find_complementary_set(geometry, codebook, grid, ns.method, seed=ns.seed,
+    beams = find_complementary_set(geometry, ns.accuracy, grid, ns.method, seed=ns.seed,
                                    budget=ns.budget, candidate_ceiling=ns.ceiling)
     print(f"sigma_g2={_fmt(beams.variance)}")
     if ns.out is not None:
@@ -239,7 +238,7 @@ def cmd_search(ns, parser) -> int:
                    _write_pattern_csv(base, beams)]
         resolved = {
             "command": "search", "elements": ns.elements, "subarrays": ns.subarrays,
-            "accuracy": codebook.accuracy, "method": ns.method,
+            "accuracy": ns.accuracy, "method": ns.method,
             "spacing": geometry.spacing, "grid_points": len(grid),
             "seed": beams.meta.seed, "budget": ns.budget,
             "ceiling": ns.ceiling, "out": ns.out,
@@ -254,12 +253,12 @@ def cmd_pattern(ns, parser) -> int:
     else:
         if not ns.weights:
             parser.error("pattern requires --weights (repeatable) or --beamset")
-        codebook = PhaseCodebook(ns.accuracy)
+        levels = phase_levels(ns.accuracy)
         indices = []
         for spec in ns.weights:
             idx = tuple(int(tok) for tok in spec.split(","))
-            if any(i < 0 or i >= codebook.accuracy for i in idx):
-                parser.error(f"phase index out of range for K={codebook.accuracy}: {spec}")
+            if any(i < 0 or i >= ns.accuracy for i in idx):
+                parser.error(f"phase index out of range for K={ns.accuracy}: {spec}")
             indices.append(idx)
         sizes = {len(ix) for ix in indices}
         if len(sizes) != 1:
@@ -267,9 +266,9 @@ def cmd_pattern(ns, parser) -> int:
         ns_size = sizes.pop()
         geometry = ArrayGeometry(ns_size * len(indices), len(indices), ns.spacing)
         grid = AngleGrid.uniform_theta(ns.grid_points)
-        beams = ComplementaryBeamSet(geometry, codebook.coefficients[indices], grid,
+        beams = ComplementaryBeamSet(geometry, levels[indices], grid,
                                      SearchMeta("explicit", 0, None),
-                                     codebook.accuracy, tuple(indices))
+                                     ns.accuracy, tuple(indices))
     base = Path(ns.out)
     base.parent.mkdir(parents=True, exist_ok=True)
     written = [_write_pattern_csv(base, beams)]
@@ -295,9 +294,8 @@ def cmd_ber(ns, parser) -> int:
         if beamset is not None:
             beams = _load_beamset(beamset)
         else:
-            beams = find_complementary_set(ArrayGeometry(ns.elements, 2, ns.spacing),
-                                           PhaseCodebook(2), AngleGrid.uniform_theta(512),
-                                           "golay")
+            beams = find_complementary_set(ArrayGeometry(ns.elements, 2, ns.spacing), 2,
+                                           AngleGrid.uniform_theta(512), "golay")
         scheme = SchemeConfig(kind="cbf", geometry=beams.geometry, beams=beams)
     elif ns.scheme == "rbf":
         geometry = ArrayGeometry(ns.elements, 1, ns.spacing)

@@ -354,11 +354,11 @@ def _run_batch(config: SimConfig, ai: int, si: int, batch: int) -> int:
         sig = transmit_rbf(s, scheme.geometry, angle, link, scheme.rbf_block_symbols)
     else:
         sig = transmit_single(s, link)
-    budget = _energy(s)
     del s                       # free the symbols before decode, the batch's peak
-    if abs(sig.energy_per_period - budget) > POWER_TOL:
+    # the budget is the unit QPSK symbol energy that chan.noise_variance assumes
+    if abs(sig.energy_per_period - 1.0) > POWER_TOL:
         raise RuntimeError(f"transmit power budget violated: radiated "
-                           f"{sig.energy_per_period!r} per period vs budget {budget!r}")
+                           f"{sig.energy_per_period!r} per period vs budget 1.0")
     decided = chan.qpsk_demodulate(sig.decode(noise_variance))
     return int(np.count_nonzero(decided != bits))
 

@@ -162,7 +162,7 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
     return math.exp(top) * math.fsum(math.exp(t - top) for t in logs)
 
 
-def sequential_climb(geometry, codebook, seed, budget, form, power):
+def sequential_climb(geometry, levels, seed, budget, form, power):
     """The one-restart-at-a-time hill climb that ``cbfsim.beams._stochastic``
     replaced, kept verbatim: restarts run in order under one evaluation
     budget, each sweep scores every remaining move and takes the first that
@@ -175,20 +175,20 @@ def sequential_climb(geometry, codebook, seed, budget, form, power):
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 63))
     rng = np.random.default_rng(seed)
-    ns, k, group_size = geometry.subarray_size, codebook.accuracy, geometry.num_subarrays
+    ns, k, group_size = geometry.subarray_size, len(levels), geometry.num_subarrays
     # Single-coefficient moves in (member, position, level) order.  Member m's
     # weights are w[m*(3ns-2) + ns-1 + p] of a flat array with zero gaps, so a
     # move at flat index i changes lag l through w[i-l] and w[i+l].
     member, pos, level = (a.ravel() for a in np.indices((group_size, ns - 1, k)))
     at = member * (3 * ns - 2) + ns + pos
     below, above = at[:, None] - np.arange(1, ns), at[:, None] + np.arange(1, ns)
-    target = codebook.coefficients[level]
+    target = levels[level]
     evals, best_var, best_score, best = 0, np.inf, np.inf, None
     while evals < budget:
         state = np.array([(0,) + tuple(int(x) for x in rng.integers(0, k, ns - 1))
                           for _ in range(group_size)])
         w = np.zeros((group_size, 3 * ns - 2), complex)
-        w[:, ns - 1:2 * ns - 1] = codebook.coefficients[state]
+        w[:, ns - 1:2 * ns - 1] = levels[state]
         x = _lag_features(w[:, ns - 1:2 * ns - 1]).sum(axis=0)
         w = w.ravel()
         cur, start, improved = x @ form @ x, 0, False

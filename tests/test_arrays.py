@@ -83,6 +83,17 @@ class TestAngleGrid:
         with pytest.raises(ValueError):
             AngleGrid(np.array([0.3, 0.1]))
 
+    @pytest.mark.parametrize("points", [
+        [-np.inf, 0.0, 0.5], [0.0, 0.5, 3.0], [-1.6, 0.0], [0.0, np.nan],
+        [0.0, np.nextafter(np.pi / 2, 2.0)],
+    ], ids=["-inf", "3-rad", "below", "nan", "just-past-endfire"])
+    def test_points_outside_the_visible_region_rejected(self, points):
+        with pytest.raises(ValueError, match="visible region"):
+            AngleGrid(np.array(points))
+
+    def test_endfire_points_accepted(self):
+        assert len(AngleGrid(np.array([-np.pi / 2, 0.0, np.pi / 2]))) == 3
+
 
 class TestSteeringVector:
     def test_single_element(self):

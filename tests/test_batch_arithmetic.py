@@ -13,7 +13,7 @@ import oracles
 from cbfsim import channel as chan
 from cbfsim import simulate
 from cbfsim.arrays import AngleGrid, ArrayGeometry
-from cbfsim.beams import PhaseCodebook, find_complementary_set
+from cbfsim.beams import find_complementary_set
 from cbfsim.simulate import (
     BATCH_BITS,
     POWER_TOL,
@@ -25,10 +25,10 @@ from cbfsim.simulate import (
 )
 
 GEOM = ArrayGeometry(8, 2)
-BEAMS = find_complementary_set(GEOM, PhaseCodebook(2), AngleGrid.uniform_theta(512), "golay")
+BEAMS = find_complementary_set(GEOM, 2, AngleGrid.uniform_theta(512), "golay")
 # [1,1] nulls at endfire while [1,-1] peaks there (test_beam_null_still_decodes)
 NULL_GEOM = ArrayGeometry(4, 2)
-NULL_PAIR = find_complementary_set(NULL_GEOM, PhaseCodebook(2),
+NULL_PAIR = find_complementary_set(NULL_GEOM, 2,
                                    AngleGrid.uniform_theta(512), "exhaustive")
 
 

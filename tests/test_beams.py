@@ -19,12 +19,12 @@ from cbfsim.arrays import (
 )
 from cbfsim.beams import (
     ComplementaryBeamSet,
-    PhaseCodebook,
     SearchCapacityError,
     SearchMeta,
     find_complementary_set,
     _lag_features,
     golay_construct,
+    phase_levels,
 )
 from oracles import sequential_climb, uniform_psi_grid
 
@@ -36,18 +36,18 @@ def composite_variance(powers):
     return float(_variance_of_power(_composite_power(powers)))
 
 
-def power_tables(geometry, codebook, grid, vectors):
+def power_tables(geometry, accuracy, grid, vectors):
     """|gain|^2 of every phase-index vector on every sub-array."""
     return {(m, idx): gain_power(subarray_gains(
-                codebook.coefficients[list(idx)], geometry, m, grid.points))
+                phase_levels(accuracy)[list(idx)], geometry, m, grid.points))
             for m in range(geometry.num_subarrays) for idx in vectors}
 
 
-def brute_force_minimum(geometry, codebook, grid, group_size=2):
+def brute_force_minimum(geometry, accuracy, grid, group_size=2):
     """Independent oracle: scan every raw weight tuple, no symmetry reduction."""
-    vectors = list(itertools.product(range(codebook.accuracy),
+    vectors = list(itertools.product(range(accuracy),
                                      repeat=geometry.subarray_size))
-    power = power_tables(geometry, codebook, grid, vectors)
+    power = power_tables(geometry, accuracy, grid, vectors)
     return min(composite_variance([power[m, idx] for m, idx in enumerate(combo)])
                for combo in itertools.product(vectors, repeat=group_size))
 
@@ -63,16 +63,16 @@ class CountingGenerator(np.random.Generator):
         return super().integers(*args, **kwargs)
 
 
-def restarts_spend(geometry, codebook, seed, restarts, lo=1):
+def restarts_spend(geometry, accuracy, seed, restarts, lo=1):
     """Evaluations the sequential climb spends on its first ``restarts``
     restarts: the largest budget under which it draws no more start states,
     searched upwards from a budget lo that draws no more either."""
     form = _autocorrelation_form(geometry, GRID)
-    power = beams._member_powers(geometry, GRID, codebook.coefficients)
+    power = beams._member_powers(geometry, GRID, phase_levels(accuracy))
 
     def drawn(budget):
         rng = CountingGenerator(np.random.PCG64(seed))
-        sequential_climb(geometry, codebook, rng, budget, form, power)
+        sequential_climb(geometry, phase_levels(accuracy), rng, budget, form, power)
         return rng.draws // geometry.num_subarrays
 
     hi = 2 * lo
@@ -86,8 +86,7 @@ def restarts_spend(geometry, codebook, seed, restarts, lo=1):
 
 class TestPhaseCodebook:
     def test_coefficients_k4_are_exact(self):
-        cb = PhaseCodebook(4)
-        assert np.array_equal(cb.coefficients, np.array([1, 1j, -1, -1j]))
+        assert np.array_equal(phase_levels(4), np.array([1, 1j, -1, -1j]))
 
     @pytest.mark.parametrize("accuracy", [1, 2, 3, 4, 5, 8, 12, 360, 4096])
     def test_quarter_turns_are_exact_bit_patterns(self, accuracy):
@@ -98,18 +97,21 @@ class TestPhaseCodebook:
         for turns, level in enumerate([1, 1j, -1, complex(0, -1)]):
             if turns * accuracy % 4 == 0:
                 expected[turns * accuracy // 4] = level
-        coeffs = PhaseCodebook(accuracy).coefficients
+        coeffs = phase_levels(accuracy)
         assert np.array_equal(coeffs.view(np.uint64), expected.view(np.uint64))
 
     def test_coefficients_are_distinct_unit_modulus(self):
-        cb = PhaseCodebook(5)
-        assert len(set(cb.coefficients.tolist())) == 5
-        assert np.max(np.abs(np.abs(cb.coefficients) - 1.0)) < 1e-12
-        assert cb.coefficients[0] == 1.0
+        levels = phase_levels(5)
+        assert len(set(levels.tolist())) == 5
+        assert np.max(np.abs(np.abs(levels) - 1.0)) < 1e-12
+        assert levels[0] == 1.0
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
-            PhaseCodebook(0)
+            phase_levels(0)
+        for method in ("exhaustive", "golay", "stochastic"):
+            with pytest.raises(ValueError, match="K must be >= 1"):
+                find_complementary_set(ArrayGeometry(4, 2), 0, GRID, method)
 
 
 class TestGolayConstruct:
@@ -158,7 +160,7 @@ class TestGolayConstruct:
 
 class TestFindComplementaryPair:
     def test_trivial_single_elements(self):
-        found = find_complementary_set(ArrayGeometry(2, 2), PhaseCodebook(1),
+        found = find_complementary_set(ArrayGeometry(2, 2), 1,
                                        GRID, "exhaustive")
         assert np.array_equal(found.weights[0], [1.0])
         assert np.array_equal(found.weights[1], [1.0])
@@ -166,52 +168,51 @@ class TestFindComplementaryPair:
 
     def test_exhaustive_matches_brute_force_exactly(self):
         geom = ArrayGeometry(4, 2)
-        cb = PhaseCodebook(2)
-        found = find_complementary_set(geom, cb, GRID, "exhaustive")
-        oracle = brute_force_minimum(geom, cb, GRID)
+        found = find_complementary_set(geom, 2, GRID, "exhaustive")
+        oracle = brute_force_minimum(geom, 2, GRID)
         assert found.variance == oracle
         assert found.variance < 1e-12
 
     def test_exhaustive_pair_is_complementary_class(self):
         # minimum of 0 is achieved by ([1,1],[1,-1]) up to symmetry
-        found = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+        found = find_complementary_set(ArrayGeometry(4, 2), 2,
                                        GRID, "exhaustive")
         mags = sorted(tuple(np.sign(w.real).astype(int)) for w in found.weights)
         assert mags == [(1, -1), (1, 1)]
 
     def test_golay_method_zero_variance(self):
         geom = ArrayGeometry(16, 2)
-        found = find_complementary_set(geom, PhaseCodebook(2), GRID, "golay")
+        found = find_complementary_set(geom, 2, GRID, "golay")
         assert found.variance <= 1e-10
         assert found.meta.method == "golay"
 
     def test_golay_unsupported_length(self):
         with pytest.raises(ValueError):
-            find_complementary_set(ArrayGeometry(6, 2), PhaseCodebook(2),
+            find_complementary_set(ArrayGeometry(6, 2), 2,
                                    GRID, "golay")
 
     def test_capacity_ceiling_named_in_error(self):
         geom = ArrayGeometry(16, 2)
         with pytest.raises(SearchCapacityError, match="1000"):
-            find_complementary_set(geom, PhaseCodebook(4), GRID, "exhaustive",
+            find_complementary_set(geom, 4, GRID, "exhaustive",
                                    candidate_ceiling=1000)
 
     def test_wrong_subarray_count(self):
         for geometry in (ArrayGeometry(4, 1), ArrayGeometry(8, 4)):
             with pytest.raises(ValueError, match="2 or 3 sub-arrays"):
-                find_complementary_set(geometry, PhaseCodebook(2), GRID,
+                find_complementary_set(geometry, 2, GRID,
                                        "exhaustive")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+            find_complementary_set(ArrayGeometry(4, 2), 2,
                                    GRID, "annealing")
 
     def test_variance_recomputes_bitwise(self):
         geom = ArrayGeometry(8, 2)
         for method, kwargs in (("exhaustive", {}), ("golay", {}),
                                ("stochastic", {"seed": 5, "budget": 300})):
-            found = find_complementary_set(geom, PhaseCodebook(2), GRID,
+            found = find_complementary_set(geom, 2, GRID,
                                            method, **kwargs)
             powers = [gain_power(subarray_gains(w, geom, m, GRID.points))
                       for m, w in enumerate(found.weights)]
@@ -227,16 +228,15 @@ class TestFindComplementaryPair:
         # scan the leading-phase-reduced candidates in lexicographic order and
         # keep the first strict minimum; the search must return that one
         geom = ArrayGeometry(elements, group_size)
-        cb = PhaseCodebook(accuracy)
         reduced = [(0,) + s for s in itertools.product(
-            range(cb.accuracy), repeat=geom.subarray_size - 1)]
-        power = power_tables(geom, cb, GRID, reduced)
+            range(accuracy), repeat=geom.subarray_size - 1)]
+        power = power_tables(geom, accuracy, GRID, reduced)
         scores = [(composite_variance([power[m, idx] for m, idx in enumerate(combo)]),
                    combo)
                   for combo in itertools.product(reduced, repeat=group_size)]
         best_var = min(var for var, _ in scores)
         first = next(combo for var, combo in scores if var == best_var)
-        found = find_complementary_set(geom, cb, GRID, "exhaustive")
+        found = find_complementary_set(geom, accuracy, GRID, "exhaustive")
         assert found.phase_indices == first
         assert found.variance == best_var
 
@@ -251,7 +251,7 @@ class TestFindComplementaryPair:
         # on 2 points, mid-run of near-ties (3 groups of 236); the screen only
         # rules candidates out and every near-tie is rescored exactly, so the
         # block sizes cannot move the result
-        args = (ArrayGeometry(elements, group_size), PhaseCodebook(accuracy),
+        args = (ArrayGeometry(elements, group_size), accuracy,
                 AngleGrid.uniform_theta(points), "exhaustive")
         default = find_complementary_set(*args)
         monkeypatch.setattr(beams, "_SCREEN_BLOCK_FLOATS", 7)
@@ -264,30 +264,27 @@ class TestFindComplementaryPair:
                                                     * group_size)
 
     def test_codebook_closure(self):
-        cb = PhaseCodebook(4)
-        found = find_complementary_set(ArrayGeometry(8, 2), cb, GRID,
+        found = find_complementary_set(ArrayGeometry(8, 2), 4, GRID,
                                        "stochastic", seed=2, budget=500)
-        members = set(cb.coefficients.tolist())
+        members = set(phase_levels(4).tolist())
         for w in found.weights:
             assert set(w.tolist()) <= members
-        a, b = find_complementary_set(ArrayGeometry(16, 2), cb, GRID, "golay").weights
+        a, b = find_complementary_set(ArrayGeometry(16, 2), 4, GRID, "golay").weights
         assert set(a.tolist()) | set(b.tolist()) <= {1.0 + 0j, -1.0 + 0j}
 
     def test_stochastic_deterministic_under_seed(self):
         geom = ArrayGeometry(8, 2)
-        cb = PhaseCodebook(4)
-        one = find_complementary_set(geom, cb, GRID, "stochastic", seed=9, budget=400)
-        two = find_complementary_set(geom, cb, GRID, "stochastic", seed=9, budget=400)
+        one = find_complementary_set(geom, 4, GRID, "stochastic", seed=9, budget=400)
+        two = find_complementary_set(geom, 4, GRID, "stochastic", seed=9, budget=400)
         assert one.variance == two.variance
         assert one.phase_indices == two.phase_indices
         assert one.meta.seed == 9
 
     def test_stochastic_monotone_in_budget(self):
         geom = ArrayGeometry(8, 2)
-        cb = PhaseCodebook(4)
         last = math.inf
         for budget in (50, 200, 800, 3200):
-            found = find_complementary_set(geom, cb, GRID, "stochastic",
+            found = find_complementary_set(geom, 4, GRID, "stochastic",
                                            seed=1234, budget=budget)
             assert found.variance <= last
             last = found.variance
@@ -296,7 +293,7 @@ class TestFindComplementaryPair:
         # an exact tie between the current state and a neighbour is decided by
         # the exact variance, as a pattern-table climb decides it; settling it
         # by the screened score instead ends this climb at variance 0.0107
-        found = find_complementary_set(ArrayGeometry(10, 2), PhaseCodebook(8),
+        found = find_complementary_set(ArrayGeometry(10, 2), 8,
                                        GRID, "stochastic", seed=5, budget=20000)
         assert found.phase_indices == ((0, 7, 0, 3, 6), (0, 1, 0, 5, 2))
         assert found.variance < 1e-20
@@ -315,23 +312,36 @@ class TestFindComplementaryPair:
                                                  budget):
         # restarts climbing in lockstep blocks, a chunk of moves at a time,
         # return the set and count of the one-restart-at-a-time climb
-        cb = PhaseCodebook(accuracy)
         if budget == "one restart + 1":
-            budget = restarts_spend(geometry, cb, seed, 1) + 1
+            budget = restarts_spend(geometry, accuracy, seed, 1) + 1
         elif isinstance(budget, str):
-            spent = restarts_spend(geometry, cb, seed, beams._CLIMB_BLOCK // 2)
-            after = restarts_spend(geometry, cb, seed, beams._CLIMB_BLOCK // 2 + 1, spent)
+            spent = restarts_spend(geometry, accuracy, seed, beams._CLIMB_BLOCK // 2)
+            after = restarts_spend(geometry, accuracy, seed, beams._CLIMB_BLOCK // 2 + 1,
+                                   spent)
             budget = (spent + after) // 2
             assert spent < budget < after
-        power = beams._member_powers(geometry, GRID, cb.coefficients)
-        best, meta = sequential_climb(geometry, cb, seed, budget,
+        power = beams._member_powers(geometry, GRID, phase_levels(accuracy))
+        best, meta = sequential_climb(geometry, phase_levels(accuracy), seed, budget,
                                       _autocorrelation_form(geometry, GRID), power)
-        found = find_complementary_set(geometry, cb, GRID, "stochastic", seed=seed,
+        found = find_complementary_set(geometry, accuracy, GRID, "stochastic", seed=seed,
                                        budget=budget)
         assert found.phase_indices == best
         assert found.variance.hex() == composite_variance(
             [power(m, idx) for m, idx in enumerate(best)]).hex()
         assert found.meta == meta and meta.candidates == budget
+
+    @pytest.mark.parametrize("geometry, accuracy, method", [
+        (ArrayGeometry(12, 2), 2, "exhaustive"),
+        (ArrayGeometry(12, 3), 2, "exhaustive"),
+        (ArrayGeometry(16, 2), 4, "stochastic"),
+    ], ids=["exhaustive-pair", "exhaustive-triple", "stochastic"])
+    def test_one_scorer_decides_every_search(self, geometry, accuracy, method):
+        # the returned set's exact score is the beam set's own variance
+        found = find_complementary_set(geometry, accuracy, GRID, method, seed=3,
+                                       budget=3000)
+        power = beams._member_powers(geometry, GRID, phase_levels(accuracy))
+        (score,) = beams._exact_variances(power, [found.phase_indices])
+        assert float(score).hex() == found.variance.hex()
 
     @pytest.mark.parametrize("geometry, accuracy, method", [
         (ArrayGeometry(20, 2), 2, "exhaustive"),
@@ -346,17 +356,17 @@ class TestFindComplementaryPair:
         counted = lambda w, geom, m, angles: (calls.append((m, w.tobytes()))
                                               or subarray_gains(w, geom, m, angles))
         monkeypatch.setattr(beams, "subarray_gains", counted)
-        find_complementary_set(geometry, PhaseCodebook(accuracy),
+        find_complementary_set(geometry, accuracy,
                                AngleGrid.uniform_theta(2), method, seed=1,
                                budget=5000)
         assert len(calls) > 2 * geometry.num_subarrays
         assert len(calls) - len(set(calls)) <= geometry.num_subarrays
 
     def test_stochastic_draws_and_records_seed(self):
-        found = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+        found = find_complementary_set(ArrayGeometry(4, 2), 2,
                                        GRID, "stochastic", budget=50)
         assert found.meta.seed is not None
-        again = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+        again = find_complementary_set(ArrayGeometry(4, 2), 2,
                                        GRID, "stochastic", seed=found.meta.seed,
                                        budget=50)
         assert again.variance == found.variance
@@ -377,7 +387,7 @@ class TestAutocorrelationScreen:
             geom = ArrayGeometry(ns * group_size, group_size, spacing)
             form = _autocorrelation_form(geom, grid)
             for _ in range(10):
-                w = PhaseCodebook(k).coefficients[rng.integers(0, k, (group_size, ns))]
+                w = phase_levels(k)[rng.integers(0, k, (group_size, ns))]
                 x = _lag_features(w).sum(axis=0)
                 exact = _variance_of_power(_composite_power(
                     [gain_power(subarray_gains(w[m], geom, m, grid.points))
@@ -388,7 +398,7 @@ class TestAutocorrelationScreen:
         # the climb keeps no per-vector pattern tables
         tracemalloc.start()
         try:
-            find_complementary_set(ArrayGeometry(32, 2), PhaseCodebook(4),
+            find_complementary_set(ArrayGeometry(32, 2), 4,
                                    GRID, "stochastic", seed=7, budget=20000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -396,15 +406,17 @@ class TestAutocorrelationScreen:
         assert peak < 10 * 2 ** 20
 
     @pytest.mark.parametrize("elements, group_size, limit_mib", [
-        (24, 2, 8), (21, 3, 3),
-    ], ids=["readme-pair-2^22", "triple-2^18"])
+        (24, 2, 8), (21, 3, 3), (24, 3, 5),
+    ], ids=["readme-pair-2^22", "triple-2^18", "readme-triple-2^21"])
     def test_exhaustive_memory_stays_small(self, elements, group_size, limit_mib):
         # the screen and the rescoring work a fixed-size block at a time; one
-        # block of every score would take 32 MiB for the README's 2^22 pairs
+        # block of every score would take 32 MiB for the README's 2^22 pairs,
+        # and a triple scan holding the summed features of its leading pairs
+        # past the screen's setup took 6.7 MiB at 24 elements
         tracemalloc.start()
         try:
             find_complementary_set(ArrayGeometry(elements, group_size),
-                                   PhaseCodebook(2), GRID, "exhaustive")
+                                   2, GRID, "exhaustive")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -413,38 +425,41 @@ class TestAutocorrelationScreen:
 
 class TestFindComplementaryTriple:
     def test_trivial_single_elements(self):
-        found = find_complementary_set(ArrayGeometry(3, 3), PhaseCodebook(1),
+        found = find_complementary_set(ArrayGeometry(3, 3), 1,
                                        GRID, "exhaustive")
         assert len(found.weights) == 3
         assert found.variance == pytest.approx(0.0, abs=1e-15)
 
     def test_exhaustive_matches_brute_force_exactly(self):
         geom = ArrayGeometry(6, 3)
-        cb = PhaseCodebook(2)
-        found = find_complementary_set(geom, cb, GRID, "exhaustive")
-        oracle = brute_force_minimum(geom, cb, GRID, group_size=3)
+        found = find_complementary_set(geom, 2, GRID, "exhaustive")
+        oracle = brute_force_minimum(geom, 2, GRID, group_size=3)
         assert found.variance == oracle
         # no zero-variance binary triple of length 2 exists; record, not assume
         assert found.variance > 0
 
+    def test_grid_outside_the_visible_region_rejected(self):
+        with pytest.raises(ValueError, match="visible region"):
+            find_complementary_set(ArrayGeometry(6, 3), 2,
+                                   AngleGrid([-np.inf, 0.0, 0.5]), "exhaustive")
+
     def test_golay_is_pairs_only(self):
         with pytest.raises(ValueError, match="only yields pairs"):
-            find_complementary_set(ArrayGeometry(12, 3), PhaseCodebook(2),
+            find_complementary_set(ArrayGeometry(12, 3), 2,
                                    GRID, "golay")
 
     def test_stochastic_reproducible(self):
         geom = ArrayGeometry(12, 3)
-        cb = PhaseCodebook(4)
-        one = find_complementary_set(geom, cb, GRID, "stochastic", seed=77,
+        one = find_complementary_set(geom, 4, GRID, "stochastic", seed=77,
                                      budget=400)
-        two = find_complementary_set(geom, cb, GRID, "stochastic", seed=77,
+        two = find_complementary_set(geom, 4, GRID, "stochastic", seed=77,
                                      budget=400)
         assert one.variance == two.variance
 
 
 class TestBeamSetJson:
     def test_round_trip(self):
-        found = find_complementary_set(ArrayGeometry(8, 2), PhaseCodebook(4),
+        found = find_complementary_set(ArrayGeometry(8, 2), 4,
                                        GRID, "stochastic", seed=3, budget=200)
         doc = found.to_json_dict()
         back = ComplementaryBeamSet.from_json_dict(doc)
@@ -461,13 +476,21 @@ class TestBeamSetJson:
     ], ids=["uniform-theta", "uniform-psi-spacing-1", "explicit"])
     def test_grid_round_trip(self, grid):
         found = find_complementary_set(ArrayGeometry(8, 2, spacing=1.0),
-                                       PhaseCodebook(2), grid, "golay")
+                                       2, grid, "golay")
         back = ComplementaryBeamSet.from_json_dict(found.to_json_dict())
         assert np.array_equal(back.grid.points, grid.points)
         assert (back.grid.measure, back.grid.name) == (grid.measure, grid.name)
 
+    @pytest.mark.parametrize("point", [3.0, float("inf")], ids=["3-rad", "1e999"])
+    def test_grid_outside_the_visible_region_rejected(self, point):
+        doc = find_complementary_set(ArrayGeometry(4, 2), 2, AngleGrid(np.linspace(
+            -1.0, 1.0, 16)), "exhaustive").to_json_dict()
+        doc["grid"]["points"][-1] = point
+        with pytest.raises(ValueError, match="'grid'.*visible region"):
+            ComplementaryBeamSet.from_json_dict(doc)
+
     def test_corrupt_variance_rejected(self):
-        found = find_complementary_set(ArrayGeometry(4, 2), PhaseCodebook(2),
+        found = find_complementary_set(ArrayGeometry(4, 2), 2,
                                        GRID, "exhaustive")
         doc = found.to_json_dict()
         doc["variance"] = 0.25

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cbfsim.arrays import AngleGrid, ArrayGeometry, subarray_gains
-from cbfsim.beams import PhaseCodebook, find_complementary_set
+from cbfsim.beams import find_complementary_set
 from cbfsim.channel import (
     awgn_qpsk_ber,
     complex_noise,
@@ -103,7 +103,7 @@ class TestRayleighBlock:
     @staticmethod
     def stream_fading(equal_subarrays):
         """Each cbf stream's gain over its beam gain: the stream's fading."""
-        beams = find_complementary_set(ArrayGeometry(8, 2), PhaseCodebook(2),
+        beams = find_complementary_set(ArrayGeometry(8, 2), 2,
                                        AngleGrid.uniform_theta(512), "golay")
         g1, g2 = (subarray_gains(w, beams.geometry, m, 0.3)[0]
                   for m, w in enumerate(beams.weights))

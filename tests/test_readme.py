@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import cbfsim
 from cbfsim.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,3 +52,14 @@ def test_layout_lists_the_modules():
     assert [row[0] for row in layout_rows()] == [
         "cbfsim.arrays", "cbfsim.beams", "cbfsim.channel", "cbfsim.simulate",
         "cbfsim.cli"]
+
+
+def test_library_example_imports_resolve():
+    # the example's ``from cbfsim import (...)`` names, all package exports
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = re.search(r"from cbfsim import \(([^)]*)\)", code).group(1)
+    names = [name.strip() for name in names.split(",") if name.strip()]
+    assert "find_complementary_set" in names
+    for name in names:
+        assert name in cbfsim.__all__, f"cbfsim does not export {name!r}"

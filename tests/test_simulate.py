@@ -19,7 +19,7 @@ import pytest
 import cbfsim
 from cbfsim import simulate
 from cbfsim.arrays import AngleGrid, ArrayGeometry, subarray_gains
-from cbfsim.beams import PhaseCodebook, find_complementary_set
+from cbfsim.beams import find_complementary_set
 from cbfsim.channel import (
     awgn_qpsk_ber,
     complex_noise,
@@ -41,7 +41,7 @@ from cbfsim.simulate import (
 from oracles import binomial_cdf
 
 GEOM = ArrayGeometry(8, 2)
-BEAMS = find_complementary_set(GEOM, PhaseCodebook(2),
+BEAMS = find_complementary_set(GEOM, 2,
                                AngleGrid.uniform_theta(512), "golay")
 
 
@@ -154,7 +154,7 @@ class TestTransmitCbf:
         # [1,1] nulls at endfire while [1,-1] peaks there: orthogonality
         # keeps zero-forcing exact on the surviving stream
         geom = ArrayGeometry(4, 2)
-        pair = find_complementary_set(geom, PhaseCodebook(2),
+        pair = find_complementary_set(geom, 2,
                                       AngleGrid.uniform_theta(512), "exhaustive")
         angle = math.pi / 2
         gains = [abs(subarray_gains(w, geom, m, angle)[0])
@@ -283,6 +283,17 @@ class TestPowerFairness:
         single = transmit_single(s, quiet_link())
         for sig in (cbf, rbf, single):
             assert abs(sig.energy_per_period - budget) < POWER_TOL
+
+    @pytest.mark.parametrize("kind", ["cbf", "rbf", "single"])
+    def test_scaled_symbols_break_the_budget(self, monkeypatch, kind):
+        # the noise is sized for unit symbol energy, so a QPSK map 0.1% too
+        # loud (every Eb/N0 point off by 0.009 dB) must fail the meter
+        monkeypatch.setattr(cbfsim.channel, "_QPSK", 1.001 * cbfsim.channel._QPSK)
+        scheme = SchemeConfig(kind, GEOM if kind != "single" else ArrayGeometry(1, 1),
+                              beams=BEAMS if kind == "cbf" else None)
+        config = SimConfig(scheme, "awgn", (0.0,), (4.0,), min_bits=100_000, seed=1)
+        with pytest.raises(RuntimeError, match="transmit power budget violated"):
+            simulate._run_batch(config, 0, 0, 0)
 
 
 class TestRunBer:

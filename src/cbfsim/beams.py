@@ -4,12 +4,13 @@ Exhaustive codebook search with global-phase symmetry reduction, a
 Golay-doubling constructor for power-of-two sub-arrays, stochastic hill
 climbing for large instances, and the beam-set JSON format.
 
-Both searches screen candidates by the members' summed autocorrelation, in
-which the composite variance is a quadratic form whatever the grid size, and
-rescore those the screen cannot rule out with the exact pattern arithmetic
-of ``ComplementaryBeamSet``, which alone decides minima and ties.  The climb
-runs its restarts in lockstep blocks, each scoring its moves a chunk at a
-time, and returns the set that climbing one restart at a time returns.
+Both searches screen a block of candidates at a time by the members' summed
+autocorrelation, in which the composite variance is a quadratic form whatever
+the grid size, and settle the block's near-ties against a running best with
+the exact pattern arithmetic of ``ComplementaryBeamSet``, which alone decides
+minima and ties.  The climb runs its restarts in lockstep blocks, each scoring
+its moves a chunk at a time, and returns the set that climbing one restart at
+a time returns.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class ComplementaryBeamSet:
     pattern is (near-)flat over angle.
 
     ``weights`` is read-only complex, one row per sub-array, and ``variance``
-    is derived from the weights' composite power on ``grid``."""
+    is derived from the weights' composite power on ``grid``.  Given
+    ``phase_indices`` pick each weight exactly from ``phase_levels(accuracy)``."""
 
     geometry: ArrayGeometry
     weights: np.ndarray
@@ -105,6 +107,11 @@ class ComplementaryBeamSet:
         weights = _readonly(rows)
         if not np.max(np.abs(np.abs(weights) - 1.0)) <= UNIT_MODULUS_TOL:  # NaN fails
             raise ValueError("weight entries must have unit modulus")
+        idx, k = self.phase_indices, self.accuracy
+        if idx is not None and (k is None or len(idx) != len(rows) or not all(
+                all(0 <= i < k for i in row) and np.array_equal(phase_levels(k)[list(row)], w)
+                for row, w in zip(idx, rows))):
+            raise ValueError(f"phase_indices must be levels 0..K-1 of K={k} giving the weights")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "variance",
                            float(_variance_of_power(self.composite_power)))
@@ -306,6 +313,16 @@ def _exact_variances(power, groups) -> np.ndarray:
         for i in range(0, len(groups), step)])
 
 
+def _settle(power, best, groups):
+    """The running best (exact variance, group), replaced by the first of
+    groups, in search order, whose exact variance is strictly smaller."""
+    if not groups:
+        return best
+    var = _exact_variances(power, groups)
+    i = int(np.argmin(var))
+    return (var[i], groups[i]) if var[i] < best[0] else best
+
+
 def _exhaustive(geometry, levels, ceiling, form, power):
     ns, k, group_size = geometry.subarray_size, len(levels), geometry.num_subarrays
     num_vectors = k ** (ns - 1)
@@ -330,22 +347,17 @@ def _exhaustive(geometry, levels, ceiling, form, power):
     zc = np.matmul(z, 2 * form, out=lead[:, :-2])
     lead[:, -2] = np.einsum("ij,ij->i", zc, z) / 2
     del x, z, zc                # the scan holds only lead and trail
+    # Blocks run in lexicographic order, so settling each keeps the first minimum.
     step = max(1, _SCREEN_BLOCK_FLOATS // num_vectors)
-    least, hits = np.inf, []
+    least, best = np.inf, (np.inf, None)
     for i in range(0, len(lead), step):
         block = lead[i:i + step] @ trail.T
-        if (low := block.min()) <= least + _SCREEN_SLACK:
-            least = min(least, low)
-            flat = np.flatnonzero(block <= least + _SCREEN_SLACK)
-            hits.append((block.ravel()[flat], flat + i * num_vectors))
-    scores, flat = (np.concatenate(a) for a in zip(*hits))
-    near = np.unravel_index(flat[scores <= least + _SCREEN_SLACK],
-                            (num_vectors,) * group_size)
-    # Rescore the near-minimal groups exactly and keep the first minimum in
-    # lexicographic order; each group holds references to the row tuples.
-    groups = list(zip(*([rows[v] for v in numbers.tolist()] for numbers in near)))
-    return (groups[int(np.argmin(_exact_variances(power, groups)))],
-            SearchMeta("exhaustive", total, None))
+        least = min(least, block.min())
+        near = np.unravel_index(np.flatnonzero(block <= least + _SCREEN_SLACK)
+                                + i * num_vectors, (num_vectors,) * group_size)
+        best = _settle(power, best, list(zip(*([rows[v] for v in numbers.tolist()]
+                                              for numbers in near))))
+    return best[1], SearchMeta("exhaustive", total, None)
 
 
 def _stochastic(geometry, levels, seed, budget, form, power):
@@ -375,14 +387,13 @@ def _stochastic(geometry, levels, seed, budget, form, power):
         cur, w = np.einsum("ij,ij->i", x @ form, x), w.reshape(n, -1)
         win = np.lib.stride_tricks.sliding_window_view(w, ns - 1, axis=1)
         start, improved, evals = np.zeros(n, int), np.zeros(n, bool), np.ones(n, int)
-        visits = [[(-1, score)] for score in cur.tolist()]
         while True:
             # A climb past its last move sweeps again if it improved, else ends.
             end = start >= num_moves
             live = (np.cumsum(evals) < cap) & (improved | ~end)
             start, improved = np.where(end & improved, 0, start), improved & ~end
             if not (r := np.flatnonzero(live)).size:
-                return evals.tolist(), visits
+                return evals.tolist(), state, cur
             # Score each live climb's next chunk of slots, expanding the form
             # about cur, and take the first improving move; a screened near-tie
             # is decided exactly, so each step is the one an exact comparison takes.
@@ -419,30 +430,23 @@ def _stochastic(geometry, levels, seed, budget, form, power):
             row = np.flatnonzero(hit) * _CLIMB_CHUNK + h // k
             x[j] += dd.real * u[row] + dd.imag * v[row]
             cur[j], improved[j] = scores[hit, h], True
-            for c, visit in zip(j.tolist(), zip(m.tolist(), cur[j].tolist())):
-                visits[c].append(visit)
 
     # Blocks of restarts climb together from start states drawn in restart
     # order and count against the budget in that order.  The restart that
     # passes it climbs again under its own remaining budget; later ones drop.
-    evals, kept = 0, []
+    # Every step lowers the exact variance, so each block settles only its ends.
+    evals, least, best = 0, np.inf, (np.inf, None)
     while evals < budget:
         block = np.array([[np.append(0, rng.integers(0, k, ns - 1))
                            for _ in range(group_size)] for _ in range(_CLIMB_BLOCK)])
-        for state, e, visits in zip(block, *climb(block, budget - evals)):
+        ends = []
+        for state, e, end, score in zip(block, *climb(block, budget - evals)):
             if evals + e > budget:
-                (e,), (visits,) = climb(state[None], budget - evals)
-            kept.append((state, visits))
+                (e,), (end,), (score,) = climb(state[None], budget - evals)
+            ends.append((end.tolist(), score))
             if (evals := evals + e) >= budget:
                 break
-    # The best is the first visited state of least exact variance; only
-    # states screened within the slack of the least score can be it.
-    least, near = min(s for _, v in kept for _, s in v), []
-    for state, visits in kept:
-        for move, score in visits:
-            if move >= 0:
-                state[cell(move)] = move % k
-            if score <= least + _SCREEN_SLACK:
-                near.append(state.tolist())
-    best = near[int(np.argmin(_exact_variances(power, near)))]
-    return tuple(map(tuple, best)), SearchMeta("stochastic", evals, seed)
+        least = min(least, *(score for _, score in ends))
+        best = _settle(power, best, [end for end, score in ends
+                                     if score <= least + _SCREEN_SLACK])
+    return tuple(map(tuple, best[1])), SearchMeta("stochastic", evals, seed)

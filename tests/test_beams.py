@@ -36,6 +36,16 @@ def composite_variance(powers):
     return float(_variance_of_power(_composite_power(powers)))
 
 
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes ``tracemalloc`` sees while fn(*args, **kwargs) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def power_tables(geometry, accuracy, grid, vectors):
     """|gain|^2 of every phase-index vector on every sub-array."""
     return {(m, idx): gain_power(subarray_gains(
@@ -395,32 +405,30 @@ class TestAutocorrelationScreen:
                 assert abs(x @ form @ x - exact) <= 1e-12
 
     def test_stochastic_memory_stays_small(self):
-        # the climb keeps no per-vector pattern tables
-        tracemalloc.start()
-        try:
-            find_complementary_set(ArrayGeometry(32, 2), 4,
-                                   GRID, "stochastic", seed=7, budget=20000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2 ** 20
+        # the climb keeps no per-vector pattern tables, and only one end state
+        # per restart of its current block: a log of every visit took the
+        # tie-heavy 4-element K=4 climb, whose restarts keep ending at flat
+        # pairs, to 3.0 MiB at a budget of 50,000
+        assert traced_peak(find_complementary_set, ArrayGeometry(32, 2), 4, GRID,
+                           "stochastic", seed=7, budget=20000) < 10 * 2 ** 20
+        assert traced_peak(find_complementary_set, ArrayGeometry(4, 2), 4, GRID,
+                           "stochastic", seed=7, budget=50000) < 2 ** 20
 
-    @pytest.mark.parametrize("elements, group_size, limit_mib", [
-        (24, 2, 8), (21, 3, 3), (24, 3, 5),
-    ], ids=["readme-pair-2^22", "triple-2^18", "readme-triple-2^21"])
-    def test_exhaustive_memory_stays_small(self, elements, group_size, limit_mib):
+    @pytest.mark.parametrize("elements, group_size, points, limit_mib", [
+        (24, 2, 512, 8), (21, 3, 512, 3), (24, 3, 512, 5), (20, 2, 2, 3),
+    ], ids=["readme-pair-2^22", "triple-2^18", "readme-triple-2^21",
+            "pair-2^18-2-points"])
+    def test_exhaustive_memory_stays_small(self, elements, group_size, points,
+                                           limit_mib):
         # the screen and the rescoring work a fixed-size block at a time; one
         # block of every score would take 32 MiB for the README's 2^22 pairs,
-        # and a triple scan holding the summed features of its leading pairs
-        # past the screen's setup took 6.7 MiB at 24 elements
-        tracemalloc.start()
-        try:
-            find_complementary_set(ArrayGeometry(elements, group_size),
-                                   2, GRID, "exhaustive")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < limit_mib * 2 ** 20
+        # a triple scan holding the summed features of its leading pairs past
+        # the screen's setup took 6.7 MiB at 24 elements, and keeping every
+        # block's near-ties for one rescore after the scan took the 2-point
+        # grid's 42,252 near-ties to 5.7 MiB
+        assert traced_peak(find_complementary_set, ArrayGeometry(elements, group_size),
+                           2, AngleGrid.uniform_theta(points),
+                           "exhaustive") < limit_mib * 2 ** 20
 
 
 class TestFindComplementaryTriple:
@@ -488,6 +496,25 @@ class TestBeamSetJson:
         doc["grid"]["points"][-1] = point
         with pytest.raises(ValueError, match="'grid'.*visible region"):
             ComplementaryBeamSet.from_json_dict(doc)
+
+    def test_phase_index_out_of_range_rejected(self):
+        # a K=4 set relabelled K=2 with an index past even K=4's levels
+        doc = find_complementary_set(ArrayGeometry(8, 2), 4, GRID, "stochastic",
+                                     seed=3, budget=200).to_json_dict()
+        doc["accuracy"], doc["weights"][0]["phase_indices"] = 2, [0, 3, 3, 7]
+        with pytest.raises(ValueError, match="phase_indices"):
+            ComplementaryBeamSet.from_json_dict(doc)
+
+    def test_phase_index_contradicting_its_value_rejected(self):
+        # an in-range index that names another level than the stored value
+        doc = find_complementary_set(ArrayGeometry(8, 2), 4, GRID, "stochastic",
+                                     seed=3, budget=200).to_json_dict()
+        row = doc["weights"][1]["phase_indices"]
+        row[-1] = (row[-1] + 1) % 4
+        with pytest.raises(ValueError, match="phase_indices"):
+            ComplementaryBeamSet.from_json_dict(doc)
+        row[-1] = (row[-1] - 1) % 4
+        assert ComplementaryBeamSet.from_json_dict(doc).phase_indices is not None
 
     def test_corrupt_variance_rejected(self):
         found = find_complementary_set(ArrayGeometry(4, 2), 2,

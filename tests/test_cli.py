@@ -508,6 +508,10 @@ def test_ber_csv_golden_bytes(tmp_path, name):
 # sha256 of .beams.json and .pattern.csv for the four benchmark search lines,
 # pinned before the search moved to autocorrelation-domain scoring: a change
 # to the scoring that keeps these bytes keeps every returned phase index.
+# The last three were pinned while each search still settled its near-ties
+# once after the whole scan: a 2-point grid leaves 42,252 exhaustive
+# near-ties, most 16-element climbs end at a flat pair whose rounding-level
+# variance picks the result, and the third is a stochastic triple.
 GOLDEN_SEARCH = {
     "pairs-20-2-k2": (
         ["--elements", "20", "--subarrays", "2", "--accuracy", "2",
@@ -528,6 +532,20 @@ GOLDEN_SEARCH = {
         ["--elements", "16", "--subarrays", "2", "--method", "golay"],
         "8fd79137dfa9d93d3b7c5fbdb44d5c21be23369f9e97e7dbf9bcced95172519f",
         "10577a626de10678a8794a7d75c2025c7d7cbad248b1106516b183fbab6f6077"),
+    "pairs-20-2-k2-grid-2": (
+        ["--elements", "20", "--accuracy", "2", "--grid-points", "2"],
+        "d06ea653aa6b48b8b1997de7bf2fb3e803352c2d8e4494849a2e07df80c0833f",
+        "166200811940973214eac94bd86039c775686e188a6c9e7b98e29543d37359cc"),
+    "stochastic-16-2-k4": (
+        ["--elements", "16", "--accuracy", "4", "--method", "stochastic",
+         "--budget", "100000", "--seed", "7"],
+        "c7c196b35cd818770671d5fa4d253d87a353c52fd62d33302555f271fad084a3",
+        "4b6bf3bc0d6ef342a96ed9c9d71b0afe233670e1521cae05c8698eb72df46cf9"),
+    "stochastic-24-3-k4": (
+        ["--elements", "24", "--subarrays", "3", "--accuracy", "4",
+         "--method", "stochastic", "--budget", "100000", "--seed", "7"],
+        "dfaf25c521edbd553f1e9edc289f278b10a28a7e0cff1df245eb644c0eca8ca9",
+        "7d56510a17052e704d193f83f87c2d59cf2056b17b594cf297d69461ffb15b7e"),
 }
 
 

@@ -63,12 +63,9 @@ class ArrayGeometry:
 
 @dataclass(frozen=True, eq=False)
 class AngleGrid:
-    """Strictly increasing sample angles plus the measure they are uniform in
-    ("theta" or "psi", the per-element phase increment)."""
+    """Strictly increasing angles in [-pi/2, pi/2] that a pattern is scored on."""
 
     points: np.ndarray
-    measure: str = "theta"
-    name: str | None = None
 
     def __post_init__(self):
         pts = _readonly(self.points, dtype=float)
@@ -78,8 +75,6 @@ class AngleGrid:
             raise ValueError("grid points must lie in the visible region [-pi/2, pi/2]")
         if not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
-        if self.measure not in ("theta", "psi"):
-            raise ValueError(f"unknown grid measure {self.measure!r}")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -89,7 +84,7 @@ class AngleGrid:
     def uniform_theta(cls, num_points: int = 512) -> "AngleGrid":
         """Angles uniform in theta over the ULA visible region [-pi/2, pi/2)."""
         pts = np.linspace(-np.pi / 2, np.pi / 2, num_points, endpoint=False)
-        return cls(pts, "theta", name="uniform-theta")
+        return cls(pts)
 
 
 def steering_basis(offsets, spacing: float, angles) -> np.ndarray:

@@ -202,23 +202,17 @@ def _field(obj, key: str, types, where: str = ""):
 
 
 def _grid_spec(grid: AngleGrid) -> dict:
-    # Only uniform-theta grids are rebuilt from their size; every other grid
-    # keeps its points.
-    kind = grid.name or "explicit"
-    spec = {"kind": kind, "measure": grid.measure, "num_points": len(grid)}
-    if kind != "uniform-theta":
-        spec["points"] = [float(p) for p in grid.points]
-    return spec
+    # A grid with uniform_theta's points is stored by its size, any other by its points.
+    if np.array_equal(grid.points, AngleGrid.uniform_theta(len(grid)).points):
+        return {"kind": "uniform-theta", "measure": "theta", "num_points": len(grid)}
+    return {"kind": "explicit", "num_points": len(grid), "points": grid.points.tolist()}
 
 
 def _grid_from_spec(spec: dict) -> AngleGrid:
-    kind = _field(spec, "kind", str, "grid")
-    if kind == "uniform-theta":
-        return AngleGrid.uniform_theta(_field(spec, "num_points", int, "grid"))
-    points = _field(spec, "points", list, "grid")
-    measure = _field(spec, "measure", str, "grid")
+    uniform = _field(spec, "kind", str, "grid") == "uniform-theta"
+    value = _field(spec, *(("num_points", int) if uniform else ("points", list)), "grid")
     try:
-        return AngleGrid(points, measure, name=None if kind == "explicit" else kind)
+        return AngleGrid.uniform_theta(value) if uniform else AngleGrid(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"beam set field 'grid': {exc}") from None
 
@@ -265,6 +259,7 @@ def find_complementary_set(
     if geometry.num_subarrays not in (2, 3):
         raise ValueError(f"geometry must have 2 or 3 sub-arrays, "
                          f"got {geometry.num_subarrays}")
+    # Not left to phase_levels: building levels before golay raised cmd_ber's peak RSS.
     if accuracy < 1:
         raise ValueError("accuracy factor K must be >= 1")
     if method == "golay":

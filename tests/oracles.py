@@ -140,7 +140,7 @@ def uniform_psi_grid(num_points: int = 512, spacing: float = 0.5) -> AngleGrid:
     if spacing < 0.5:
         raise ValueError("uniform-psi grids need spacing >= 0.5 wavelengths")
     psi = np.linspace(-np.pi, np.pi, num_points, endpoint=False)
-    return AngleGrid(np.arcsin(psi / (2 * np.pi * spacing)), "psi", name="uniform-psi")
+    return AngleGrid(np.arcsin(psi / (2 * np.pi * spacing)))
 
 
 def pattern_variance(power) -> float:

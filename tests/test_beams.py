@@ -308,20 +308,24 @@ class TestFindComplementaryPair:
         assert found.phase_indices == ((0, 7, 0, 3, 6), (0, 1, 0, 5, 2))
         assert found.variance < 1e-20
 
-    @pytest.mark.parametrize("geometry, accuracy, seed, budget", [
-        (ArrayGeometry(32, 2), 4, 5, 100_000),
-        (ArrayGeometry(32, 2), 4, 7, 100_000),
-        (ArrayGeometry(24, 3), 3, 2, 10_000),
-        (ArrayGeometry(10, 2), 8, 5, 20_000),
-        (ArrayGeometry(8, 2), 4, 3, 1),
-        (ArrayGeometry(8, 2), 4, 3, "one restart + 1"),
-        (ArrayGeometry(8, 2), 4, 3, "inside a block's middle restart"),
+    @pytest.mark.parametrize("geometry, accuracy, seed, budget, grid", [
+        (ArrayGeometry(32, 2), 4, 5, 100_000, GRID),
+        (ArrayGeometry(32, 2), 4, 7, 100_000, GRID),
+        (ArrayGeometry(24, 3), 3, 2, 10_000, GRID),
+        (ArrayGeometry(10, 2), 8, 5, 20_000, GRID),
+        (ArrayGeometry(8, 2), 4, 3, 1, GRID),
+        (ArrayGeometry(8, 2), 4, 3, "one restart + 1", GRID),
+        (ArrayGeometry(8, 2), 4, 3, "inside a block's middle restart", GRID),
+        (ArrayGeometry(8, 2), 2, 1, 20_000, AngleGrid.uniform_theta(2)),
+        (ArrayGeometry(9, 3), 4, 2, 20_000, AngleGrid.uniform_theta(2)),
     ], ids=["n32-k4-seed5", "n32-k4-seed7", "triple-k3", "near-ties-k8",
-            "budget-1", "one-restart-plus-1", "cut-mid-block"])
+            "budget-1", "one-restart-plus-1", "cut-mid-block",
+            "exact-ties-2-point-n8-k2", "exact-ties-2-point-triple-k4"])
     def test_stochastic_matches_sequential_climb(self, geometry, accuracy, seed,
-                                                 budget):
+                                                 budget, grid):
         # restarts climbing in lockstep blocks, a chunk of moves at a time,
-        # return the set and count of the one-restart-at-a-time climb
+        # return the set and count of the one-restart-at-a-time climb; on a
+        # 2-point grid exact ties occur, and the first of them must be kept
         if budget == "one restart + 1":
             budget = restarts_spend(geometry, accuracy, seed, 1) + 1
         elif isinstance(budget, str):
@@ -330,10 +334,10 @@ class TestFindComplementaryPair:
                                    spent)
             budget = (spent + after) // 2
             assert spent < budget < after
-        power = beams._member_powers(geometry, GRID, phase_levels(accuracy))
+        power = beams._member_powers(geometry, grid, phase_levels(accuracy))
         best, meta = sequential_climb(geometry, phase_levels(accuracy), seed, budget,
-                                      _autocorrelation_form(geometry, GRID), power)
-        found = find_complementary_set(geometry, accuracy, GRID, "stochastic", seed=seed,
+                                      _autocorrelation_form(geometry, grid), power)
+        found = find_complementary_set(geometry, accuracy, grid, "stochastic", seed=seed,
                                        budget=budget)
         assert found.phase_indices == best
         assert found.variance.hex() == composite_variance(
@@ -487,7 +491,36 @@ class TestBeamSetJson:
                                        2, grid, "golay")
         back = ComplementaryBeamSet.from_json_dict(found.to_json_dict())
         assert np.array_equal(back.grid.points, grid.points)
-        assert (back.grid.measure, back.grid.name) == (grid.measure, grid.name)
+
+    def test_grid_kind_comes_from_the_points(self):
+        # a grid built from uniform_theta's points is stored by its size
+        grid = AngleGrid(AngleGrid.uniform_theta(64).points)
+        found = find_complementary_set(ArrayGeometry(8, 2), 2, grid, "golay")
+        assert found.to_json_dict()["grid"] == {
+            "kind": "uniform-theta", "measure": "theta", "num_points": 64}
+        moved = AngleGrid(np.append(grid.points[:-1], grid.points[-1] + 1e-3))
+        spec = find_complementary_set(ArrayGeometry(8, 2), 2, moved,
+                                      "golay").to_json_dict()["grid"]
+        assert spec["kind"] == "explicit" and spec["points"] == moved.points.tolist()
+
+    def test_uniform_psi_document_loads_on_its_points(self):
+        # beam sets written before grids lost their labels name their kind
+        # and measure; any kind but uniform-theta loads on the stored points
+        grid = uniform_psi_grid(64, spacing=1.0)
+        doc = find_complementary_set(ArrayGeometry(8, 2, spacing=1.0), 2, grid,
+                                     "golay").to_json_dict()
+        doc["grid"] = {"kind": "uniform-psi", "measure": "psi", "num_points": 64,
+                       "points": grid.points.tolist()}
+        back = ComplementaryBeamSet.from_json_dict(doc)
+        assert np.array_equal(back.grid.points, grid.points)
+        assert back.to_json_dict()["grid"]["kind"] == "explicit"
+
+    @pytest.mark.parametrize("num_points", [1, 0, -3])
+    def test_bad_uniform_grid_size_names_the_grid(self, num_points):
+        doc = find_complementary_set(ArrayGeometry(8, 2), 2, GRID, "golay").to_json_dict()
+        doc["grid"]["num_points"] = num_points
+        with pytest.raises(ValueError, match="'grid'"):
+            ComplementaryBeamSet.from_json_dict(doc)
 
     @pytest.mark.parametrize("point", [3.0, float("inf")], ids=["3-rad", "1e999"])
     def test_grid_outside_the_visible_region_rejected(self, point):

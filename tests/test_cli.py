@@ -449,6 +449,37 @@ def test_infinite_spacing_one_line_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, code, line", [
+    ("search --elements 0", 1, "error: total_elements and num_subarrays must be >= 1"),
+    ("search --elements 8 --method stochastic --budget 0", 1,
+     "error: stochastic search needs a positive budget"),
+    ("ber --scheme cbf --snr-db 0:1 --angles 0", 1,
+     "error: SNR range must be start:step:stop, got '0:1'"),
+    ("pattern --weights 0,1 --weights 0,1,1", 2,
+     "cbfsim pattern: error: all weight vectors must have the same length"),
+    ("ber --scheme cbf --beamset TRIPLE --snr-db 4 --angles 0", 1,
+     "error: cbf needs a two-sub-array geometry"),
+    ("ber --scheme single --snr-db 4 --angles 0 --seed -1", 1,
+     "error: seed must be non-negative"),
+    ("ber --scheme single --snr-db 4 --angles 0 --target-errors -1", 1,
+     "error: target_errors must be >= 0"),
+], ids=["no-elements", "zero-budget", "two-part-snr-range", "ragged-weights",
+        "cbf-triple", "negative-seed", "negative-target-errors"])
+def test_rejected_value_exit_code_and_line(tmp_path, capsys, argv, code, line):
+    # a triple is searched but never simulated: cbf takes pairs only
+    triple = tmp_path / "triple"
+    if "TRIPLE" in argv:
+        assert main(["search", "--elements", "9", "--subarrays", "3", "--accuracy", "2",
+                     "--out", str(triple)]) == 0
+        capsys.readouterr()
+    argv = [f"{triple}.beams.json" if a == "TRIPLE" else a for a in argv.split()]
+    assert main(argv + ["--out", str(tmp_path / "r")]) == code
+    err = capsys.readouterr().err.splitlines()
+    # a usage error (exit 2) prints the usage first, then its one error line
+    assert err[-1] == line and (code == 2 or len(err) == 1)
+    assert not list(tmp_path.glob("r.*"))
+
+
 # Full .ber.csv text of six small seeded runs, pinned when the batch draws
 # last changed (packed bits, normal pairs, float32 rbf phases): a refactor
 # that keeps these bytes keeps the RNG streams, the stopping rule, the

@@ -4,19 +4,18 @@ import argparse
 import dataclasses
 import importlib
 import re
-from pathlib import Path
+import shlex
 
 import pytest
 
 import cbfsim
+import readme_blocks
 from cbfsim.cli import build_parser
-
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def layout_rows():
     """(module name, backticked names in its contents) per Layout table row."""
-    section = README.read_text(encoding="utf-8").split("## Layout", 1)[1]
+    section = readme_blocks.README.read_text(encoding="utf-8").split("## Layout", 1)[1]
     rows = []
     for line in section.split("\n## ", 1)[0].splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
@@ -56,10 +55,20 @@ def test_layout_lists_the_modules():
 
 def test_library_example_imports_resolve():
     # the example's ``from cbfsim import (...)`` names, all package exports
-    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    code = readme_blocks.library_example()
     names = re.search(r"from cbfsim import \(([^)]*)\)", code).group(1)
     names = [name.strip() for name in names.split(",") if name.strip()]
     assert "find_complementary_set" in names
     for name in names:
         assert name in cbfsim.__all__, f"cbfsim does not export {name!r}"
+
+
+def test_command_lines_parse():
+    # every README command line, continuations joined as CI runs them
+    lines = readme_blocks.command_lines()
+    assert len(lines) == 10
+    parser = build_parser()
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == parser.prog
+        parser.parse_args(argv)

@@ -1,5 +1,4 @@
-"""Uniform linear array geometry, beam patterns, and the angular flatness
-metric for sub-array beamforming.
+"""Uniform linear array geometry and beam patterns for sub-array beamforming.
 
 Conventions: element pitch is given in wavelengths, angles in radians from
 broadside, and every beam gain carries a 1/sqrt(N_s) scale so that one
@@ -102,20 +101,6 @@ def subarray_gains(entries, geometry: ArrayGeometry, subarray: int, angles) -> n
                          f"0..{geometry.num_subarrays - 1}")
     basis = steering_basis(subarray * ns + np.arange(ns), geometry.spacing, angles)
     return (basis @ np.asarray(entries, dtype=complex)) * (1.0 / np.sqrt(ns))
-
-
-def _composite_power(powers):
-    """Equal-split composite: the left-to-right sum of member powers over the
-    member count.  Members may be whole tables that broadcast together."""
-    return sum(powers[1:], powers[0]) / len(powers)
-
-
-def _variance_of_power(power: np.ndarray):
-    """Mean squared deviation from the mean along the last axis (np.mean's
-    arithmetic without its per-call overhead); one value per leading index."""
-    n = power.shape[-1]
-    mean = np.add.reduce(power, axis=-1, keepdims=True) / n
-    return np.add.reduce((power - mean) ** 2, axis=-1) / n
 
 
 def _autocorrelation_form(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:

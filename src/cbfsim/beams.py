@@ -25,9 +25,7 @@ from .arrays import (
     AngleGrid,
     ArrayGeometry,
     _autocorrelation_form,
-    _composite_power,
     _readonly,
-    _variance_of_power,
     gain_power,
     subarray_gains,
 )
@@ -108,13 +106,14 @@ class ComplementaryBeamSet:
         if not np.max(np.abs(np.abs(weights) - 1.0)) <= UNIT_MODULUS_TOL:  # NaN fails
             raise ValueError("weight entries must have unit modulus")
         idx, k = self.phase_indices, self.accuracy
+        if k is not None and k < 1:
+            raise ValueError("accuracy factor K must be >= 1")
         if idx is not None and (k is None or len(idx) != len(rows) or not all(
                 all(0 <= i < k for i in row) and np.array_equal(phase_levels(k)[list(row)], w)
                 for row, w in zip(idx, rows))):
             raise ValueError(f"phase_indices must be levels 0..K-1 of K={k} giving the weights")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "variance",
-                           float(_variance_of_power(self.composite_power)))
+        object.__setattr__(self, "variance", float(self.composite_power.var()))
 
     @cached_property
     def member_powers(self) -> np.ndarray:
@@ -126,7 +125,7 @@ class ComplementaryBeamSet:
     @cached_property
     def composite_power(self) -> np.ndarray:
         """Read-only equal-split composite: the mean of the member powers."""
-        return _readonly(_composite_power(self.member_powers))
+        return _readonly(self.member_powers.mean(axis=0))
 
     def to_json_dict(self) -> dict:
         geo = self.geometry
@@ -265,15 +264,25 @@ def find_complementary_set(
     if method == "golay":
         if geometry.num_subarrays != 2:
             raise ValueError("the doubling construction only yields pairs")
+        if accuracy % 2:
+            raise ValueError(f"the doubling construction needs an even K, got K={accuracy}")
         pair = golay_construct(geometry.subarray_size)
         return ComplementaryBeamSet(geometry, pair, grid,
                                     SearchMeta("golay", 1, None), accuracy)
     if method not in ("exhaustive", "stochastic"):
         raise ValueError(f"unknown search method {method!r}")
+    # Counted before anything is built: the levels and the screen grow with K.
+    total = accuracy ** ((geometry.subarray_size - 1) * geometry.num_subarrays)
+    if method == "exhaustive" and total > candidate_ceiling:
+        kind = "pairs" if geometry.num_subarrays == 2 else "triples"
+        raise SearchCapacityError(
+            f"exhaustive search over {total} candidate {kind} exceeds the "
+            f"ceiling of {candidate_ceiling}; use method='stochastic' or 'golay'"
+        )
     levels, form = phase_levels(accuracy), _autocorrelation_form(geometry, grid)
     power = _member_powers(geometry, grid, levels)
     if method == "exhaustive":
-        best, meta = _exhaustive(geometry, levels, candidate_ceiling, form, power)
+        best, meta = _exhaustive(geometry, levels, form, power)
     else:
         best, meta = _stochastic(geometry, levels, seed, budget, form, power)
     return ComplementaryBeamSet(geometry, levels[list(best)], grid, meta, accuracy, best)
@@ -302,10 +311,8 @@ def _exact_variances(power, groups) -> np.ndarray:
     values that decide every reported minimum and tie."""
     step = max(1, _RESCORE_BLOCK_FLOATS // power(0, groups[0][0]).size)
     return np.concatenate([
-        _variance_of_power(_composite_power(
-            [np.array([power(m, g[m]) for g in groups[i:i + step]])
-             for m in range(len(groups[0]))]))
-        for i in range(0, len(groups), step)])
+        np.array([[power(m, idx) for m, idx in enumerate(g)] for g in groups[i:i + step]])
+        .mean(axis=1).var(axis=-1) for i in range(0, len(groups), step)])
 
 
 def _settle(power, best, groups):
@@ -318,16 +325,9 @@ def _settle(power, best, groups):
     return (var[i], groups[i]) if var[i] < best[0] else best
 
 
-def _exhaustive(geometry, levels, ceiling, form, power):
+def _exhaustive(geometry, levels, form, power):
     ns, k, group_size = geometry.subarray_size, len(levels), geometry.num_subarrays
     num_vectors = k ** (ns - 1)
-    total = num_vectors ** group_size
-    if total > ceiling:
-        kind = "pairs" if group_size == 2 else "triples"
-        raise SearchCapacityError(
-            f"exhaustive search over {total} candidate {kind} exceeds the "
-            f"ceiling of {ceiling}; use method='stochastic' or 'golay'"
-        )
     # Leading coefficient pinned to 1: a global phase never changes |gain|,
     # so the search space shrinks from K^N_s to K^(N_s-1) per vector.  Row v
     # holds the base-K digits of v, so rows run in lexicographic order.
@@ -352,7 +352,7 @@ def _exhaustive(geometry, levels, ceiling, form, power):
                                 + i * num_vectors, (num_vectors,) * group_size)
         best = _settle(power, best, list(zip(*([rows[v] for v in numbers.tolist()]
                                               for numbers in near))))
-    return best[1], SearchMeta("exhaustive", total, None)
+    return best[1], SearchMeta("exhaustive", num_vectors ** group_size, None)
 
 
 def _stochastic(geometry, levels, seed, budget, form, power):

@@ -27,8 +27,6 @@ import numpy as np
 from cbfsim.arrays import (
     AngleGrid,
     ArrayGeometry,
-    _composite_power,
-    _variance_of_power,
     gain_power,
     steering_basis,
     subarray_gains,
@@ -170,8 +168,8 @@ def sequential_climb(geometry, levels, seed, budget, form, power):
     visited.  The lockstep search must return the same set and count."""
     if budget < 1:
         raise ValueError("stochastic search needs a positive budget")
-    exact = lambda rows: _variance_of_power(_composite_power(
-        [power(m, idx) for m, idx in enumerate(rows.tolist())]))
+    exact = lambda rows: np.mean(
+        [power(m, idx) for m, idx in enumerate(rows.tolist())], axis=0).var()
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2 ** 63))
     rng = np.random.default_rng(seed)

@@ -1,5 +1,6 @@
 """Unit tests for complementary beam search and its helper constructions."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -12,8 +13,6 @@ from cbfsim.arrays import (
     AngleGrid,
     ArrayGeometry,
     _autocorrelation_form,
-    _composite_power,
-    _variance_of_power,
     gain_power,
     subarray_gains,
 )
@@ -33,7 +32,7 @@ GRID = AngleGrid.uniform_theta(512)
 
 def composite_variance(powers):
     """A beam set's variance arithmetic on member power tables."""
-    return float(_variance_of_power(_composite_power(powers)))
+    return float(np.mean(powers, axis=0).var())
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -207,6 +206,19 @@ class TestFindComplementaryPair:
             find_complementary_set(geom, 4, GRID, "exhaustive",
                                    candidate_ceiling=1000)
 
+    def test_capacity_checked_before_anything_is_built(self):
+        # a million levels and their screen would take about 38 MiB
+        def over_ceiling():
+            with pytest.raises(SearchCapacityError, match=f"{10 ** 12} candidate pairs"):
+                find_complementary_set(ArrayGeometry(4, 2), 10 ** 6, GRID, "exhaustive")
+        assert traced_peak(over_ceiling) < 2 ** 20
+
+    @pytest.mark.parametrize("accuracy", [1, 3, 5])
+    def test_golay_needs_even_k(self, accuracy):
+        # its weights of -1 are a level of K only when K is even
+        with pytest.raises(ValueError, match=f"even K, got K={accuracy}$"):
+            find_complementary_set(ArrayGeometry(8, 2), accuracy, GRID, "golay")
+
     def test_wrong_subarray_count(self):
         for geometry in (ArrayGeometry(4, 1), ArrayGeometry(8, 4)):
             with pytest.raises(ValueError, match="2 or 3 sub-arrays"):
@@ -228,7 +240,7 @@ class TestFindComplementaryPair:
                       for m, w in enumerate(found.weights)]
             assert found.variance == composite_variance(powers)
             assert np.array_equal(found.member_powers, powers)
-            assert np.array_equal(found.composite_power, _composite_power(powers))
+            assert np.array_equal(found.composite_power, np.mean(powers, axis=0))
 
     @pytest.mark.parametrize("elements,group_size,accuracy", [
         (4, 2, 2), (6, 3, 2), (8, 2, 2), (8, 2, 4), (9, 3, 2),
@@ -386,6 +398,23 @@ class TestFindComplementaryPair:
         assert again.variance == found.variance
 
 
+@pytest.mark.parametrize("members", [2, 3])
+def test_numpy_reductions_keep_the_pinned_order(members):
+    # the pinned composite and variance bytes rest on numpy adding member
+    # tables left to right and on var's two-pass arithmetic, written out here
+    rng = np.random.default_rng(members)
+    for groups, points in ((1, 2), (3, 17), (8, 512), (2, 4096)):
+        stack = rng.exponential(size=(groups, members, points))
+        composite = functools.reduce(np.add, stack.transpose(1, 0, 2)) / members
+        mean = np.add.reduce(composite, axis=-1, keepdims=True) / points
+        two_pass = np.add.reduce((composite - mean) ** 2, axis=-1) / points
+        assert stack.mean(axis=1).tobytes() == composite.tobytes()
+        assert composite.var(axis=-1).tobytes() == two_pass.tobytes()
+        for table, row, var in zip(stack, composite, two_pass):
+            assert table.mean(axis=0).tobytes() == row.tobytes()
+            assert row.var() == var
+
+
 class TestAutocorrelationScreen:
     @pytest.mark.parametrize("grid,spacing", [
         (AngleGrid.uniform_theta(512), 0.5),
@@ -403,9 +432,8 @@ class TestAutocorrelationScreen:
             for _ in range(10):
                 w = phase_levels(k)[rng.integers(0, k, (group_size, ns))]
                 x = _lag_features(w).sum(axis=0)
-                exact = _variance_of_power(_composite_power(
-                    [gain_power(subarray_gains(w[m], geom, m, grid.points))
-                     for m in range(group_size)]))
+                exact = np.mean([gain_power(subarray_gains(w[m], geom, m, grid.points))
+                                 for m in range(group_size)], axis=0).var()
                 assert abs(x @ form @ x - exact) <= 1e-12
 
     def test_stochastic_memory_stays_small(self):
@@ -548,6 +576,14 @@ class TestBeamSetJson:
             ComplementaryBeamSet.from_json_dict(doc)
         row[-1] = (row[-1] - 1) % 4
         assert ComplementaryBeamSet.from_json_dict(doc).phase_indices is not None
+
+    @pytest.mark.parametrize("accuracy", [0, -7])
+    def test_accuracy_below_one_rejected(self, accuracy):
+        # a golay set stores no phase indices, so only K itself can be checked
+        doc = find_complementary_set(ArrayGeometry(8, 2), 2, GRID, "golay").to_json_dict()
+        doc["accuracy"] = accuracy
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            ComplementaryBeamSet.from_json_dict(doc)
 
     def test_corrupt_variance_rejected(self):
         found = find_complementary_set(ArrayGeometry(4, 2), 2,

@@ -224,8 +224,11 @@ class TestBerCommand:
         (nan_weight, "unit modulus"),
         (lambda doc: {**doc, "variance": math.nan}, "variance does not match"),
         (short_member, "length 3, not the sub-array size 4"),
+        (lambda doc: {**doc, "accuracy": 0}, "K must be >= 1"),
+        (lambda doc: {**doc, "accuracy": -7}, "K must be >= 1"),
     ], ids=["missing-grid", "missing-weights", "not-an-object", "one-member",
-            "three-members", "nan-weight", "nan-variance", "short-member"])
+            "three-members", "nan-weight", "nan-variance", "short-member",
+            "accuracy-0", "accuracy-negative"])
     def test_malformed_beamset_one_line_error(self, tmp_path, capsys, corrupt,
                                               named):
         assert main(["search", "--elements", "8", "--subarrays", "2",
@@ -453,6 +456,8 @@ def test_infinite_spacing_one_line_error(tmp_path, capsys, argv):
     ("search --elements 0", 1, "error: total_elements and num_subarrays must be >= 1"),
     ("search --elements 8 --method stochastic --budget 0", 1,
      "error: stochastic search needs a positive budget"),
+    ("search --elements 8 --method golay --accuracy 3", 1,
+     "error: the doubling construction needs an even K, got K=3"),
     ("ber --scheme cbf --snr-db 0:1 --angles 0", 1,
      "error: SNR range must be start:step:stop, got '0:1'"),
     ("pattern --weights 0,1 --weights 0,1,1", 2,
@@ -463,7 +468,7 @@ def test_infinite_spacing_one_line_error(tmp_path, capsys, argv):
      "error: seed must be non-negative"),
     ("ber --scheme single --snr-db 4 --angles 0 --target-errors -1", 1,
      "error: target_errors must be >= 0"),
-], ids=["no-elements", "zero-budget", "two-part-snr-range", "ragged-weights",
+], ids=["no-elements", "zero-budget", "golay-odd-k", "two-part-snr-range", "ragged-weights",
         "cbf-triple", "negative-seed", "negative-target-errors"])
 def test_rejected_value_exit_code_and_line(tmp_path, capsys, argv, code, line):
     # a triple is searched but never simulated: cbf takes pairs only

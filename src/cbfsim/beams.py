@@ -47,8 +47,8 @@ DEFAULT_STOCHASTIC_BUDGET = 100_000
 _SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
 _SCREEN_BLOCK_FLOATS = 2 ** 15  # 256 kB of exhaustive scores per block
 _RESCORE_BLOCK_FLOATS = 2 ** 12  # 32 kB of each member's power tables per block
-_CLIMB_BLOCK = 64  # stochastic restarts that climb in lockstep
-_CLIMB_CHUNK = 4  # coefficient slots, K moves each, a climb scores per round
+_CLIMB_BLOCK = 128  # lockstep slots of the stochastic climb, refilled in restart order
+_CLIMB_MOVES = 16  # moves a climbing restart scores per round
 
 
 class SearchCapacityError(ValueError):
@@ -362,86 +362,119 @@ def _stochastic(geometry, levels, seed, budget, form, power):
         seed = int(np.random.SeedSequence().entropy % (2 ** 63))
     rng = np.random.default_rng(seed)
     ns, k, group_size = geometry.subarray_size, len(levels), geometry.num_subarrays
-    width = _CLIMB_CHUNK * k
+    n, lags, size = _CLIMB_BLOCK, ns - 1, group_size * (2 * ns - 1) + ns - 1
     # Single-coefficient moves in (member, position, level) order: move s*k + l
-    # sets slot s to level l.  Member m's weights are w[m*(3ns-2) + ns-1 + p]
-    # of a flat array with zero gaps, so adding a + jb to w[i] adds a*u + b*v
-    # to the lag features: u and v are [Re; Im] of w[i+l] + conj(w[i-l]) and of
-    # j*(conj(w[i-l]) - w[i+l]).  Slots past the last read w[0] and never move.
-    member, pos = (a.ravel() for a in np.indices((group_size, ns - 1)))
-    at = np.append(member * (3 * ns - 2) + ns + pos, np.zeros(_CLIMB_CHUNK, int))
-    num_moves, cell = member.size * k, lambda m: (member[m // k], pos[m // k] + 1)
+    # sets slot s to level l; a round scores `span` slots of `reach` levels.
+    # Member m's weights are w[m*(2ns-1) + ns-1 + p] of a flat array with zero
+    # gaps, so adding a + jb to w[i] adds a*u + b*v to the lag features x, u
+    # and v being w[i+l] + conj(w[i-l]) and j*(conj(w[i-l]) - w[i+l]): linear
+    # in the window w[i-ns+1 .. i+ns-1], which `lift` maps to [uL, vL] for the
+    # y = xL that the climb keeps (C = L L^T, so a screen score is |y|^2).
+    reach, span = min(k, _CLIMB_MOVES), max(1, _CLIMB_MOVES // k)
+    member, pos = (a.ravel() for a in np.indices((group_size, lags)))
+    num_moves, flat = member.size * k, member * ns + pos + 1
+    at = np.append(member * (2 * ns - 1) + ns + pos, np.full(span, lags))  # padding never moves
+    offsets = (k * np.arange(span)[:, None] + np.arange(reach)).ravel()
+    upper, (root, lift) = np.triu(np.ones((offsets.size,) * 2)), _climb_form(form, ns)
 
-    def climb(states, cap):
-        """Climb from each start in lockstep until the climbs, counted in order,
-        spend cap evaluations or a full sweep improves nothing."""
-        n, state = len(states), np.array(states)
-        w = np.zeros((n, group_size, 3 * ns - 2), complex)
-        w[..., ns - 1:2 * ns - 1] = levels[state]
-        x = _lag_features(w[..., ns - 1:2 * ns - 1]).sum(axis=1)
-        cur, w = np.einsum("ij,ij->i", x @ form, x), w.reshape(n, -1)
-        win = np.lib.stride_tricks.sliding_window_view(w, ns - 1, axis=1)
-        start, improved, evals = np.zeros(n, int), np.zeros(n, bool), np.ones(n, int)
-        while True:
-            # A climb past its last move sweeps again if it improved, else ends.
-            end = start >= num_moves
-            live = (np.cumsum(evals) < cap) & (improved | ~end)
-            start, improved = np.where(end & improved, 0, start), improved & ~end
-            if not (r := np.flatnonzero(live)).size:
-                return evals.tolist(), state, cur
-            # Score each live climb's next chunk of slots, expanding the form
-            # about cur, and take the first improving move; a screened near-tie
-            # is decided exactly, so each step is the one an exact comparison takes.
-            move = start[r, None] // k * k + np.arange(width)
-            i = at[move[:, ::k] // k]
-            delta = levels - w[r[:, None], i][..., None]
-            todo = ((delta.reshape(move.shape) != 0) & (move >= start[r, None])
-                    & (move < num_moves))
-            todo &= np.cumsum(todo, axis=1) <= (cap - np.cumsum(evals))[r, None]
-            rank = np.cumsum(todo, axis=1)
-            wa, wb = win[r[:, None], i + 1], win[r[:, None], i - ns + 1][..., ::-1].conj()
-            u, v = (np.concatenate((p.real, p.imag), axis=-1).reshape(-1, x.shape[1])
-                    for p in (wa + wb, 1j * (wb - wa)))
-            uc, vc, xr = u @ form, v @ form, np.repeat(x[r], _CLIMB_CHUNK, axis=0)
-            dot = lambda p, q: np.einsum("ij,ij->i", p, q).reshape(i.shape + (1,))
-            a, b = delta.real, delta.imag
-            scores = (cur[r, None, None]
-                      + a * (2 * dot(uc, xr) + a * dot(uc, u) + 2 * b * dot(uc, v))
-                      + b * (2 * dot(vc, xr) + b * dot(vc, v))).reshape(move.shape)
-            near = todo & (scores < cur[r, None] + _SCREEN_SLACK)
-            sure = near & ~(scores > cur[r, None] - _SCREEN_SLACK)
-            first = np.where(sure.any(axis=1), sure.argmax(axis=1), width)
-            for j in np.flatnonzero((near & (sure.cumsum(axis=1) == 0)).any(axis=1)):
-                tie = np.flatnonzero(near[j, :first[j]])
-                alt = np.repeat(state[r[j], None], tie.size + 1, axis=0)
-                alt[(np.arange(1, tie.size + 1), *cell(move[j, tie]))] = tie % k
-                now, *var = _exact_variances(power, alt.tolist())
-                first[j] = next((h for h, v in zip(tie, var) if v < now), first[j])
-            hit, pick = first < width, (np.arange(r.size), np.minimum(first, width - 1))
-            evals[r], start[r] = evals[r] + rank[pick], move[pick] + 1
-            j, h = r[hit], first[hit]
-            m, dd = move[hit, h], delta.reshape(move.shape)[hit, h, None]
-            state[(j, *cell(m))], w[j, at[m // k]] = m % k, levels[m % k]
-            row = np.flatnonzero(hit) * _CLIMB_CHUNK + h // k
-            x[j] += dd.real * u[row] + dd.imag * v[row]
-            cur[j], improved[j] = scores[hit, h], True
+    def prepared(starts):
+        y = sum(_lag_features(levels[starts[:, m]]) for m in range(group_size)) @ root
+        return starts, y, np.einsum("ij,ij->i", y, y)
 
-    # Blocks of restarts climb together from start states drawn in restart
-    # order and count against the budget in that order.  The restart that
-    # passes it climbs again under its own remaining budget; later ones drop.
-    # Every step lowers the exact variance, so each block settles only its ends.
-    evals, least, best = 0, np.inf, (np.inf, None)
-    while evals < budget:
-        block = np.array([[np.append(0, rng.integers(0, k, ns - 1))
-                           for _ in range(group_size)] for _ in range(_CLIMB_BLOCK)])
-        ends = []
-        for state, e, end, score in zip(block, *climb(block, budget - evals)):
-            if evals + e > budget:
-                (e,), (end,), (score,) = climb(state[None], budget - evals)
-            ends.append((end.tolist(), score))
-            if (evals := evals + e) >= budget:
-                break
-        least = min(least, *(score for _, score in ends))
-        best = _settle(power, best, [end for end, score in ends
-                                     if score <= least + _SCREEN_SLACK])
-    return tuple(map(tuple, best[1])), SearchMeta("stochastic", evals, seed)
+    def climb(r, left):
+        """One round of the restarts in slots r: each takes its first move,
+        of those it scores within its left evaluations, that improves on cur;
+        a screened near-tie is decided exactly.  Returns the evaluations."""
+        st, cr, s0 = start[r], cur[r], start[r] // k
+        move = (st if k > reach else s0 * k)[:, None] + offsets
+        stop, i = np.minimum((s0 + span) * k, num_moves), at[s0[:, None] + np.arange(span)]
+        delta = levels[move % k].reshape(i.shape + (reach,)) - w[r[:, None], i][..., None]
+        todo = (delta != 0).reshape(move.shape) & (move >= st[:, None]) & (move < stop[:, None])
+        todo &= (rank := todo @ upper) <= left[:, None]
+        gr = g[:r.size]
+        for half in slice(r.size // 2), slice(r.size // 2, None):  # half the windows at once
+            np.matmul(window[r[half, None], i[half] - lags].view(float), lift, out=gr[half])
+        gr = gr.reshape(i.shape + (2, 2 * lags))
+        sq, lin = np.einsum("rsaf,rsaf->rsa", gr, gr), np.einsum("rsaf,rf->rsa", gr, 2 * y[r])
+        a, b, uv = delta.real, delta.imag, np.einsum("rsf,rsf->rs", gr[:, :, 0], gr[:, :, 1])
+        score = a * (lin[..., :1] + a * sq[..., :1] + 2 * b * uv[..., None])
+        score = (score + b * (lin[..., 1:] + b * sq[..., 1:])).reshape(move.shape) + cr[:, None]
+        near, low = todo & (score < cr[:, None] + _SCREEN_SLACK), cr - _SCREEN_SLACK
+        rows, h, width = np.arange(r.size), near.argmax(axis=1), move.shape[1]
+        hit = (first := near[rows, h]) & (score[rows, h] <= low)
+        for j in np.flatnonzero(first & ~hit):
+            sure = np.append(np.flatnonzero(near[j] & (score[j] <= low[j])), width)
+            tie = np.flatnonzero(near[j, :sure[0]])
+            alt = np.repeat(state[r[j]].reshape(1, -1), tie.size + 1, axis=0)
+            alt[np.arange(1, tie.size + 1), flat[move[j, tie] // k]] = move[j, tie] % k
+            now, *var = _exact_variances(power, alt.reshape(-1, group_size, ns).tolist())
+            h[j] = next((t for t, v in zip(tie, var) if v < now), sure[0])
+            hit[j] = h[j] < width
+        pick = np.where(hit, h, width - 1)
+        start[r] = np.where(hit, move[rows, pick] + 1, np.minimum(move[:, -1] + 1, stop))
+        (hr,), j, h = np.nonzero(hit), r[hit], h[hit]
+        (c, lv), dd = np.divmod(move[hr, h], k), delta.reshape(move.shape)[hr, h, None]
+        state.reshape(n, -1)[j, flat[c]], w[j, at[c]] = lv, levels[lv]
+        y[j] += dd.real * gr[hr, h // reach, 0] + dd.imag * gr[hr, h // reach, 1]
+        cur[j], improved[j] = score[hr, h], True
+        return np.minimum(rank[rows, pick], left).astype(int)
+
+    state = np.zeros((n, group_size, ns), np.min_scalar_type(k))
+    queue, more, g = prepared(state[:0]), True, np.empty((n, span, 4 * lags))
+    w, y, cur = np.zeros((n, size), complex), np.zeros((n, 2 * lags)), np.zeros(n)
+    coeffs = w[:, lags:].reshape(n, group_size, -1)[..., :ns]
+    window = np.lib.stride_tricks.sliding_window_view(w, 2 * ns - 1, axis=1)
+    start, improved, slot = np.zeros(n, int), np.zeros(n, bool), np.full(n, -1)
+    # Evaluations, start and end states, and end scores of restarts not yet counted.
+    book, log, last = np.zeros(0, int), np.zeros((0, 2) + state.shape[1:], state.dtype), cur[:0]
+    base, spent, least, best, kept = 0, 0, np.inf, (np.inf, None), []
+    while spent < budget:
+        if (free := np.flatnonzero(slot < 0)).size and spent + book.sum() < budget:
+            if len(queue[0]) < free.size and more:
+                draws = [rng.integers(0, k, lags) for _ in range(n * group_size)]
+                draws = np.insert(np.reshape(draws, (n, group_size, lags)), 0, 0, axis=2)
+                queue = tuple(map(np.concatenate, zip(queue, prepared(draws))))
+            new = free[:len(queue[0])]
+            (begin, y[new], cur[new]), queue = zip(*(np.split(q, [new.size]) for q in queue))
+            state[new], coeffs[new], start[new], improved[new] = begin, levels[begin], 0, False
+            slot[new], last = base + book.size + np.arange(new.size), np.append(last, cur[new])
+            book, log = np.append(book, [1] * new.size), np.r_[log, state[new, None][:, [0, 0]]]
+        # A climb past its last move sweeps again if it improved, else ends, as does
+        # one once the restarts up to it, counted in order, spend the budget.  The
+        # first to pass it climbs again at once in what is left; later ones drop.
+        spend = spent + np.cumsum(book)
+        left, end = budget - spend.take(slot - base, mode="clip"), start >= num_moves
+        go = (slot >= 0) & (left > 0) & (improved | ~end)
+        start[end & improved], improved[end] = 0, False
+        if (out := np.flatnonzero((slot >= 0) & ~go)).size:
+            log[(e := slot[out] - base), 1], last[e], slot[out] = state[out], cur[out], -1
+        if spend[-1] > budget:
+            if spend[j := np.searchsorted(spend, budget, side="right")] - book[j] < budget:
+                queue, more = prepared(log[j, 0, None]), False
+            book, log, last = book[:j], log[:j], last[:j]
+        # Ended restarts count in order up to the first still climbing.  Every
+        # step lowers the exact variance, so only ends near the least settle.
+        r = np.flatnonzero(go)
+        while base < slot[r].min(initial=base + book.size) and spent < budget:
+            spent, least = spent + int(book[0]), min(least, last[0])
+            if last[0] <= least + _SCREEN_SLACK:
+                kept.append((log[0, 1].tolist(), last[0]))
+            book, log, last, base = book[1:], log[1:], last[1:], base + 1
+        if spent >= budget or len(kept) >= n:
+            best = _settle(power, best, [e for e, s in kept if s <= least + _SCREEN_SLACK])
+            kept = []
+        book[slot[r] - base] += climb(r, left[r])
+    return tuple(map(tuple, best[1])), SearchMeta("stochastic", budget, seed)
+
+
+def _climb_form(form, ns):
+    """(L, lift): C = L L^T by a pivoted Cholesky (C is a Gram matrix; LAPACK
+    would add 1 MB of RSS), and the map of a window's floats to its [uL, vL]."""
+    rest, root = form.copy(), np.zeros_like(form)
+    for col in range(len(form)):
+        if rest[i := rest.diagonal().argmax(), i] > 1e-15 * form.diagonal().max():
+            root[:, col] = rest[:, i] / np.sqrt(rest[i, i])
+            rest -= np.outer(root[:, col], root[:, col])
+    unit = np.kron(np.eye(2 * ns - 1), [[1], [1j]])
+    a, b = unit[:, ns:], unit[:, :ns - 1][:, ::-1].conj()
+    return root, np.hstack([np.hstack((z.real, z.imag)) @ root for z in (a + b, 1j * (b - a))])

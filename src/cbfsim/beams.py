@@ -391,10 +391,10 @@ def _stochastic(geometry, levels, seed, budget, form, power):
         delta = levels[move % k].reshape(i.shape + (reach,)) - w[r[:, None], i][..., None]
         todo = (delta != 0).reshape(move.shape) & (move >= st[:, None]) & (move < stop[:, None])
         todo &= (rank := todo @ upper) <= left[:, None]
-        gr = g[:r.size]
-        for half in slice(r.size // 2), slice(r.size // 2, None):  # half the windows at once
-            np.matmul(window[r[half, None], i[half] - lags].view(float), lift, out=gr[half])
-        gr = gr.reshape(i.shape + (2, 2 * lags))
+        for lo, hi in (0, r.size // 2), (r.size // 2, r.size):  # half the windows at once
+            np.matmul(win[r[lo:hi, None], i[lo:hi] - lags].view(float).reshape(-1, 4 * ns - 2),
+                      lift, out=g[lo * span:hi * span])
+        gr = g[:r.size * span].reshape(i.shape + (2, 2 * lags))
         sq, lin = np.einsum("rsaf,rsaf->rsa", gr, gr), np.einsum("rsaf,rf->rsa", gr, 2 * y[r])
         a, b, uv = delta.real, delta.imag, np.einsum("rsf,rsf->rs", gr[:, :, 0], gr[:, :, 1])
         score = a * (lin[..., :1] + a * sq[..., :1] + 2 * b * uv[..., None])
@@ -420,10 +420,10 @@ def _stochastic(geometry, levels, seed, budget, form, power):
         return np.minimum(rank[rows, pick], left).astype(int)
 
     state = np.zeros((n, group_size, ns), np.min_scalar_type(k))
-    queue, more, g = prepared(state[:0]), True, np.empty((n, span, 4 * lags))
+    queue, more, g = prepared(state[:0]), True, np.empty((n * span, 4 * lags))
     w, y, cur = np.zeros((n, size), complex), np.zeros((n, 2 * lags)), np.zeros(n)
     coeffs = w[:, lags:].reshape(n, group_size, -1)[..., :ns]
-    window = np.lib.stride_tricks.sliding_window_view(w, 2 * ns - 1, axis=1)
+    win = np.lib.stride_tricks.sliding_window_view(w, 2 * ns - 1, axis=1)
     start, improved, slot = np.zeros(n, int), np.zeros(n, bool), np.full(n, -1)
     # Evaluations, start and end states, and end scores of restarts not yet counted.
     book, log, last = np.zeros(0, int), np.zeros((0, 2) + state.shape[1:], state.dtype), cur[:0]

@@ -330,14 +330,26 @@ class TestFindComplementaryPair:
         (ArrayGeometry(8, 2), 4, 3, "inside a block's middle restart", GRID),
         (ArrayGeometry(8, 2), 2, 1, 20_000, AngleGrid.uniform_theta(2)),
         (ArrayGeometry(9, 3), 4, 2, 20_000, AngleGrid.uniform_theta(2)),
+        (ArrayGeometry(8, 2), 1000, 3, 3000, GRID),
+        (ArrayGeometry(8, 2), 4, 3, 12_345, GRID),
+        (ArrayGeometry(16, 2), 4, 3, 20_000, GRID),
+        (ArrayGeometry(12, 3), 4, 2, 9000, GRID),
+        (ArrayGeometry(8, 2), 4, 3, 200_000, GRID),
     ], ids=["n32-k4-seed5", "n32-k4-seed7", "triple-k3", "near-ties-k8",
             "budget-1", "one-restart-plus-1", "cut-mid-block",
-            "exact-ties-2-point-n8-k2", "exact-ties-2-point-triple-k4"])
+            "exact-ties-2-point-n8-k2", "exact-ties-2-point-triple-k4",
+            "k1000-slots-split-over-rounds", "passes-while-earlier-climb-n8",
+            "passes-while-earlier-climb-n16", "passes-while-earlier-climb-triple",
+            "slots-refilled-many-times"])
     def test_stochastic_matches_sequential_climb(self, geometry, accuracy, seed,
                                                  budget, grid):
-        # restarts climbing in lockstep blocks, a chunk of moves at a time,
-        # return the set and count of the one-restart-at-a-time climb; on a
-        # 2-point grid exact ties occur, and the first of them must be kept
+        # restarts climbing in lockstep slots, a few moves at a time, return
+        # the set and count of the one-restart-at-a-time climb; on a 2-point
+        # grid exact ties occur, and the first of them must be kept.  At
+        # K=1000 a round scores 16 of a slot's levels, so first improvement
+        # must hold across rounds; at the three "passes" budgets the restart
+        # that passes the budget ends while earlier restarts still climb and
+        # later ones have ended; at 200,000 each slot takes about 30 restarts
         if budget == "one restart + 1":
             budget = restarts_spend(geometry, accuracy, seed, 1) + 1
         elif isinstance(budget, str):
@@ -398,6 +410,36 @@ class TestFindComplementaryPair:
         assert again.variance == found.variance
 
 
+def climb_draws(count=12, seed=20_241_019):
+    """Seeded (geometry, K, grid points, budget) draws: pairs and triples of
+    1-6 elements per sub-array, K from 1 to 40 (beyond 16 a slot's levels
+    take several rounds), grids of 2 to 512 points, budgets from 1 to 5,000."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        members = int(rng.choice([2, 3]))
+        yield (ArrayGeometry(members * int(rng.integers(1, 7)), members),
+               int(rng.choice([1, 2, 3, 4, 5, 8, 17, 40])),
+               int(rng.choice([2, 3, 8, 64, 512])),
+               int(np.exp(rng.uniform(0, np.log(5000)))), int(rng.integers(0, 2 ** 31)))
+
+
+@pytest.mark.parametrize("geometry, accuracy, points, budget, seed", list(climb_draws()),
+                         ids=[f"draw-{i}" for i in range(12)])
+def test_stochastic_fuzz_matches_sequential_climb(geometry, accuracy, points, budget, seed):
+    # the refilled lockstep against the one-restart-at-a-time climb on random
+    # geometries, accuracies, grids and budgets
+    grid = AngleGrid.uniform_theta(points)
+    power = beams._member_powers(geometry, grid, phase_levels(accuracy))
+    best, meta = sequential_climb(geometry, phase_levels(accuracy), seed, budget,
+                                  _autocorrelation_form(geometry, grid), power)
+    found = find_complementary_set(geometry, accuracy, grid, "stochastic", seed=seed,
+                                   budget=budget)
+    assert found.phase_indices == best
+    assert found.variance.hex() == composite_variance(
+        [power(m, idx) for m, idx in enumerate(best)]).hex()
+    assert found.meta == meta
+
+
 @pytest.mark.parametrize("members", [2, 3])
 def test_numpy_reductions_keep_the_pinned_order(members):
     # the pinned composite and variance bytes rest on numpy adding member
@@ -445,6 +487,17 @@ class TestAutocorrelationScreen:
                            "stochastic", seed=7, budget=20000) < 10 * 2 ** 20
         assert traced_peak(find_complementary_set, ArrayGeometry(4, 2), 4, GRID,
                            "stochastic", seed=7, budget=50000) < 2 ** 20
+        # the benchmark's climb: at most the 0.92 MiB that lockstep blocks of
+        # 64 restarts took, far under the 3.54 MiB that blocks of 256 took
+        assert traced_peak(find_complementary_set, ArrayGeometry(32, 2), 4, GRID,
+                           "stochastic", seed=5, budget=100_000) < 1.25 * 2 ** 20
+
+    def test_stochastic_memory_does_not_grow_with_k(self):
+        # a round scores a fixed number of moves whatever K; scoring every
+        # level of a few slots per round took 204.8 MiB at K=10^5 for 10
+        # evaluations, where the levels themselves take 1.6 MB
+        assert traced_peak(find_complementary_set, ArrayGeometry(4, 2), 10 ** 5, GRID,
+                           "stochastic", seed=1, budget=10) < 8 * 2 ** 20
 
     @pytest.mark.parametrize("elements, group_size, points, limit_mib", [
         (24, 2, 512, 8), (21, 3, 512, 3), (24, 3, 512, 5), (20, 2, 2, 3),

@@ -8,9 +8,9 @@ Both searches screen a block of candidates at a time by the members' summed
 autocorrelation, in which the composite variance is a quadratic form whatever
 the grid size, and settle the block's near-ties against a running best with
 the exact pattern arithmetic of ``ComplementaryBeamSet``, which alone decides
-minima and ties.  The climb runs its restarts in lockstep blocks, each scoring
-its moves a chunk at a time, and returns the set that climbing one restart at
-a time returns.
+minima and ties.  The climb runs its restarts in lockstep slots, each taking
+the next restart as soon as its own ends and scoring a few moves a round, and
+returns the set that climbing one restart at a time returns.
 """
 
 from __future__ import annotations
@@ -249,11 +249,11 @@ def find_complementary_set(
     Methods: "exhaustive" scans the phase-reduced codebook space and returns
     the global minimizer (lexicographically first among ties); "golay" uses
     the doubling construction (power-of-two pairs only); "stochastic" runs
-    seeded random restarts of single-coefficient hill climbing, in lockstep
-    blocks that score moves a chunk at a time, and returns the best of its
-    evaluation budget, as one restart at a time would.  No flat triple
-    construction is known, so a triple's best found variance is reported,
-    never asserted to be zero.
+    seeded random restarts of single-coefficient hill climbing in lockstep
+    slots, refilled in restart order and scoring a fixed number of moves a
+    round, and returns the best of its evaluation budget, as one restart at a
+    time would.  No flat triple construction is known, so a triple's best
+    found variance is reported, never asserted to be zero.
     """
     if geometry.num_subarrays not in (2, 3):
         raise ValueError(f"geometry must have 2 or 3 sub-arrays, "
@@ -468,8 +468,8 @@ def _stochastic(geometry, levels, seed, budget, form, power):
 
 
 def _climb_form(form, ns):
-    """(L, lift): C = L L^T by a pivoted Cholesky (C is a Gram matrix; LAPACK
-    would add 1 MB of RSS), and the map of a window's floats to its [uL, vL]."""
+    """(L, lift): C = L L^T by a pivoted Cholesky (C is a Gram matrix, singular
+    on few points; LAPACK adds 0.1-1 MB of RSS), and a window's map to [uL, vL]."""
     rest, root = form.copy(), np.zeros_like(form)
     for col in range(len(form)):
         if rest[i := rest.diagonal().argmax(), i] > 1e-15 * form.diagonal().max():

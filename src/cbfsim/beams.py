@@ -375,7 +375,7 @@ def _stochastic(geometry, levels, seed, budget, form, power):
     num_moves, flat = member.size * k, member * ns + pos + 1
     at = np.append(member * (2 * ns - 1) + ns + pos, np.full(span, lags))  # padding never moves
     offsets = (k * np.arange(span)[:, None] + np.arange(reach)).ravel()
-    upper, (root, lift) = np.triu(np.ones((offsets.size,) * 2)), _climb_form(form, ns)
+    upper, (root, lift) = (offsets[:, None] <= offsets) * 1.0, _climb_form(form, ns)
 
     def prepared(starts):
         y = sum(_lag_features(levels[starts[:, m]]) for m in range(group_size)) @ root
@@ -449,7 +449,7 @@ def _stochastic(geometry, levels, seed, budget, form, power):
         if (out := np.flatnonzero((slot >= 0) & ~go)).size:
             log[(e := slot[out] - base), 1], last[e], slot[out] = state[out], cur[out], -1
         if spend[-1] > budget:
-            if spend[j := np.searchsorted(spend, budget, side="right")] - book[j] < budget:
+            if spend[j := np.argmax(spend > budget)] - book[j] < budget:
                 queue, more = prepared(log[j, 0, None]), False
             book, log, last = book[:j], log[:j], last[:j]
         # Ended restarts count in order up to the first still climbing.  Every

@@ -47,7 +47,7 @@ DEFAULT_STOCHASTIC_BUDGET = 100_000
 _SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
 _SCREEN_BLOCK_FLOATS = 2 ** 15  # 256 kB of exhaustive scores per block
 _RESCORE_BLOCK_FLOATS = 2 ** 12  # 32 kB of each member's power tables per block
-_CLIMB_BLOCK = 96  # lockstep slots of the stochastic climb, refilled in restart order
+_CLIMB_BLOCK = 80  # lockstep slots of the stochastic climb, refilled in restart order
 _CLIMB_MOVES = 16  # moves a climbing restart scores per round
 
 
@@ -417,16 +417,16 @@ def _stochastic(geometry, levels, seed, budget, form, power):
         state.reshape(n, -1)[j, flat[c]], w[j, at[c]] = lv, levels[lv]
         y[j] += dd.real * gr[hr, h // reach, 0] + dd.imag * gr[hr, h // reach, 1]
         cur[j], improved[j] = score[hr, h], True
-        return np.minimum(rank[rows, pick], left).astype(int)
+        return np.minimum(rank[rows, pick], left)
 
-    state = np.zeros((n, group_size, ns), np.min_scalar_type(k))
+    state = np.zeros((n, group_size, ns), int)
     queue, more, g = prepared(state[:0]), True, np.empty((n * span, 4 * lags))
     w, y, cur = np.zeros((n, size), complex), np.zeros((n, 2 * lags)), np.zeros(n)
     coeffs = w[:, lags:].reshape(n, group_size, -1)[..., :ns]
     win = np.lib.stride_tricks.sliding_window_view(w, 2 * ns - 1, axis=1)
     start, improved, slot = np.zeros(n, int), np.zeros(n, bool), np.full(n, -1)
     # Evaluations, start and end states, and end scores of restarts not yet counted.
-    book, log, last = np.zeros(0, int), np.zeros((0, 2) + state.shape[1:], state.dtype), cur[:0]
+    book, log, last = np.zeros(0), np.zeros((0, 2, group_size, ns), int), cur[:0]
     base, spent, least, best, kept = 0, 0, np.inf, (np.inf, None), []
     while spent < budget:
         if (free := np.flatnonzero(slot < 0)).size and spent + book.sum() < budget:
@@ -438,7 +438,7 @@ def _stochastic(geometry, levels, seed, budget, form, power):
             (begin, y[new], cur[new]), queue = zip(*(np.split(q, [new.size]) for q in queue))
             state[new], coeffs[new], start[new], improved[new] = begin, levels[begin], 0, False
             slot[new], last = base + book.size + np.arange(new.size), np.append(last, cur[new])
-            book, log = np.append(book, [1] * new.size), np.r_[log, state[new, None][:, [0, 0]]]
+            book, log = np.r_[book, np.ones(new.size)], np.r_[log, state[new, None][:, [0, 0]]]
         # A climb past its last move sweeps again if it improved, else ends, as does
         # one once the restarts up to it, counted in order, spend the budget.  The
         # first to pass it climbs again at once in what is left; later ones drop.

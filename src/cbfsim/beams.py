@@ -47,7 +47,7 @@ DEFAULT_STOCHASTIC_BUDGET = 100_000
 _SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
 _SCREEN_BLOCK_FLOATS = 2 ** 15  # 256 kB of exhaustive scores per block
 _RESCORE_BLOCK_FLOATS = 2 ** 12  # 32 kB of each member's power tables per block
-_CLIMB_BLOCK = 80  # lockstep slots of the stochastic climb, refilled in restart order
+_CLIMB_BLOCK = 128  # lockstep slots of the stochastic climb, refilled in restart order
 _CLIMB_MOVES = 16  # moves a climbing restart scores per round
 
 

@@ -47,7 +47,7 @@ DEFAULT_STOCHASTIC_BUDGET = 100_000
 _SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
 _SCREEN_BLOCK_FLOATS = 2 ** 15  # 256 kB of exhaustive scores per block
 _RESCORE_BLOCK_FLOATS = 2 ** 12  # 32 kB of each member's power tables per block
-_CLIMB_BLOCK = 64  # lockstep slots of the stochastic climb, refilled in restart order
+_CLIMB_BLOCK = 128  # lockstep slots of the stochastic climb, refilled in restart order
 _CLIMB_MOVES = 16  # moves a climbing restart scores per round
 
 
@@ -426,7 +426,7 @@ def _stochastic(geometry, levels, seed, budget, form, power):
     win = np.lib.stride_tricks.sliding_window_view(w, 2 * ns - 1, axis=1)
     start, improved, slot = np.zeros(n, int), np.zeros(n, bool), np.full(n, -1)
     # Evaluations, start and end states, and end scores of restarts not yet counted.
-    book, log, last = np.zeros(0), [], cur[:0]
+    book, log, last = np.zeros(0), np.zeros((0, 2, group_size, ns), int), cur[:0]
     base, spent, least, best, kept = 0, 0, np.inf, (np.inf, None), []
     while spent < budget:
         if (free := np.flatnonzero(slot < 0)).size and spent + book.sum() < budget:
@@ -438,7 +438,7 @@ def _stochastic(geometry, levels, seed, budget, form, power):
             (begin, y[new], cur[new]), queue = zip(*(np.split(q, [new.size]) for q in queue))
             state[new], coeffs[new], start[new], improved[new] = begin, levels[begin], 0, False
             slot[new], last = base + book.size + np.arange(new.size), np.append(last, cur[new])
-            book, log = np.r_[book, np.ones(new.size)], log + list(state[new, None][:, [0, 0]])
+            book, log = np.r_[book, np.ones(new.size)], np.r_[log, state[new, None][:, [0, 0]]]
         # A climb past its last move sweeps again if it improved, else ends, as does
         # one once the restarts up to it, counted in order, spend the budget.  The
         # first to pass it climbs again at once in what is left; later ones drop.
@@ -446,11 +446,11 @@ def _stochastic(geometry, levels, seed, budget, form, power):
         left, end = budget - spend.take(slot - base, mode="clip"), start >= num_moves
         go = (slot >= 0) & (left > 0) & (improved | ~end)
         start[end & improved], improved[end] = 0, False
-        for s in np.flatnonzero((slot >= 0) & ~go):
-            log[slot[s] - base][1], last[slot[s] - base], slot[s] = state[s], cur[s], -1
+        if (out := np.flatnonzero((slot >= 0) & ~go)).size:
+            log[(e := slot[out] - base), 1], last[e], slot[out] = state[out], cur[out], -1
         if spend[-1] > budget:
             if spend[j := np.argmax(spend > budget)] - book[j] < budget:
-                queue, more = prepared(log[j][:1]), False
+                queue, more = prepared(log[j, 0, None]), False
             book, log, last = book[:j], log[:j], last[:j]
         # Ended restarts count in order up to the first still climbing.  Every
         # step lowers the exact variance, so only ends near the least settle.
@@ -458,7 +458,7 @@ def _stochastic(geometry, levels, seed, budget, form, power):
         while base < slot[r].min(initial=base + book.size) and spent < budget:
             spent, least = spent + int(book[0]), min(least, last[0])
             if last[0] <= least + _SCREEN_SLACK:
-                kept.append((log[0][1].tolist(), last[0]))
+                kept.append((log[0, 1].tolist(), last[0]))
             book, log, last, base = book[1:], log[1:], last[1:], base + 1
         if spent >= budget or len(kept) >= n:
             best = _settle(power, best, [e for e, s in kept if s <= least + _SCREEN_SLACK])

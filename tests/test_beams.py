@@ -487,8 +487,8 @@ class TestAutocorrelationScreen:
                            "stochastic", seed=7, budget=20000) < 10 * 2 ** 20
         assert traced_peak(find_complementary_set, ArrayGeometry(4, 2), 4, GRID,
                            "stochastic", seed=7, budget=50000) < 2 ** 20
-        # the benchmark's climb, near the 0.92 MiB that lockstep blocks of 64
-        # restarts took and far under the 3.54 MiB that blocks of 256 took
+        # the benchmark's climb: lockstep blocks of 64 restarts that waited
+        # for their slowest took 0.92 MiB, and blocks of 256 took 3.54 MiB
         assert traced_peak(find_complementary_set, ArrayGeometry(32, 2), 4, GRID,
                            "stochastic", seed=5, budget=100_000) < 1.25 * 2 ** 20
 

@@ -161,7 +161,7 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
 
 
 def sequential_climb(geometry, levels, seed, budget, form, power):
-    """The one-restart-at-a-time hill climb that ``cbfsim.beams._stochastic``
+    """The one-restart-at-a-time hill climb that ``cbfsim.climb.stochastic``
     replaced, kept verbatim: restarts run in order under one evaluation
     budget, each sweep scores every remaining move and takes the first that
     improves, and the best state settles through the shared screen as it is

@@ -94,13 +94,17 @@ def steering_basis(offsets, spacing: float, angles) -> np.ndarray:
 
 
 def subarray_gains(entries, geometry: ArrayGeometry, subarray: int, angles) -> np.ndarray:
-    """Gain of raw weight entries on the given sub-array, 1/sqrt(N_s) scaled."""
+    """Gain of raw weight entries on the given sub-array, 1/sqrt(N_s) scaled.  A
+    matrix of entries gives a column of gains per column, one steering basis
+    for them all."""
     ns = geometry.subarray_size
     if not 0 <= subarray < geometry.num_subarrays:
         raise ValueError(f"sub-array index {subarray} outside "
                          f"0..{geometry.num_subarrays - 1}")
     basis = steering_basis(subarray * ns + np.arange(ns), geometry.spacing, angles)
-    return (basis @ np.asarray(entries, dtype=complex)) * (1.0 / np.sqrt(ns))
+    w = np.asarray(entries, dtype=complex)  # a vector at a time: a column keeps its bytes
+    gains = [(basis @ v) * (1.0 / np.sqrt(ns)) for v in (w.T if w.ndim == 2 else [w])]
+    return np.stack(gains, axis=-1) if w.ndim == 2 else gains[0]
 
 
 def _autocorrelation_form(geometry: ArrayGeometry, grid: AngleGrid) -> np.ndarray:

@@ -8,15 +8,16 @@ Both searches screen a block of candidates at a time by the members' summed
 autocorrelation, in which the composite variance is a quadratic form whatever
 the grid size, and settle the block's near-ties against a running best with
 the exact pattern arithmetic of ``ComplementaryBeamSet``, which alone decides
-minima and ties.  The climb runs its restarts in lockstep slots, each taking
-the next restart as soon as its own ends and scoring a few moves a round, and
-returns the set that climbing one restart at a time returns.
+minima and ties; the tables a block lacks share one steering basis per
+member.  The climb runs its restarts in lockstep slots, each taking the next
+restart as soon as its own ends, shares a fixed number of moves a round among
+them, and returns the set that climbing one restart at a time returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +49,7 @@ _SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
 _SCREEN_BLOCK_FLOATS = 2 ** 15  # 256 kB of exhaustive scores per block
 _RESCORE_BLOCK_FLOATS = 2 ** 12  # 32 kB of each member's power tables per block
 _CLIMB_BLOCK = 128  # lockstep slots of the stochastic climb, refilled in restart order
-_CLIMB_MOVES = 16  # moves a climbing restart scores per round
+_CLIMB_MOVES = 16  # moves per slot a round, shared among the restarts climbing
 
 
 class SearchCapacityError(ValueError):
@@ -130,25 +131,18 @@ class ComplementaryBeamSet:
     def to_json_dict(self) -> dict:
         geo = self.geometry
         return {
-            "geometry": {
-                "total_elements": geo.total_elements,
-                "num_subarrays": geo.num_subarrays,
-                "spacing": geo.spacing,
-            },
+            "geometry": {"total_elements": geo.total_elements,
+                         "num_subarrays": geo.num_subarrays, "spacing": geo.spacing},
             "accuracy": self.accuracy,
             "method": self.meta.method,
             "seed": self.meta.seed,
             "candidates": self.meta.candidates,
             "variance": self.variance,
             "grid": _grid_spec(self.grid),
-            "weights": [
-                {
-                    "phase_indices": (list(map(int, idx)) if idx is not None else None),
-                    "values": [[float(v.real), float(v.imag)] for v in w],
-                }
-                for w, idx in zip(self.weights, self.phase_indices
-                                  or (None,) * len(self.weights))
-            ],
+            "weights": [{"phase_indices": None if idx is None else list(map(int, idx)),
+                         "values": [[float(v.real), float(v.imag)] for v in w]}
+                        for w, idx in zip(self.weights, self.phase_indices
+                                          or (None,) * len(self.weights))],
         }
 
     @classmethod
@@ -226,8 +220,7 @@ def golay_construct(length: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"no doubling construction for length {length}: not a power of two"
         )
-    a = np.ones(1)
-    b = np.ones(1)
+    a = b = np.ones(1)
     while a.size < length:
         a, b = np.concatenate([a, b]), np.concatenate([a, -b])
     return a.astype(complex), b.astype(complex)
@@ -250,7 +243,7 @@ def find_complementary_set(
     the global minimizer (lexicographically first among ties); "golay" uses
     the doubling construction (power-of-two pairs only); "stochastic" runs
     seeded random restarts of single-coefficient hill climbing in lockstep
-    slots, refilled in restart order and scoring a fixed number of moves a
+    slots, refilled in restart order and sharing a fixed number of moves a
     round, and returns the best of its evaluation budget, as one restart at a
     time would.  No flat triple construction is known, so a triple's best
     found variance is reported, never asserted to be zero.
@@ -266,8 +259,7 @@ def find_complementary_set(
             raise ValueError("the doubling construction only yields pairs")
         if accuracy % 2:
             raise ValueError(f"the doubling construction needs an even K, got K={accuracy}")
-        pair = golay_construct(geometry.subarray_size)
-        return ComplementaryBeamSet(geometry, pair, grid,
+        return ComplementaryBeamSet(geometry, golay_construct(geometry.subarray_size), grid,
                                     SearchMeta("golay", 1, None), accuracy)
     if method not in ("exhaustive", "stochastic"):
         raise ValueError(f"unknown search method {method!r}")
@@ -299,18 +291,26 @@ def _lag_features(weights: np.ndarray) -> np.ndarray:
 
 
 def _member_powers(geometry, grid, coeffs):
-    """power(m, idx): the |gain|^2 table of phase-index vector idx on
-    sub-array m, built once per distinct vector into a functools.cache memo."""
-    table = cache(lambda m, idx: gain_power(subarray_gains(coeffs[list(idx)], geometry,
-                                                           m, grid.points)))
-    return lambda m, idx: table(m, tuple(idx))
+    """power(m, idx, *more): sub-array m's |gain|^2 table of phase-index vector idx,
+    kept for the search; those of idx and more not kept yet are built first, a
+    rescoring block's worth from one transient steering basis."""
+    tables, step = {}, max(1, _RESCORE_BLOCK_FLOATS // len(grid))
+    def power(m, *vectors):
+        new = [v for v in dict.fromkeys(map(tuple, vectors)) if (m, v) not in tables]
+        for block in (new[i:i + step] for i in range(0, len(new), step)):
+            gains = subarray_gains(coeffs[block].T, geometry, m, grid.points)
+            tables.update(((m, v), gain_power(c)) for v, c in zip(block, gains.T))
+        return tables[m, tuple(vectors[0])]
+    return power
 
 
 def _exact_variances(power, groups) -> np.ndarray:
     """Composite variances of phase-index groups (one index vector per member)
-    by ComplementaryBeamSet's arithmetic, a block of groups at a time: the
-    values that decide every reported minimum and tie."""
-    step = max(1, _RESCORE_BLOCK_FLOATS // power(0, groups[0][0]).size)
+    by ComplementaryBeamSet's arithmetic, a block of groups at a time, each
+    member's missing tables built first: the values that decide every reported
+    minimum and tie."""
+    firsts = [power(m, *{tuple(g[m]) for g in groups}) for m in range(len(groups[0]))]
+    step = max(1, _RESCORE_BLOCK_FLOATS // firsts[0].size)
     return np.concatenate([
         np.array([[power(m, idx) for m, idx in enumerate(g)] for g in groups[i:i + step]])
         .mean(axis=1).var(axis=-1) for i in range(0, len(groups), step)])

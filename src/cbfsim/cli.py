@@ -202,12 +202,10 @@ def _write_manifest(base: Path, command: str, config: dict, outputs: list[Path])
 
 def _write_pattern_csv(base: Path, beams: ComplementaryBeamSet) -> Path:
     members = beams.member_powers
-    header = ("theta_deg,"
-              + ",".join(f"g{i + 1}_power" for i in range(len(members)))
-              + ",composite_power")
-    columns = (np.degrees(beams.grid.points), *members, beams.composite_power)
-    return _write(base, ".pattern.csv",
-                  [header] + [",".join(map(_fmt, row)) for row in zip(*columns)])
+    names = ["theta_deg", *(f"g{i + 1}_power" for i in range(len(members))), "composite_power"]
+    line = ",".join(["%.9g"] * len(names))  # _fmt's digits, one format per row
+    cols = (np.degrees(beams.grid.points), *members, beams.composite_power)
+    return _write(base, ".pattern.csv", [",".join(names)] + [line % row for row in zip(*cols)])
 
 
 def _write_ber_csv(base: Path, curve) -> Path:
@@ -260,11 +258,9 @@ def cmd_pattern(ns, parser) -> int:
             if any(i < 0 or i >= ns.accuracy for i in idx):
                 parser.error(f"phase index out of range for K={ns.accuracy}: {spec}")
             indices.append(idx)
-        sizes = {len(ix) for ix in indices}
-        if len(sizes) != 1:
+        if len({len(ix) for ix in indices}) != 1:
             parser.error("all weight vectors must have the same length")
-        ns_size = sizes.pop()
-        geometry = ArrayGeometry(ns_size * len(indices), len(indices), ns.spacing)
+        geometry = ArrayGeometry(len(indices[0]) * len(indices), len(indices), ns.spacing)
         grid = AngleGrid.uniform_theta(ns.grid_points)
         beams = ComplementaryBeamSet(geometry, levels[indices], grid,
                                      SearchMeta("explicit", 0, None),

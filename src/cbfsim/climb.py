@@ -14,30 +14,26 @@ def stochastic(geometry, levels, seed, budget, form, power):
     rng = np.random.default_rng(seed)
     ns, k, group_size = geometry.subarray_size, len(levels), geometry.num_subarrays
     n, lags, size = _CLIMB_BLOCK, ns - 1, group_size * (2 * ns - 1) + ns - 1
-    # Move s*k + l sets coefficient slot s to level l; a round scores `span` slots
-    # of `reach` levels.  Member m's weights are w[m*(2ns-1) + ns-1 + p], zero
-    # between members, so adding a + jb to w[i] adds a*u + b*v to the lag features
-    # x, u and v being w[i+l] + conj(w[i-l]) and j*(conj(w[i-l]) - w[i+l]).  `lift`
-    # maps the window w[i-ns+1 .. i+ns-1] to [uL, vL] for the y = xL kept (C = LL^T).
-    reach, span = min(k, _CLIMB_MOVES), max(1, _CLIMB_MOVES // k)
+    # Move s*k + l sets coefficient slot s to level l; a round shares `total` moves among
+    # the restarts climbing, `span` slots of `reach` levels each.  Member m's weights are
+    # w[m*(2ns-1) + ns-1 + p], zero between members, so adding a + jb to w[i] adds a*u +
+    # b*v to the lag features x, u and v being w[i+l] + conj(w[i-l]) and j*(conj(w[i-l]) -
+    # w[i+l]); `lift` maps the window w[i-ns+1 .. i+ns-1] to [uL, vL] for y = xL (C = LL^T).
     member, pos = (a.ravel() for a in np.indices((group_size, lags)))
-    num_moves, flat = member.size * k, member * ns + pos + 1
-    at = np.append(member * (2 * ns - 1) + ns + pos, np.full(span, lags))  # padding never moves
-    offsets = (k * np.arange(span)[:, None] + np.arange(reach)).ravel()
-    upper, (root, lift) = (offsets[:, None] <= offsets) * 1.0, _climb_form(form, ns)
-
-    def prepared(starts):
-        y = sum(_lag_features(levels[starts[:, m]]) for m in range(group_size)) @ root
-        return starts, y, np.einsum("ij,ij->i", y, y)
+    num_moves, flat, total = member.size * k, member * ns + pos + 1, n * _CLIMB_MOVES
+    at = np.append(member * (2 * ns - 1) + ns + pos, np.full_like(member, lags))  # never moves
+    root, lift = _climb_form(form, ns)
 
     def climb(r, left):
         """One round of slots r, a near-tie decided exactly; returns evaluations spent."""
+        reach, span = min(k, per := total // max(r.size, 1)), max(1, min(member.size, per // k))
+        offsets = (k * np.arange(span)[:, None] + np.arange(reach)).ravel()
         st, cr, s0 = start[r], cur[r], start[r] // k
         move = (st if k > reach else s0 * k)[:, None] + offsets
         stop, i = np.minimum((s0 + span) * k, num_moves), at[s0[:, None] + np.arange(span)]
         delta = levels[move % k].reshape(i.shape + (reach,)) - w[r[:, None], i][..., None]
         todo = (delta != 0).reshape(move.shape) & (move >= st[:, None]) & (move < stop[:, None])
-        todo &= (rank := todo @ upper) <= left[:, None]
+        todo &= (rank := todo.cumsum(axis=1, dtype=float)) <= left[:, None]
         for lo, hi in (0, r.size // 2), (r.size // 2, r.size):  # half the windows at once
             np.matmul(win[r[lo:hi, None], i[lo:hi] - lags].view(float).reshape(-1, 4 * ns - 2),
                       lift, out=g[lo * span:hi * span])
@@ -66,49 +62,53 @@ def stochastic(geometry, levels, seed, budget, form, power):
         cur[j], improved[j] = score[hr, h], True
         return np.minimum(rank[rows, pick], left)
 
-    state = np.zeros((n, group_size, ns), int)
-    queue, more, g = prepared(state[:0]), True, np.empty((n * span, 4 * lags))
+    state, g = np.zeros((n, group_size, ns), int), np.empty((max(n, total // k), 4 * lags))
     w, y, cur = np.zeros((n, size), complex), np.zeros((n, 2 * lags)), np.zeros(n)
     coeffs = w[:, lags:].reshape(n, group_size, -1)[..., :ns]
     win = np.lib.stride_tricks.sliding_window_view(w, 2 * ns - 1, axis=1)
     start, improved, slot = np.zeros(n, int), np.zeros(n, bool), np.full(n, -1)
-    # Evaluations, start and end states, and end scores of restarts not yet counted.
-    book, log, last = np.zeros(0), np.zeros((0, 2, group_size, ns), int), cur[:0]
-    base, spent, least, best, kept = 0, 0, np.inf, (np.inf, None), []
+    # A ring of 2n restarts base..drawn, assigned up to top (those climbing, a drawn block):
+    # evaluations, start states, features and scores, end scores, near-least end states.
+    book, last, feats = np.zeros(cap := 2 * n), np.zeros(cap), np.zeros((cap, 2 * lags + 1))
+    log, ends, base, top, drawn = np.zeros((cap, group_size, ns), int), [None] * cap, 0, 0, 0
+    more, spent, least, best, kept = True, 0, np.inf, (np.inf, None), []
     while spent < budget:
         if (free := np.flatnonzero(slot < 0)).size and spent + book.sum() < budget:
-            if len(queue[0]) < free.size and more:
+            if drawn - top < free.size and more and drawn + n - base <= cap:
                 draws = [rng.integers(0, k, lags) for _ in range(n * group_size)]
-                draws = np.insert(np.reshape(draws, (n, group_size, lags)), 0, 0, axis=2)
-                queue = tuple(map(np.concatenate, zip(queue, prepared(draws))))
-            new = free[:len(queue[0])]
-            (begin, y[new], cur[new]), queue = zip(*(np.split(q, [new.size]) for q in queue))
-            state[new], coeffs[new], start[new], improved[new] = begin, levels[begin], 0, False
-            slot[new], last = base + book.size + np.arange(new.size), np.append(last, cur[new])
-            book, log = np.r_[book, np.ones(new.size)], np.r_[log, state[new, None][:, [0, 0]]]
-        # A sweep that improved starts again, else the climb ends, as one does once the
-        # restarts up to it, in order, spend the budget; the first past it re-climbs.
-        spend = spent + np.cumsum(book)
+                e = (drawn + np.arange(n)) % cap
+                log[e] = np.insert(np.reshape(draws, (n, group_size, lags)), 0, 0, axis=2)
+                f = sum(_lag_features(levels[log[e, m]]) for m in range(group_size)) @ root
+                feats[e, :-1], feats[e, -1], drawn = f, np.einsum("ij,ij->i", f, f), drawn + n
+            new, e = free[:drawn - top], np.arange(top, drawn)[:free.size]
+            slot[new], top, e = e, top + e.size, e % cap
+            state[new], y[new], cur[new], book[e] = log[e], feats[e, :-1], feats[e, -1], 1
+            coeffs[new], start[new], improved[new] = levels[state[new]], 0, False
+        # A sweep that improved starts again, else the climb ends, as once the restarts up to
+        # it, in order, spend the budget; the first past it re-climbs.  Ends count in order.
+        spend = spent + np.cumsum(book[ring := np.arange(base, top) % cap])
         left, end = budget - spend.take(slot - base, mode="clip"), start >= num_moves
         go = (slot >= 0) & (left > 0) & (improved | ~end)
         start[end & improved], improved[end] = 0, False
         if (out := np.flatnonzero((slot >= 0) & ~go)).size:
-            log[(e := slot[out] - base), 1], last[e], slot[out] = state[out], cur[out], -1
+            for j, e in zip(out.tolist(), (slot[out] % cap).tolist()):
+                ends[e] = state[j].tolist() if cur[j] <= least + _SCREEN_SLACK else None
+            last[slot[out] % cap], slot[out] = cur[out], -1
         if spend[-1] > budget:
-            if spend[j := np.argmax(spend > budget)] - book[j] < budget:
-                queue, more = prepared(log[j, 0, None]), False
-            book, log, last = book[:j], log[:j], last[:j]
-        # Ended restarts count in order; each step lowers the exact variance, so ends settle.
+            more, top = False, base + (j := np.argmax(spend > budget))
+            book[ring[j:]], drawn = 0, top + (spend[j] - book[ring[j]] < budget)
         r = np.flatnonzero(go)
-        while base < slot[r].min(initial=base + book.size) and spent < budget:
-            spent, least = spent + int(book[0]), min(least, last[0])
-            if last[0] <= least + _SCREEN_SLACK:
-                kept.append((log[0, 1].tolist(), last[0]))
-            book, log, last, base = book[1:], log[1:], last[1:], base + 1
-        if spent >= budget or len(kept) >= n:
+        while base < slot[r].min(initial=top) and spent < budget:
+            spent, least = spent + int(book[e := base % cap]), min(least, last[e])
+            if last[e] <= least + _SCREEN_SLACK:
+                kept.append((ends[e], last[e]))
+            book[e], base = 0, base + 1
+        if len(kept) >= n:
             best = _settle(power, best, [e for e, s in kept if s <= least + _SCREEN_SLACK])
             kept = []
-        book[slot[r] - base] += climb(r, left[r])
+        book[slot[r] % cap] += climb(r, left[r])
+    del feats, log, g, w, win, coeffs  # the last settle's tables take their place
+    best = _settle(power, best, [e for e, s in kept if s <= least + _SCREEN_SLACK])
     return tuple(map(tuple, best[1])), SearchMeta("stochastic", budget, seed)
 
 

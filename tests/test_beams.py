@@ -335,12 +335,16 @@ class TestFindComplementaryPair:
         (ArrayGeometry(16, 2), 4, 3, 20_000, GRID),
         (ArrayGeometry(12, 3), 4, 2, 9000, GRID),
         (ArrayGeometry(8, 2), 4, 3, 200_000, GRID),
+        (ArrayGeometry(24, 2), 4, 11, 2000, GRID),
+        (ArrayGeometry(15, 3), 3, 6, 4000, GRID),
+        (ArrayGeometry(9, 3), 100, 5, 4000, GRID),
     ], ids=["n32-k4-seed5", "n32-k4-seed7", "triple-k3", "near-ties-k8",
             "budget-1", "one-restart-plus-1", "cut-mid-block",
             "exact-ties-2-point-n8-k2", "exact-ties-2-point-triple-k4",
             "k1000-slots-split-over-rounds", "passes-while-earlier-climb-n8",
             "passes-while-earlier-climb-n16", "passes-while-earlier-climb-triple",
-            "slots-refilled-many-times"])
+            "slots-refilled-many-times", "drained-re-climbs-alone-n24",
+            "drained-re-climbs-alone-triple", "k100-sparse-rounds-split-levels"])
     def test_stochastic_matches_sequential_climb(self, geometry, accuracy, seed,
                                                  budget, grid):
         # restarts climbing in lockstep slots, a few moves at a time, return
@@ -349,7 +353,12 @@ class TestFindComplementaryPair:
         # K=1000 a round scores 16 of a slot's levels, so first improvement
         # must hold across rounds; at the three "passes" budgets the restart
         # that passes the budget ends while earlier restarts still climb and
-        # later ones have ended; at 200,000 each slot takes about 30 restarts
+        # later ones have ended; at 200,000 each slot takes about 30 restarts.
+        # In the "drained" cases the other slots have emptied when the restart
+        # that passes the budget climbs again, so it climbs alone, a whole
+        # sweep a round; at K=100 a round of 21 to 127 climbing restarts gives
+        # each 17 to 97 moves, so a widened round still splits a coefficient's
+        # levels
         if budget == "one restart + 1":
             budget = restarts_spend(geometry, accuracy, seed, 1) + 1
         elif isinstance(budget, str):
@@ -389,16 +398,50 @@ class TestFindComplementaryPair:
                                             method):
         # on two grid points the screen leaves many near-ties, which are
         # rescored from one power table per distinct member vector; only the
-        # returned set builds its members' patterns a second time
+        # returned set builds its members' patterns a second time.  A call
+        # may pass a matrix of weight vectors, counted a column at a time
         calls = []
-        counted = lambda w, geom, m, angles: (calls.append((m, w.tobytes()))
-                                              or subarray_gains(w, geom, m, angles))
+        counted = lambda w, geom, m, angles: (
+            calls.extend((m, v.tobytes()) for v in np.reshape(w, (len(w), -1)).T)
+            or subarray_gains(w, geom, m, angles))
         monkeypatch.setattr(beams, "subarray_gains", counted)
         find_complementary_set(geometry, accuracy,
                                AngleGrid.uniform_theta(2), method, seed=1,
                                budget=5000)
         assert len(calls) > 2 * geometry.num_subarrays
         assert len(calls) - len(set(calls)) <= geometry.num_subarrays
+
+    @pytest.mark.parametrize("elements, group_size, tables", [(20, 2, 34), (21, 3, 87)],
+                             ids=["pairs-20", "triples-21"])
+    def test_rescoring_builds_a_table_once_and_a_basis_per_block(
+            self, monkeypatch, elements, group_size, tables):
+        # the benchmark's exhaustive lines: the member tables built, the
+        # returned set's own included, keep their count, no rescored table is
+        # built twice, and a member's tables that a block of rescored groups
+        # lacks share one steering basis (one subarray_gains call), as each
+        # of the returned set's members takes one
+        rows, bases, missing, seen = [], [], [], set()
+        exact = beams._exact_variances
+
+        def counted(w, geom, m, angles):
+            bases.append(m)
+            rows.extend((m, v.tobytes()) for v in np.reshape(w, (len(w), -1)).T)
+            return subarray_gains(w, geom, m, angles)
+
+        def blocks(power, groups):
+            step = max(1, beams._RESCORE_BLOCK_FLOATS // len(GRID))
+            for i, m in itertools.product(range(0, len(groups), step), range(group_size)):
+                new = {(m, tuple(g[m])) for g in groups[i:i + step]} - seen
+                missing.extend([m] if new else [])
+                seen.update(new)
+            return exact(power, groups)
+
+        monkeypatch.setattr(beams, "subarray_gains", counted)
+        monkeypatch.setattr(beams, "_exact_variances", blocks)
+        find_complementary_set(ArrayGeometry(elements, group_size), 2, GRID, "exhaustive")
+        assert len(rows) == tables
+        assert len(rows) - len(set(rows)) == group_size
+        assert len(bases) <= len(missing) + group_size < tables
 
     def test_stochastic_draws_and_records_seed(self):
         found = find_complementary_set(ArrayGeometry(4, 2), 2,
@@ -498,6 +541,14 @@ class TestAutocorrelationScreen:
         # evaluations, where the levels themselves take 1.6 MB
         assert traced_peak(find_complementary_set, ArrayGeometry(4, 2), 10 ** 5, GRID,
                            "stochastic", seed=1, budget=10) < 8 * 2 ** 20
+
+    def test_widened_round_memory_stays_linear_in_its_moves(self):
+        # a restart left climbing alone scores a whole sweep a round, here
+        # 1,016 moves (two members' 127 coefficients, 4 levels each); its
+        # evaluation count is a running sum over the round, where a square
+        # rank matrix for that width took the peak from 10.7 to 18.5 MiB
+        assert traced_peak(find_complementary_set, ArrayGeometry(256, 2), 4, GRID,
+                           "stochastic", seed=1, budget=100) < 14 * 2 ** 20
 
     @pytest.mark.parametrize("elements, group_size, points, limit_mib", [
         (24, 2, 512, 8), (21, 3, 512, 3), (24, 3, 512, 5), (20, 2, 2, 3),

@@ -7,11 +7,11 @@ climbing for large instances, and the beam-set JSON format.
 Both searches screen a block of candidates at a time by the members' summed
 autocorrelation, in which the composite variance is a quadratic form whatever
 the grid size, and settle the block's near-ties against a running best with
-the exact pattern arithmetic of ``ComplementaryBeamSet``, which alone decides
-minima and ties; the tables a block lacks share one steering basis per
-member.  The climb runs its restarts in lockstep slots, each taking the next
-restart as soon as its own ends, shares a fixed number of moves a round among
-them, and returns the set that climbing one restart at a time returns.
+one exact scorer, ``ComplementaryBeamSet``'s arithmetic on member tables kept
+for the search, which alone decides minima and ties; a block's missing tables
+share one steering basis per member.  The climb runs restarts in lockstep
+slots, each taking the next as soon as its own ends, shares a fixed number of
+moves a round among them, and returns the set one restart at a time returns.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ DEFAULT_STOCHASTIC_BUDGET = 100_000
 _SCREEN_SLACK = 1e-9  # far above the screen's rounding, near 1e-15
 _SCREEN_BLOCK_FLOATS = 2 ** 15  # 256 kB of exhaustive scores per block
 _RESCORE_BLOCK_FLOATS = 2 ** 12  # 32 kB of each member's power tables per block
-_CLIMB_BLOCK = 128  # lockstep slots of the stochastic climb, refilled in restart order
-_CLIMB_MOVES = 16  # moves per slot a round, shared among the restarts climbing
 
 
 class SearchCapacityError(ValueError):
@@ -272,12 +270,12 @@ def find_complementary_set(
             f"ceiling of {candidate_ceiling}; use method='stochastic' or 'golay'"
         )
     levels, form = phase_levels(accuracy), _autocorrelation_form(geometry, grid)
-    power = _member_powers(geometry, grid, levels)
+    score = _exact_scorer(geometry, grid, levels)
     if method == "exhaustive":
-        best, meta = _exhaustive(geometry, levels, form, power)
+        best, meta = _exhaustive(geometry, levels, form, score)
     else:
         from .climb import stochastic  # compiled only when a search climbs
-        best, meta = stochastic(geometry, levels, seed, budget, form, power)
+        best, meta = stochastic(geometry, levels, seed, budget, form, score)
     return ComplementaryBeamSet(geometry, levels[list(best)], grid, meta, accuracy, best)
 
 
@@ -290,43 +288,36 @@ def _lag_features(weights: np.ndarray) -> np.ndarray:
     return np.concatenate([r.real, r.imag], axis=-1)
 
 
-def _member_powers(geometry, grid, coeffs):
-    """power(m, idx, *more): sub-array m's |gain|^2 table of phase-index vector idx,
-    kept for the search; those of idx and more not kept yet are built first, a
-    rescoring block's worth from one transient steering basis."""
+def _exact_scorer(geometry, grid, levels):
+    """score(groups): composite variances of phase-index groups (one index vector
+    per member) by ComplementaryBeamSet's arithmetic, a block of groups at a time:
+    the values that decide every reported minimum and tie.  A member's tables that
+    the groups lack are built first, a rescoring block's worth from one transient
+    steering basis, and kept for the search."""
     tables, step = {}, max(1, _RESCORE_BLOCK_FLOATS // len(grid))
-    def power(m, *vectors):
-        new = [v for v in dict.fromkeys(map(tuple, vectors)) if (m, v) not in tables]
-        for block in (new[i:i + step] for i in range(0, len(new), step)):
-            gains = subarray_gains(coeffs[block].T, geometry, m, grid.points)
-            tables.update(((m, v), gain_power(c)) for v, c in zip(block, gains.T))
-        return tables[m, tuple(vectors[0])]
-    return power
+    def score(groups):
+        for m in range(len(groups[0])):
+            new = [v for v in {tuple(g[m]) for g in groups} if (m, v) not in tables]
+            for block in (new[i:i + step] for i in range(0, len(new), step)):
+                gains = subarray_gains(levels[block].T, geometry, m, grid.points)
+                tables.update(((m, v), gain_power(c)) for v, c in zip(block, gains.T))
+        return np.concatenate([
+            np.array([[tables[m, tuple(v)] for m, v in enumerate(g)] for g in groups[i:i + step]])
+            .mean(axis=1).var(axis=-1) for i in range(0, len(groups), step)])
+    return score
 
 
-def _exact_variances(power, groups) -> np.ndarray:
-    """Composite variances of phase-index groups (one index vector per member)
-    by ComplementaryBeamSet's arithmetic, a block of groups at a time, each
-    member's missing tables built first: the values that decide every reported
-    minimum and tie."""
-    firsts = [power(m, *{tuple(g[m]) for g in groups}) for m in range(len(groups[0]))]
-    step = max(1, _RESCORE_BLOCK_FLOATS // firsts[0].size)
-    return np.concatenate([
-        np.array([[power(m, idx) for m, idx in enumerate(g)] for g in groups[i:i + step]])
-        .mean(axis=1).var(axis=-1) for i in range(0, len(groups), step)])
-
-
-def _settle(power, best, groups):
+def _settle(score, best, groups):
     """The running best (exact variance, group), replaced by the first of
     groups, in search order, whose exact variance is strictly smaller."""
     if not groups:
         return best
-    var = _exact_variances(power, groups)
+    var = score(groups)
     i = int(np.argmin(var))
     return (var[i], groups[i]) if var[i] < best[0] else best
 
 
-def _exhaustive(geometry, levels, form, power):
+def _exhaustive(geometry, levels, form, score):
     ns, k, group_size = geometry.subarray_size, len(levels), geometry.num_subarrays
     num_vectors = k ** (ns - 1)
     # Leading coefficient pinned to 1: a global phase never changes |gain|,
@@ -351,6 +342,6 @@ def _exhaustive(geometry, levels, form, power):
         least = min(least, block.min())
         near = np.unravel_index(np.flatnonzero(block <= least + _SCREEN_SLACK)
                                 + i * num_vectors, (num_vectors,) * group_size)
-        best = _settle(power, best, list(zip(*([rows[v] for v in numbers.tolist()]
+        best = _settle(score, best, list(zip(*([rows[v] for v in numbers.tolist()]
                                               for numbers in near))))
     return best[1], SearchMeta("exhaustive", num_vectors ** group_size, None)

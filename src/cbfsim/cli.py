@@ -37,11 +37,6 @@ SEED_ENV_VAR = "CBF_SIM_SEED"
 _REQUIRED = {"search": ("elements",), "pattern": (), "ber": ("scheme", "snr_db")}
 
 
-def _fmt(value: float) -> str:
-    """Numeric fields carry 9 significant digits."""
-    return f"{value:.9g}"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbfsim",
@@ -180,8 +175,9 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
 
 
 def _write(base: Path, suffix: str, lines: list[str]) -> Path:
-    """<base><suffix> as UTF-8 text, each line ended by LF."""
+    """<base><suffix> as UTF-8 text, each line ended by LF, its directory made first."""
     path = base.with_name(base.name + suffix)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -203,18 +199,17 @@ def _write_manifest(base: Path, command: str, config: dict, outputs: list[Path])
 def _write_pattern_csv(base: Path, beams: ComplementaryBeamSet) -> Path:
     members = beams.member_powers
     names = ["theta_deg", *(f"g{i + 1}_power" for i in range(len(members))), "composite_power"]
-    line = ",".join(["%.9g"] * len(names))  # _fmt's digits, one format per row
+    line = ",".join(["%.9g"] * len(names))  # numeric fields carry 9 significant digits
     cols = (np.degrees(beams.grid.points), *members, beams.composite_power)
     return _write(base, ".pattern.csv", [",".join(names)] + [line % row for row in zip(*cols)])
 
 
 def _write_ber_csv(base: Path, curve) -> Path:
-    lines = ["scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95,ci_lo,ci_hi"]
-    for p in curve.points:
-        lines.append(",".join([curve.scheme, curve.channel, _fmt(math.degrees(p.angle)),
-                               _fmt(p.eb_n0_db), str(p.bits), str(p.errors),
-                               *map(_fmt, (p.ber, p.ci95, p.ci_lo, p.ci_hi))]))
-    return _write(base, ".ber.csv", lines)
+    header = "scheme,channel,angle_deg,ebn0_db,bits,errors,ber,ci95,ci_lo,ci_hi"
+    line = "%s,%s,%.9g,%.9g,%s,%s,%.9g,%.9g,%.9g,%.9g"  # the pattern CSV's digits
+    rows = ((curve.scheme, curve.channel, math.degrees(p.angle), p.eb_n0_db, p.bits,
+             p.errors, p.ber, p.ci95, p.ci_lo, p.ci_hi) for p in curve.points)
+    return _write(base, ".ber.csv", [header] + [line % row for row in rows])
 
 
 def _load_beamset(path: str) -> ComplementaryBeamSet:
@@ -227,10 +222,9 @@ def cmd_search(ns, parser) -> int:
     grid = AngleGrid.uniform_theta(ns.grid_points)
     beams = find_complementary_set(geometry, ns.accuracy, grid, ns.method, seed=ns.seed,
                                    budget=ns.budget, candidate_ceiling=ns.ceiling)
-    print(f"sigma_g2={_fmt(beams.variance)}")
+    print("sigma_g2=%.9g" % beams.variance)
     if ns.out is not None:
         base = Path(ns.out)
-        base.parent.mkdir(parents=True, exist_ok=True)
         beams_json = json.dumps(beams.to_json_dict(), indent=2, sort_keys=True)
         written = [_write(base, ".beams.json", [beams_json]),
                    _write_pattern_csv(base, beams)]
@@ -266,7 +260,6 @@ def cmd_pattern(ns, parser) -> int:
                                      SearchMeta("explicit", 0, None),
                                      ns.accuracy, tuple(indices))
     base = Path(ns.out)
-    base.parent.mkdir(parents=True, exist_ok=True)
     written = [_write_pattern_csv(base, beams)]
     # a --beamset run reads none of the --weights inputs
     explicit = ns.beamset is None
@@ -315,7 +308,6 @@ def cmd_ber(ns, parser) -> int:
     _keep_batch_memory()        # the command's process ends with the campaign
     curve = run_ber(config)
     base = Path(ns.out)
-    base.parent.mkdir(parents=True, exist_ok=True)
     written = [_write_ber_csv(base, curve)]
     resolved = {
         "command": "ber", "scheme": ns.scheme, "channel": config.channel,

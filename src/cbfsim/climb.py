@@ -2,11 +2,13 @@
 
 import numpy as np
 
-from .beams import (_CLIMB_BLOCK, _CLIMB_MOVES, _SCREEN_SLACK, SearchMeta, _exact_variances,
-                    _lag_features, _settle)
+from .beams import _SCREEN_SLACK, SearchMeta, _lag_features, _settle
+
+_CLIMB_BLOCK = 128  # lockstep slots of the stochastic climb, refilled in restart order
+_CLIMB_MOVES = 16  # moves per slot a round, shared among the restarts climbing
 
 
-def stochastic(geometry, levels, seed, budget, form, power):
+def stochastic(geometry, levels, seed, budget, form, exact):
     if budget < 1:
         raise ValueError("stochastic search needs a positive budget")
     if seed is None:
@@ -50,7 +52,7 @@ def stochastic(geometry, levels, seed, budget, form, power):
             tie = np.flatnonzero(near[j, :sure[0]])
             alt = np.repeat(state[r[j]].reshape(1, -1), tie.size + 1, axis=0)
             alt[np.arange(1, tie.size + 1), flat[move[j, tie] // k]] = move[j, tie] % k
-            now, *var = _exact_variances(power, alt.reshape(-1, group_size, ns).tolist())
+            now, *var = exact(alt.reshape(-1, group_size, ns).tolist())
             h[j] = next((t for t, v in zip(tie, var) if v < now), sure[0])
             hit[j] = h[j] < width
         pick = np.where(hit, h, width - 1)
@@ -104,11 +106,11 @@ def stochastic(geometry, levels, seed, budget, form, power):
                 kept.append((ends[e], last[e]))
             book[e], base = 0, base + 1
         if len(kept) >= n:
-            best = _settle(power, best, [e for e, s in kept if s <= least + _SCREEN_SLACK])
+            best = _settle(exact, best, [e for e, s in kept if s <= least + _SCREEN_SLACK])
             kept = []
         book[slot[r] % cap] += climb(r, left[r])
     del feats, log, g, w, win, coeffs  # the last settle's tables take their place
-    best = _settle(power, best, [e for e, s in kept if s <= least + _SCREEN_SLACK])
+    best = _settle(exact, best, [e for e, s in kept if s <= least + _SCREEN_SLACK])
     return tuple(map(tuple, best[1])), SearchMeta("stochastic", budget, seed)
 
 

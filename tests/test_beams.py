@@ -3,12 +3,16 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cbfsim import beams
+from cbfsim import beams, climb
 from cbfsim.arrays import (
     AngleGrid,
     ArrayGeometry,
@@ -45,11 +49,23 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def power_table(geometry, accuracy, grid, m, idx):
+    """|gain|^2 of phase-index vector idx on sub-array m, one vector a call."""
+    return gain_power(subarray_gains(phase_levels(accuracy)[list(idx)], geometry, m,
+                                     grid.points))
+
+
 def power_tables(geometry, accuracy, grid, vectors):
     """|gain|^2 of every phase-index vector on every sub-array."""
-    return {(m, idx): gain_power(subarray_gains(
-                phase_levels(accuracy)[list(idx)], geometry, m, grid.points))
+    return {(m, idx): power_table(geometry, accuracy, grid, m, idx)
             for m in range(geometry.num_subarrays) for idx in vectors}
+
+
+def cached_power(geometry, accuracy, grid):
+    """power(m, idx): power_table memoized, the climb oracles' member tables,
+    built apart from the exact scorer's cache that the searches use."""
+    table = functools.cache(lambda m, idx: power_table(geometry, accuracy, grid, m, idx))
+    return lambda m, idx: table(m, tuple(idx))
 
 
 def brute_force_minimum(geometry, accuracy, grid, group_size=2):
@@ -77,7 +93,7 @@ def restarts_spend(geometry, accuracy, seed, restarts, lo=1):
     restarts: the largest budget under which it draws no more start states,
     searched upwards from a budget lo that draws no more either."""
     form = _autocorrelation_form(geometry, GRID)
-    power = beams._member_powers(geometry, GRID, phase_levels(accuracy))
+    power = cached_power(geometry, accuracy, GRID)
 
     def drawn(budget):
         rng = CountingGenerator(np.random.PCG64(seed))
@@ -362,12 +378,12 @@ class TestFindComplementaryPair:
         if budget == "one restart + 1":
             budget = restarts_spend(geometry, accuracy, seed, 1) + 1
         elif isinstance(budget, str):
-            spent = restarts_spend(geometry, accuracy, seed, beams._CLIMB_BLOCK // 2)
-            after = restarts_spend(geometry, accuracy, seed, beams._CLIMB_BLOCK // 2 + 1,
+            spent = restarts_spend(geometry, accuracy, seed, climb._CLIMB_BLOCK // 2)
+            after = restarts_spend(geometry, accuracy, seed, climb._CLIMB_BLOCK // 2 + 1,
                                    spent)
             budget = (spent + after) // 2
             assert spent < budget < after
-        power = beams._member_powers(geometry, grid, phase_levels(accuracy))
+        power = cached_power(geometry, accuracy, grid)
         best, meta = sequential_climb(geometry, phase_levels(accuracy), seed, budget,
                                       _autocorrelation_form(geometry, grid), power)
         found = find_complementary_set(geometry, accuracy, grid, "stochastic", seed=seed,
@@ -386,9 +402,9 @@ class TestFindComplementaryPair:
         # the returned set's exact score is the beam set's own variance
         found = find_complementary_set(geometry, accuracy, GRID, method, seed=3,
                                        budget=3000)
-        power = beams._member_powers(geometry, GRID, phase_levels(accuracy))
-        (score,) = beams._exact_variances(power, [found.phase_indices])
-        assert float(score).hex() == found.variance.hex()
+        score = beams._exact_scorer(geometry, GRID, phase_levels(accuracy))
+        (exact,) = score([found.phase_indices])
+        assert float(exact).hex() == found.variance.hex()
 
     @pytest.mark.parametrize("geometry, accuracy, method", [
         (ArrayGeometry(20, 2), 2, "exhaustive"),
@@ -421,23 +437,27 @@ class TestFindComplementaryPair:
         # lacks share one steering basis (one subarray_gains call), as each
         # of the returned set's members takes one
         rows, bases, missing, seen = [], [], [], set()
-        exact = beams._exact_variances
+        scorer = beams._exact_scorer
 
         def counted(w, geom, m, angles):
             bases.append(m)
             rows.extend((m, v.tobytes()) for v in np.reshape(w, (len(w), -1)).T)
             return subarray_gains(w, geom, m, angles)
 
-        def blocks(power, groups):
-            step = max(1, beams._RESCORE_BLOCK_FLOATS // len(GRID))
-            for i, m in itertools.product(range(0, len(groups), step), range(group_size)):
-                new = {(m, tuple(g[m])) for g in groups[i:i + step]} - seen
-                missing.extend([m] if new else [])
-                seen.update(new)
-            return exact(power, groups)
+        def blocks(*args):
+            score = scorer(*args)
+
+            def by_block(groups):
+                step = max(1, beams._RESCORE_BLOCK_FLOATS // len(GRID))
+                for i, m in itertools.product(range(0, len(groups), step), range(group_size)):
+                    new = {(m, tuple(g[m])) for g in groups[i:i + step]} - seen
+                    missing.extend([m] if new else [])
+                    seen.update(new)
+                return score(groups)
+            return by_block
 
         monkeypatch.setattr(beams, "subarray_gains", counted)
-        monkeypatch.setattr(beams, "_exact_variances", blocks)
+        monkeypatch.setattr(beams, "_exact_scorer", blocks)
         find_complementary_set(ArrayGeometry(elements, group_size), 2, GRID, "exhaustive")
         assert len(rows) == tables
         assert len(rows) - len(set(rows)) == group_size
@@ -451,6 +471,30 @@ class TestFindComplementaryPair:
                                        GRID, "stochastic", seed=found.meta.seed,
                                        budget=50)
         assert again.variance == found.variance
+
+
+CLIMB_IMPORT = """
+import sys
+from cbfsim.arrays import AngleGrid, ArrayGeometry
+from cbfsim.beams import find_complementary_set
+seen = []
+for method in ("exhaustive", "golay", "stochastic"):
+    find_complementary_set(ArrayGeometry(8, 2), 2, AngleGrid.uniform_theta(8), method,
+                           seed=1, budget=50)
+    seen.append("cbfsim.climb" in sys.modules)
+print(seen)
+"""
+
+
+def test_climb_is_imported_only_when_a_search_climbs():
+    # in a fresh interpreter the exhaustive and golay searches leave the climb's
+    # module unimported, so no start-up that does not climb compiles it
+    src = str(Path(beams.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", CLIMB_IMPORT], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["[False,", "False,", "True]"]
 
 
 def climb_draws(count=12, seed=20_241_019):
@@ -472,7 +516,7 @@ def test_stochastic_fuzz_matches_sequential_climb(geometry, accuracy, points, bu
     # the refilled lockstep against the one-restart-at-a-time climb on random
     # geometries, accuracies, grids and budgets
     grid = AngleGrid.uniform_theta(points)
-    power = beams._member_powers(geometry, grid, phase_levels(accuracy))
+    power = cached_power(geometry, accuracy, grid)
     best, meta = sequential_climb(geometry, phase_levels(accuracy), seed, budget,
                                   _autocorrelation_form(geometry, grid), power)
     found = find_complementary_set(geometry, accuracy, grid, "stochastic", seed=seed,

@@ -14,16 +14,8 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "BITS_PER_SYMBOL",
-    "noise_variance",
-    "qpsk_modulate",
-    "qpsk_demodulate",
-    "complex_noise",
-    "q_function",
-    "awgn_qpsk_ber",
-    "rayleigh_qpsk_ber",
-]
+__all__ = ["BITS_PER_SYMBOL", "noise_variance", "qpsk_modulate", "qpsk_demodulate",
+           "complex_noise", "q_function", "awgn_qpsk_ber", "rayleigh_qpsk_ber"]
 
 BITS_PER_SYMBOL = 2
 

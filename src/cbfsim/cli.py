@@ -21,14 +21,8 @@ import numpy as np
 
 from . import __version__
 from .arrays import AngleGrid, ArrayGeometry
-from .beams import (
-    DEFAULT_CANDIDATE_CEILING,
-    DEFAULT_STOCHASTIC_BUDGET,
-    ComplementaryBeamSet,
-    SearchMeta,
-    find_complementary_set,
-    phase_levels,
-)
+from .beams import (DEFAULT_CANDIDATE_CEILING, DEFAULT_STOCHASTIC_BUDGET, ComplementaryBeamSet,
+                    SearchMeta, find_complementary_set, phase_levels)
 from .simulate import (DEFAULT_ANGLES_DEG, MAX_LATTICE_POINTS, SchemeConfig,
                        SimConfig, _keep_batch_memory, run_ber)
 
@@ -248,9 +242,10 @@ def cmd_pattern(ns, parser) -> int:
         levels = phase_levels(ns.accuracy)
         indices = []
         for spec in ns.weights:
-            idx = tuple(int(tok) for tok in spec.split(","))
+            idx = tuple(int(t) if t.strip().isdecimal() else -1 for t in spec.split(","))
             if any(i < 0 or i >= ns.accuracy for i in idx):
-                parser.error(f"phase index out of range for K={ns.accuracy}: {spec}")
+                parser.error(f"--weights takes comma-separated phase indices from 0 to "
+                             f"{ns.accuracy - 1}, got {spec!r}")
             indices.append(idx)
         if len({len(ix) for ix in indices}) != 1:
             parser.error("all weight vectors must have the same length")

@@ -6,17 +6,17 @@ single stream through a fresh random full-array pattern every block, and
 one pipeline for all three: draw bits, map them to QPSK symbols, transmit
 (rbf and single share one scalar path), meter the radiated energy against
 the budget, decode with the signal's own ``decode``, demap and count errors.
-The batch is also the unit of parallel work: the batches of every lattice
-point are spread over the worker processes, even when the lattice has one
-point.  Campaigns are bit-identical for the same configuration and seed,
-whatever the worker count: each batch is driven by an rng stream keyed on
-(seed, angle index, SNR index, batch index), so its error count does not
-depend on which process runs it, and counts are folded in batch order.
-A batch draws, in order: its bits as packed random bytes, for rbf one
-float32 phase per element and block, then the fading and noise, each complex
-sample one pair of normal draws.  Each complex product keeps the operand
-order full batches have always rounded in, as numpy's complex multiply is not
-bitwise commutative.
+The batch is also the unit of parallel work: forked workers read the (angle,
+SNR, batch) keys of every point's batches, a lone point's too, from a pipe
+each and answer with error counts.  Campaigns are bit-identical for the same
+configuration and seed, whatever the worker count: each batch is driven by
+an rng stream keyed on (seed, angle index, SNR index, batch index), so its
+error count does not depend on which process runs it, and counts are folded
+in batch order.  A batch draws, in order: its bits as packed random bytes,
+for rbf one float32 phase per element and block, then the fading and noise,
+each complex sample one pair of normal draws.  Each complex product keeps
+the operand order full batches have always rounded in, as numpy's complex
+multiply is not bitwise commutative.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import pickle
+import select
+import struct
 from collections import deque
 from dataclasses import astuple, dataclass
 from functools import partial
@@ -34,20 +37,9 @@ from . import channel as chan
 from .arrays import ArrayGeometry, steering_basis, subarray_gains
 from .beams import ComplementaryBeamSet
 
-__all__ = [
-    "DEFAULT_ANGLES_DEG",
-    "SchemeConfig",
-    "SimConfig",
-    "BerPoint",
-    "BerCurve",
-    "LinkChannel",
-    "CbfSignal",
-    "ScalarSignal",
-    "transmit_cbf",
-    "transmit_rbf",
-    "transmit_single",
-    "run_ber",
-]
+__all__ = ["DEFAULT_ANGLES_DEG", "SchemeConfig", "SimConfig", "BerPoint", "BerCurve",
+           "LinkChannel", "CbfSignal", "ScalarSignal", "transmit_cbf", "transmit_rbf",
+           "transmit_single", "run_ber"]
 
 # Default observation angles: broadside, a uniform-beam null direction
 # (asin(1/4) for an 8-element half-wavelength ULA), and wide offsets.
@@ -474,11 +466,6 @@ def _schedule(config: SimConfig, procs: int, submit) -> list[BerPoint]:
     return points
 
 
-# A pool worker's campaign, set by run_ber before the pool forks its workers,
-# so that a task is only an (ai, si, batch) tuple and its result an int.
-_pool_config: SimConfig | None = None
-
-
 def _keep_batch_memory():
     """Keep freed batch arrays mapped, up to 128 MiB, so batches reuse pages."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -488,8 +475,65 @@ def _keep_batch_memory():
     mallopt(-1, 128 << 20)      # M_TRIM_THRESHOLD
 
 
-def _pool_batch(ai: int, si: int, batch: int) -> int:
-    return _run_batch(_pool_config, ai, si, batch)
+_KEY = struct.Struct("3q")      # (ai, si, batch): under PIPE_BUF, so read as written, whole
+_AHEAD = 2                      # keys written ahead to a worker: one running, one queued
+
+
+def _run_pool(config: SimConfig, procs: int) -> list[BerPoint]:
+    """_schedule over ``procs`` forked workers, each fed keys through a pipe: in
+    the order sent, to whichever has fewer than _AHEAD unanswered, so no pipe
+    fills.  However the campaign ends, all pipes are closed and workers reaped."""
+    pids, queue, poll = [], deque(), select.poll()
+    out = {}                    # answer fd -> (its file, the key fd, tasks unanswered)
+
+    def answer(task):           # a task is [key] until its answer is appended
+        while len(task) == 1:
+            try:
+                for _, fd, sent in out.values():
+                    while queue and len(sent) < _AHEAD:
+                        sent.append(queue.popleft())
+                        os.write(fd, _KEY.pack(*sent[-1][0]))
+                for fd, _ in poll.poll():
+                    f, _, sent = out[fd]
+                    sent.popleft().append(pickle.load(f))
+            except (BrokenPipeError, EOFError):
+                raise RuntimeError("a BER worker process died") from None
+        if isinstance(task[1], BaseException):
+            raise task[1]
+        return task[1]
+
+    def submit(*key):
+        queue.append(task := [key])
+        return partial(answer, task)
+
+    try:
+        for _ in range(procs):
+            (key_r, key_w), (ans_r, ans_w) = os.pipe(), os.pipe()
+            out[ans_r] = open(ans_r, "rb", buffering=0), key_w, deque()  # poll sees all unread
+            poll.register(ans_r, select.POLLIN)
+            try:
+                if (pid := os.fork()) == 0:
+                    try:    # a worker: keys in, pickled counts or batch exceptions out
+                        for f, fd, _ in out.values():
+                            f.close(), os.close(fd)
+                        _keep_batch_memory()
+                        while key := os.read(key_r, _KEY.size):
+                            try:
+                                reply = _run_batch(config, *_KEY.unpack(key))
+                            except Exception as exc:
+                                reply = exc
+                            os.write(ans_w, pickle.dumps(reply))
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            finally:            # reached by the parent only, even if the fork fails
+                os.close(key_r), os.close(ans_w)
+        return _schedule(config, procs, submit)
+    finally:
+        for f, fd, _ in out.values():
+            f.close(), os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def run_ber(config: SimConfig) -> BerCurve:
@@ -506,24 +550,8 @@ def run_ber(config: SimConfig) -> BerCurve:
     """
     nproc = _available_cpus()
     procs = min(config.workers or nproc, nproc) if hasattr(os, "fork") else 1
-    if procs == 1:
-        points = _schedule(config, 1, lambda *key: partial(_run_batch, config, *key))
-    else:
-        # Imported here so that importing the package does not pay for them;
-        # forked workers inherit the package, numpy.random (loaded lazily) and the config.
-        import concurrent.futures
-        import multiprocessing
-        import numpy.random  # noqa: F401
-
-        global _pool_config
-        _pool_config = config
-        pool = concurrent.futures.ProcessPoolExecutor(
-            procs, mp_context=multiprocessing.get_context("fork"),
-            initializer=_keep_batch_memory)
-        try:
-            points = _schedule(config, procs, lambda *key: pool.submit(
-                _pool_batch, *key).result)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    import numpy.random  # noqa: F401  (numpy loads it lazily; forked workers inherit it)
+    points = (_run_pool(config, procs) if procs > 1 else
+              _schedule(config, 1, lambda *key: partial(_run_batch, config, *key)))
     return BerCurve(scheme=config.scheme.kind, channel=config.channel,
                     points=tuple(points))

@@ -468,8 +468,17 @@ def test_infinite_spacing_one_line_error(tmp_path, capsys, argv):
      "error: seed must be non-negative"),
     ("ber --scheme single --snr-db 4 --angles 0 --target-errors -1", 1,
      "error: target_errors must be >= 0"),
+    ("pattern --weights 0,a", 2, "cbfsim pattern: error: --weights takes "
+     "comma-separated phase indices from 0 to 3, got '0,a'"),
+    ("pattern --weights EMPTY", 2, "cbfsim pattern: error: --weights takes "
+     "comma-separated phase indices from 0 to 3, got ''"),
+    ("pattern --weights 0,1 --weights 0,,1 --accuracy 2", 2, "cbfsim pattern: error: "
+     "--weights takes comma-separated phase indices from 0 to 1, got '0,,1'"),
+    ("pattern --weights 0,4", 2, "cbfsim pattern: error: --weights takes "
+     "comma-separated phase indices from 0 to 3, got '0,4'"),
 ], ids=["no-elements", "zero-budget", "golay-odd-k", "two-part-snr-range", "ragged-weights",
-        "cbf-triple", "negative-seed", "negative-target-errors"])
+        "cbf-triple", "negative-seed", "negative-target-errors", "non-integer-weight",
+        "empty-weights", "empty-weight", "weight-out-of-range"])
 def test_rejected_value_exit_code_and_line(tmp_path, capsys, argv, code, line):
     # a triple is searched but never simulated: cbf takes pairs only
     triple = tmp_path / "triple"
@@ -477,7 +486,7 @@ def test_rejected_value_exit_code_and_line(tmp_path, capsys, argv, code, line):
         assert main(["search", "--elements", "9", "--subarrays", "3", "--accuracy", "2",
                      "--out", str(triple)]) == 0
         capsys.readouterr()
-    argv = [f"{triple}.beams.json" if a == "TRIPLE" else a for a in argv.split()]
+    argv = [{"TRIPLE": f"{triple}.beams.json", "EMPTY": ""}.get(a, a) for a in argv.split()]
     assert main(argv + ["--out", str(tmp_path / "r")]) == code
     err = capsys.readouterr().err.splitlines()
     # a usage error (exit 2) prints the usage first, then its one error line

@@ -1,11 +1,13 @@
 """Tests for the three transmit paths and the Monte Carlo campaign runner."""
 
 import collections
-import concurrent.futures
+import dataclasses
 import math
 import os
+import pickle
 import platform
 import resource
+import select
 import subprocess
 import sys
 import textwrap
@@ -49,15 +51,17 @@ BEAMS = find_complementary_set(GEOM, 2,
 def pool_sizes(monkeypatch):
     """Two available CPUs, and the size of every process pool run_ber opens."""
     sizes = []
-
-    class SpyExecutor(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyExecutor)
+    run_pool = simulate._run_pool
+    monkeypatch.setattr(simulate, "_run_pool",
+                        lambda config, procs: sizes.append(procs) or run_pool(config, procs))
     monkeypatch.setattr(simulate, "_available_cpus", lambda: 2)
     return sizes
+
+
+def assert_no_child_processes():
+    # every worker forked for a campaign has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def quiet_link(rng=None):
@@ -328,6 +332,7 @@ class TestRunBer:
                 seed=5, workers=workers)).points
         assert point(1) == point(2) == point(4)
         assert pool_sizes == [2, 2]
+        assert_no_child_processes()
 
     def test_one_worker_opens_no_pool(self, pool_sizes):
         run_ber(self.small_config(SchemeConfig("cbf", GEOM, beams=BEAMS),
@@ -501,6 +506,122 @@ def test_batch_error_reaches_the_caller(pool_sizes, monkeypatch, capsys, tmp_pat
     assert err[0].startswith("error: transmit power budget violated")
     assert not (tmp_path / "e.ber.csv").exists()
     assert pool_sizes == ([] if workers == 1 else [2, 2])
+    assert_no_child_processes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="run_ber forks its pool workers")
+def test_worker_death_fails_the_campaign(pool_sizes, monkeypatch, capsys, tmp_path):
+    # a worker that dies on its batch 2 ends the campaign with an error, not a
+    # hang, and no worker outlives it
+    parent, run_batch = os.getpid(), simulate._run_batch
+
+    def die_on_batch_2(config, ai, si, batch):
+        if batch == 2 and os.getpid() != parent:
+            os._exit(3)
+        return run_batch(config, ai, si, batch)
+
+    monkeypatch.setattr(simulate, "_run_batch", die_on_batch_2)
+    with pytest.raises(RuntimeError, match="worker process died"):
+        run_ber(SimConfig(SchemeConfig("single", ArrayGeometry(1, 1)), "awgn",
+                          (0.0,), (4.0,), min_bits=1_000_000, seed=1, workers=2))
+    assert_no_child_processes()
+    code = main(["ber", "--scheme", "single", "--snr-db", "4", "--angles", "0",
+                 "--min-bits", "1000000", "--workers", "2", "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and err == ["error: a BER worker process died"]
+    assert not list(tmp_path.iterdir())
+    assert pool_sizes == [2, 2]
+    assert_no_child_processes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="run_ber forks its pool workers")
+def test_interrupt_in_the_parent_reaps_the_workers(pool_sizes, monkeypatch):
+    # an interrupt in the parent's third wait for answers, with batches still
+    # written ahead to the workers, ends the campaign; every worker is reaped
+    real_poll = select.poll
+
+    class InterruptedPoll:
+        def __init__(self):
+            self.inner, self.waits = real_poll(), 0
+
+        def register(self, *args):
+            self.inner.register(*args)
+
+        def poll(self):
+            self.waits += 1
+            if self.waits == 3:
+                raise KeyboardInterrupt
+            return self.inner.poll()
+
+    monkeypatch.setattr(select, "poll", InterruptedPoll)
+    with pytest.raises(KeyboardInterrupt):
+        run_ber(SimConfig(SchemeConfig("single", ArrayGeometry(1, 1)), "awgn",
+                          (0.0, 0.5), (4.0,), min_bits=1_000_000, seed=1, workers=2))
+    assert pool_sizes == [2]
+    assert_no_child_processes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="run_ber forks its pool workers")
+def test_pool_hears_workers_on_descriptors_past_fd_setsize(pool_sizes):
+    # with 1,100 descriptors already open the pool's pipes are numbered past
+    # 1,024, which select.select cannot watch
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if hard != resource.RLIM_INFINITY and hard < 1200:
+        pytest.skip("fewer than 1,200 descriptors allowed")
+    config = SimConfig(SchemeConfig("single", ArrayGeometry(1, 1)), "awgn", (0.0,), (4.0,),
+                       min_bits=600_000, max_bits=600_000, target_errors=0, seed=1)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, 1200), hard))
+    held = []
+    try:
+        held += (os.open(os.devnull, os.O_RDONLY) for _ in range(1100))
+        pooled = run_ber(dataclasses.replace(config, workers=2))
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert max(held) >= 1024
+    assert pooled == run_ber(dataclasses.replace(config, workers=1))
+    assert pool_sizes == [2]
+    assert_no_child_processes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="run_ber forks its pool workers")
+def test_keys_written_ahead_stay_bounded(pool_sizes, monkeypatch, tmp_path):
+    # 3,000 one-batch points: their 24-byte keys, all sent at once, are more
+    # than one 64 KiB pipe holds, yet no worker is ever written more than
+    # _AHEAD keys it has not answered, and the CSV is the one-worker CSV.
+    # _run_pool opens each worker's key pipe, then its answer pipe.
+    parent, pipes, written, answered = os.getpid(), [], collections.Counter(), collections.Counter()
+    real_pipe, real_write, real_load = os.pipe, os.write, pickle.load
+
+    def spy_pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    def spy_write(fd, data):
+        if os.getpid() == parent:
+            written[fd] += 1
+            k = [w for _, w in pipes[0::2]].index(fd)
+            assert written[fd] - answered[pipes[2 * k + 1][0]] <= simulate._AHEAD
+        return real_write(fd, data)
+
+    def spy_load(file):
+        answered[file.fileno()] += 1
+        return real_load(file)
+
+    monkeypatch.setattr(os, "pipe", spy_pipe)
+    monkeypatch.setattr(os, "write", spy_write)
+    monkeypatch.setattr(pickle, "load", spy_load)
+    angles = ",".join(str(a) for a in range(-87, 88, 6))
+    common = ["ber", "--scheme", "single", "--snr-db", "0:0.1:9.9", f"--angles={angles}",
+              "--min-bits", "10000", "--max-bits", "10000"]
+    for workers in ("1", "2"):
+        assert main(common + ["--workers", workers, "--out", str(tmp_path / workers)]) == 0
+    assert sum(written.values()) == 3000 > (64 << 10) // simulate._KEY.size
+    assert sum(answered.values()) == 3000
+    assert pool_sizes == [2]
+    assert ((tmp_path / "1.ber.csv").read_bytes() == (tmp_path / "2.ber.csv").read_bytes())
+    assert_no_child_processes()
 
 
 @pytest.mark.skipif(not (sys.platform.startswith("linux") and hasattr(os, "fork")
@@ -525,20 +646,19 @@ def test_pool_workers_reuse_batch_memory(pool_sizes):
 
 
 WARM_FORK = textwrap.dedent("""
-    import concurrent.futures
     import sys
 
     from cbfsim import simulate
     from cbfsim.arrays import ArrayGeometry
 
     seen = []
+    run_pool = simulate._run_pool
 
-    class SpyExecutor(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            seen.append("numpy.random" in sys.modules)
-            super().__init__(max_workers, *args, **kwargs)
+    def spy_pool(config, procs):
+        seen.append("numpy.random" in sys.modules)
+        return run_pool(config, procs)
 
-    concurrent.futures.ProcessPoolExecutor = SpyExecutor
+    simulate._run_pool = spy_pool
     simulate._available_cpus = lambda: 2
     simulate.run_ber(simulate.SimConfig(
         simulate.SchemeConfig("rbf", ArrayGeometry(8, 1)), "awgn", (0.0,), (10.0,),

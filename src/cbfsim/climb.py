@@ -77,9 +77,8 @@ def stochastic(geometry, levels, seed, budget, form, exact):
     while spent < budget:
         if (free := np.flatnonzero(slot < 0)).size and spent + book.sum() < budget:
             if drawn - top < free.size and more and drawn + n - base <= cap:
-                draws = [rng.integers(0, k, lags) for _ in range(n * group_size)]
                 e = (drawn + np.arange(n)) % cap
-                log[e] = np.insert(np.reshape(draws, (n, group_size, lags)), 0, 0, axis=2)
+                log[e] = np.insert(rng.integers(0, k, (n, group_size, lags)), 0, 0, axis=2)
                 f = sum(_lag_features(levels[log[e, m]]) for m in range(group_size)) @ root
                 feats[e, :-1], feats[e, -1], drawn = f, np.einsum("ij,ij->i", f, f), drawn + n
             new, e = free[:drawn - top], np.arange(top, drawn)[:free.size]

@@ -224,7 +224,7 @@ class CbfSignal:
 
 @dataclass(frozen=True, eq=False)
 class ScalarSignal:
-    """Received samples and per-symbol gains, or one of shape (1,) shared by all."""
+    """Received samples and one gain per block, or one of shape (1,) shared by all."""
 
     y: np.ndarray
     gains: np.ndarray
@@ -233,7 +233,8 @@ class ScalarSignal:
     def decode(self, noise_variance: float) -> np.ndarray:
         """Coherent de-rotation by the known effective gain; the positive
         scale left over is irrelevant to QPSK decisions."""
-        return np.conj(self.gains) * self.y
+        g = np.conj(self.gains)
+        return (g[:, None] * self.y.reshape(g.size, self.y.size // (g.size or 1))).ravel()
 
 
 def _energy(s: np.ndarray, norms=(1.0,), elements: int = 1) -> float:
@@ -272,14 +273,14 @@ def transmit_cbf(s: np.ndarray, beams: ComplementaryBeamSet, angle: float,
 def _transmit_scalar(s: np.ndarray, link: LinkChannel, block_symbols: int,
                      array_gains: np.ndarray | None = None,
                      norms=(1.0,), elements: int = 1) -> ScalarSignal:
-    """One stream through a per-block gain: the fading draw times the array
-    gain of each block (none for a single element), then noise."""
+    """One stream through a per-block gain: each block's array gain (none for
+    a single element) times the fading draw, in place, then noise."""
     if s.size % block_symbols:
         raise ValueError("symbols must fill a whole number of blocks")
     h = link.fading(s.size // block_symbols)
-    eff = h if array_gains is None else array_gains * h
-    eff = np.repeat(eff, block_symbols) if eff.size > 1 else eff
-    y = eff * s + link.noise(s.size)
+    eff = h if array_gains is None else np.multiply(array_gains, h, out=array_gains)
+    y = (eff[:, None] * s.reshape(-1, block_symbols)).ravel()
+    y += link.noise(s.size)
     return ScalarSignal(y=y, gains=eff, energy_per_period=_energy(s, norms, elements))
 
 
@@ -291,8 +292,7 @@ def transmit_rbf(s: np.ndarray, geometry: ArrayGeometry, angle: float,
     cos/sin fill the complex128 weights, unit-modulus to float32 precision.
     Weights are built in even chunks of blocks in one reused buffer: the same
     draws and gains as one matrix, in memory that does not grow with N."""
-    n_el = geometry.total_elements
-    blocks = s.size // block_symbols
+    n_el, blocks = geometry.total_elements, s.size // block_symbols
     # three rows or more, as einsum sums a lone row past 8192 numbers in another order
     rows = max(_CHUNK_WEIGHTS // n_el, 3)
     chunks = -(-blocks // rows)
@@ -310,6 +310,7 @@ def transmit_rbf(s: np.ndarray, geometry: ArrayGeometry, angle: float,
         # that pool workers already fill.
         np.einsum("ij,j->i", w, steer, out=g[lo:hi])
         np.einsum("ij,ij->i", u, u, out=norms[lo:hi])
+    buf = w = u = phases = None     # freed before the noise draw, the batch's peak
     g /= math.sqrt(n_el)
     return _transmit_scalar(s, link, block_symbols, g, norms, n_el)
 

@@ -237,10 +237,12 @@ def sequential_climb(geometry, levels, seed, budget, form, power):
 
 # The batch arithmetic as it stood before AWGN fading became one broadcast
 # value, kept verbatim but for ``fading`` (``LinkChannel.fading``, which then
-# built one unit gain per block in AWGN) and the names.  On a full batch the
-# batch path must reproduce every received sample, soft estimate and decision
-# of these bit for bit, and its energy meter this per-symbol mean to rounding
-# level.  numpy's complex multiply is not bitwise commutative, and numpy
+# built one unit gain per block in AWGN) and the names.  Its scalar chain keeps
+# the gains repeated per symbol, where ``ScalarSignal`` now keeps one per
+# block; the tests repeat the package's gains to compare them.  On a full
+# batch the batch path must reproduce every received sample, soft estimate and
+# decision of these bit for bit, and its energy meter this per-symbol mean to
+# rounding level.  numpy's complex multiply is not bitwise commutative, and numpy
 # reuses a temporary of 256 KiB or more as the output of ``x * temporary``,
 # computing ``temporary * x`` instead; so ``b * np.conj(s1)`` and the like
 # below round in one operand order on full batches and in the other on

@@ -99,8 +99,8 @@ def test_full_batch_is_bitwise_the_oracle(monkeypatch, scheme, kind, equal, angl
     if kind == "awgn" and scheme != "rbf":
         gains = (new.gain1, new.gain2) if scheme == "cbf" else (new.gains,)
         assert all(g.shape == (1,) for g in gains)     # one value that broadcasts
-    if scheme == "rbf":
-        assert np.array_equal(bits_of(new.gains), bits_of(old.gains))
+    if scheme == "rbf":    # one gain per block, the oracle's repeated per symbol
+        assert np.array_equal(bits_of(np.repeat(new.gains, block)), bits_of(old.gains))
         assert new.energy_per_period == pytest.approx(old.energy_per_period,
                                                       rel=1e-12, abs=0)
     soft_new, soft_old = new.decode(noise_variance), old_decode(old, noise_variance)
@@ -174,7 +174,8 @@ def test_rbf_chunks_are_bitwise_the_whole_matrix(elements, n_bits, block, kind):
     old = oracles.transmit_rbf(s, geometry, 0.4, link(), block)
     # both decoded by the package, so that only the transmit differs
     soft_new, soft_old = new.decode(0.3), old.decode(0.3)
-    for got, want in ((new.y, old.y), (new.gains, old.gains), (soft_new, soft_old)):
+    for got, want in ((new.y, old.y), (np.repeat(new.gains, block), old.gains),
+                      (soft_new, soft_old)):
         assert np.array_equal(bits_of(got), bits_of(want))
     assert np.array_equal(chan.qpsk_demodulate(soft_new), oracles.qpsk_demodulate(soft_old))
     assert new.energy_per_period == pytest.approx(old.energy_per_period, rel=1e-12, abs=0)

@@ -544,6 +544,20 @@ def test_numpy_reductions_keep_the_pinned_order(members):
             assert row.var() == var
 
 
+@pytest.mark.parametrize("lags", [1, 2, 7, 8])
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+@pytest.mark.parametrize("members", [2, 3])
+def test_block_of_start_states_is_the_per_restart_draws(members, k, lags):
+    # the climb draws a block's start states in one call; the stream pinned by
+    # the sequential climb is one call per member per restart, and both leave
+    # the generator in one state (with odd lags, one with a 32-bit half kept)
+    one, each = (np.random.default_rng(members * k + lags) for _ in range(2))
+    block = one.integers(0, k, (climb._CLIMB_BLOCK, members, lags))
+    draws = [each.integers(0, k, lags) for _ in range(climb._CLIMB_BLOCK * members)]
+    assert np.array_equal(block.reshape(-1, lags), draws)
+    assert one.bit_generator.state == each.bit_generator.state
+
+
 class TestAutocorrelationScreen:
     @pytest.mark.parametrize("grid,spacing", [
         (AngleGrid.uniform_theta(512), 0.5),

@@ -72,6 +72,19 @@ def make_symbols(rng, n_bits):
     return qpsk_modulate(rng.integers(0, 2, n_bits))
 
 
+def traced_batch_peak(scheme, channel):
+    """The tracemalloc peak of one full batch, after a first one loads lazy imports."""
+    config = SimConfig(scheme, channel, (0.3,), (4.0,), min_bits=simulate.BATCH_BITS,
+                       max_bits=simulate.BATCH_BITS)
+    simulate._run_batch(config, 0, 0, 0)
+    tracemalloc.start()
+    try:
+        simulate._run_batch(config, 0, 0, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSchemeConfig:
     def test_cbf_requires_beams(self):
         with pytest.raises(ValueError):
@@ -199,7 +212,7 @@ class TestTransmitRbf:
         rng = np.random.default_rng(31)
         s = make_symbols(rng, 4 * 100_000)
         sig = transmit_rbf(s, GEOM, angle, quiet_link(rng))
-        mean_power = np.mean(np.abs(sig.gains[::2]) ** 2)
+        mean_power = np.mean(np.abs(sig.gains) ** 2)
         assert mean_power == pytest.approx(1.0, abs=0.02)
 
     def test_deep_fade_blocks_burst_errors(self):
@@ -211,7 +224,7 @@ class TestTransmitRbf:
         bits_hat = qpsk_demodulate(sig.decode(0.1))
         errors = (bits_hat != bits).reshape(-1, 4)  # bits per block
         block_ber = errors.mean(axis=1)
-        faded = np.abs(sig.gains[::2]) < 0.1
+        faded = np.abs(sig.gains) < 0.1
         assert faded.any()
         assert block_ber[faded].mean() > 0.25
         assert block_ber[~faded].mean() < 0.05
@@ -229,7 +242,7 @@ class TestTransmitRbf:
         blocks = 50_000
         s = make_symbols(np.random.default_rng(7), 4 * blocks)
         g = transmit_rbf(s, ArrayGeometry(1, 1), 0.3,
-                         quiet_link(np.random.default_rng(34))).gains[::2]
+                         quiet_link(np.random.default_rng(34))).gains
         assert np.max(np.abs(np.abs(g) ** 2 - 1)) < 4 * np.finfo(np.float32).eps
         assert len(np.unique(np.angle(g))) > 0.99 * blocks
 
@@ -241,20 +254,12 @@ class TestTransmitRbf:
     @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
     @pytest.mark.parametrize("elements", [8, 256])
     def test_batch_memory_does_not_grow_with_the_array(self, elements, channel):
-        # the weights are built a chunk at a time, so a full batch peaks at
-        # about 8-9 MiB whatever the array; one whole weight matrix took
-        # 14.7-15.5 MiB at 8 elements and 343.5 MiB at 256
-        config = SimConfig(SchemeConfig("rbf", ArrayGeometry(elements, 1)), channel,
-                           (0.3,), (4.0,), min_bits=simulate.BATCH_BITS,
-                           max_bits=simulate.BATCH_BITS)
-        simulate._run_batch(config, 0, 0, 0)       # lazy imports load first
-        tracemalloc.start()
-        try:
-            simulate._run_batch(config, 0, 0, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * 2 ** 20
+        # the weights are built a chunk at a time and the gains kept one per
+        # block, so a full batch peaks at 5.9-6.7 MiB whatever the array; one
+        # whole weight matrix took 14.7-15.5 MiB at 8 elements and 343.5 MiB
+        # at 256, and gains repeated per symbol 8.1-8.8 MiB
+        peak = traced_batch_peak(SchemeConfig("rbf", ArrayGeometry(elements, 1)), channel)
+        assert peak <= 7 * 2 ** 20
 
 
 class TestTransmitSingle:
@@ -270,10 +275,38 @@ class TestTransmitSingle:
         s = make_symbols(rng, 400)
         link = LinkChannel("rayleigh", 0.0, rng)
         sig = transmit_single(s, link)
-        gains = sig.gains.reshape(-1, 2)
-        assert np.array_equal(gains[:, 0], gains[:, 1])
+        assert sig.gains.shape == (s.size // 2,)      # one gain per two-symbol block
         assert np.max(np.abs(sig.decode(0.0)
-                             - np.abs(sig.gains) ** 2 * s)) < 1e-12
+                             - np.repeat(np.abs(sig.gains) ** 2, 2) * s)) < 1e-12
+
+    def test_batch_memory_holds_one_gain_per_block(self):
+        # 5.5 MiB; gains repeated per symbol took a full batch to 7.1 MiB
+        assert traced_batch_peak(SchemeConfig("single", ArrayGeometry(1, 1)),
+                                 "rayleigh") <= 6 * 2 ** 20
+
+
+@pytest.mark.parametrize("scheme, channel, block", [
+    ("rbf", "awgn", 2), ("rbf", "rayleigh", 2), ("rbf", "awgn", 4), ("rbf", "rayleigh", 4),
+    ("single", "rayleigh", 2), ("single", "awgn", 2)])
+def test_block_gains_decode_as_the_same_gains_per_symbol(scheme, channel, block):
+    # one gain per block, or single/AWGN's one of shape (1,) for every symbol
+    rng = np.random.default_rng(35)
+    s, link = make_symbols(rng, 4_000), LinkChannel(channel, 0.3, rng)
+    sig = transmit_rbf(s, GEOM, 0.3, link, block) if scheme == "rbf" else transmit_single(s, link)
+    shared = scheme == "single" and channel == "awgn"
+    assert sig.gains.shape == ((1,) if shared else (s.size // block,))
+    per_symbol = np.conj(np.repeat(sig.gains, s.size // sig.gains.size)) * sig.y
+    assert np.array_equal(sig.decode(0.3).view(np.uint64), per_symbol.view(np.uint64))
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("scheme", ["rbf", "single"])
+def test_no_symbols_transmit_and_decode_to_nothing(scheme, channel):
+    s, link = np.empty(0, dtype=complex), LinkChannel(channel, 0.3, np.random.default_rng(44))
+    sig = transmit_rbf(s, GEOM, 0.3, link) if scheme == "rbf" else transmit_single(s, link)
+    assert sig.y.shape == (0,)
+    assert sig.energy_per_period == 0.0
+    assert sig.decode(0.3).shape == (0,)
 
 
 class TestPowerFairness:

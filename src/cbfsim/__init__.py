@@ -13,7 +13,15 @@ from .beams import (ComplementaryBeamSet, SearchCapacityError, find_complementar
                     golay_construct, phase_levels)
 from .channel import (awgn_qpsk_ber, noise_variance, qpsk_demodulate, qpsk_modulate,
                       rayleigh_qpsk_ber)
-from .simulate import (BerCurve, BerPoint, SchemeConfig, SimConfig, run_ber,
-                       transmit_cbf, transmit_rbf, transmit_single)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_LAZY = {"simulate", "BerCurve", "BerPoint", "SchemeConfig", "SimConfig", "run_ber",
+         "transmit_cbf", "transmit_rbf", "transmit_single"}
+__all__ = sorted(_LAZY.union(name for name in dir() if not name.startswith("_")))
+
+
+def __getattr__(name):  # PEP 562: simulate and its exports compile on first use
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    simulate = import_module(".simulate", __name__)
+    return simulate if name == "simulate" else getattr(simulate, name)

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "UNIT_MODULUS_TOL",
-    "ArrayGeometry",
-    "AngleGrid",
-    "gain_power",
-    "subarray_gains",
-    "steering_basis",
-]
+__all__ = ["UNIT_MODULUS_TOL", "ArrayGeometry", "AngleGrid", "gain_power", "subarray_gains",
+           "steering_basis"]
 
 UNIT_MODULUS_TOL = 1e-12
 

@@ -16,7 +16,7 @@ moves a round among them, and returns the set one restart at a time returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,16 +31,9 @@ from .arrays import (
     subarray_gains,
 )
 
-__all__ = [
-    "SearchCapacityError",
-    "phase_levels",
-    "SearchMeta",
-    "ComplementaryBeamSet",
-    "golay_construct",
-    "find_complementary_set",
-    "DEFAULT_CANDIDATE_CEILING",
-    "DEFAULT_STOCHASTIC_BUDGET",
-]
+__all__ = ["SearchCapacityError", "phase_levels", "SearchMeta", "ComplementaryBeamSet",
+           "golay_construct", "find_complementary_set", "DEFAULT_CANDIDATE_CEILING",
+           "DEFAULT_STOCHASTIC_BUDGET"]
 
 DEFAULT_CANDIDATE_CEILING = 2 ** 22
 DEFAULT_STOCHASTIC_BUDGET = 100_000
@@ -80,9 +73,10 @@ class ComplementaryBeamSet:
     """One unit-modulus weight vector per sub-array whose composite power
     pattern is (near-)flat over angle.
 
-    ``weights`` is read-only complex, one row per sub-array, and ``variance``
-    is derived from the weights' composite power on ``grid``.  Given
-    ``phase_indices`` pick each weight exactly from ``phase_levels(accuracy)``."""
+    ``weights`` is read-only complex, one row per sub-array; the member and
+    composite powers on ``grid`` and the composite's ``variance`` are computed
+    when first read.  Given ``phase_indices`` pick each weight exactly from
+    ``phase_levels(accuracy)``."""
 
     geometry: ArrayGeometry
     weights: np.ndarray
@@ -90,7 +84,6 @@ class ComplementaryBeamSet:
     meta: SearchMeta
     accuracy: int | None = None
     phase_indices: tuple[tuple[int, ...], ...] | None = None
-    variance: float = field(init=False)
 
     def __post_init__(self):
         rows = [np.asarray(w, dtype=complex) for w in self.weights]
@@ -112,7 +105,6 @@ class ComplementaryBeamSet:
                 for row, w in zip(idx, rows))):
             raise ValueError(f"phase_indices must be levels 0..K-1 of K={k} giving the weights")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "variance", float(self.composite_power.var()))
 
     @cached_property
     def member_powers(self) -> np.ndarray:
@@ -125,6 +117,10 @@ class ComplementaryBeamSet:
     def composite_power(self) -> np.ndarray:
         """Read-only equal-split composite: the mean of the member powers."""
         return _readonly(self.member_powers.mean(axis=0))
+
+    @cached_property
+    def variance(self) -> float:
+        return float(self.composite_power.var())
 
     def to_json_dict(self) -> dict:
         geo = self.geometry

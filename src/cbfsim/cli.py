@@ -10,7 +10,6 @@ also writes a manifest with content digests.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -23,8 +22,6 @@ from . import __version__
 from .arrays import AngleGrid, ArrayGeometry
 from .beams import (DEFAULT_CANDIDATE_CEILING, DEFAULT_STOCHASTIC_BUDGET, ComplementaryBeamSet,
                     SearchMeta, find_complementary_set, phase_levels)
-from .simulate import (DEFAULT_ANGLES_DEG, MAX_LATTICE_POINTS, SchemeConfig,
-                       SimConfig, _keep_batch_memory, run_ber)
 
 SEED_ENV_VAR = "CBF_SIM_SEED"
 # Flags without a default; each must come from the command line or --config.
@@ -150,6 +147,7 @@ def _env_seed(parser, text: str) -> int:
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
+    from .simulate import MAX_LATTICE_POINTS
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -177,6 +175,7 @@ def _write(base: Path, suffix: str, lines: list[str]) -> Path:
 
 
 def _write_manifest(base: Path, command: str, config: dict, outputs: list[Path]):
+    import hashlib
     doc = {
         "tool": {"name": "cbfsim", "version": __version__},
         "command": command,
@@ -267,7 +266,13 @@ def cmd_pattern(ns, parser) -> int:
     return 0
 
 
+def run_ber(config):    # simulate.run_ber, compiled on first call; patchable here
+    from .simulate import run_ber
+    return run_ber(config)
+
+
 def cmd_ber(ns, parser) -> int:
+    from .simulate import DEFAULT_ANGLES_DEG, SchemeConfig, SimConfig
     snr_grid = _parse_snr_grid(ns.snr_db)
     angles_deg = DEFAULT_ANGLES_DEG if ns.angles is None else tuple(
         float(tok) for tok in ns.angles.split(","))
@@ -288,19 +293,11 @@ def cmd_ber(ns, parser) -> int:
     else:
         scheme = SchemeConfig(kind="single", geometry=ArrayGeometry(1, 1))
 
-    config = SimConfig(
-        scheme=scheme,
-        channel=ns.channel,
-        angles=tuple(math.radians(a) for a in angles_deg),
-        snr_db=snr_grid,
-        min_bits=ns.min_bits,
-        target_errors=ns.target_errors,
-        max_bits=ns.max_bits,
-        seed=ns.seed or 0,
-        workers=ns.workers,
-        equal_subarrays=ns.fading == "equal",
-    )
-    _keep_batch_memory()        # the command's process ends with the campaign
+    config = SimConfig(scheme=scheme, channel=ns.channel,
+                       angles=tuple(math.radians(a) for a in angles_deg), snr_db=snr_grid,
+                       min_bits=ns.min_bits, target_errors=ns.target_errors,
+                       max_bits=ns.max_bits, seed=ns.seed or 0, workers=ns.workers,
+                       equal_subarrays=ns.fading == "equal")
     curve = run_ber(config)
     base = Path(ns.out)
     written = [_write_ber_csv(base, curve)]

@@ -546,13 +546,17 @@ def run_ber(config: SimConfig) -> BerCurve:
     estimate, its 95% normal-approximation half-width and the exact 95%
     Clopper-Pearson bounds, which treat the bit count as fixed.  Batches run in a
     pool of min(workers, available CPUs) forked processes, or lazily in the
-    calling process when that is one or fork is missing; results do not
-    depend on the worker count, and an error in a batch reaches the caller.
+    calling process, its allocator tuned for them, when that is one or fork
+    is missing; results do not depend on the worker count, and an error in a
+    batch reaches the caller.
     """
     nproc = _available_cpus()
     procs = min(config.workers or nproc, nproc) if hasattr(os, "fork") else 1
     import numpy.random  # noqa: F401  (numpy loads it lazily; forked workers inherit it)
-    points = (_run_pool(config, procs) if procs > 1 else
-              _schedule(config, 1, lambda *key: partial(_run_batch, config, *key)))
+    if procs > 1:
+        points = _run_pool(config, procs)
+    else:
+        _keep_batch_memory()
+        points = _schedule(config, 1, lambda *key: partial(_run_batch, config, *key))
     return BerCurve(scheme=config.scheme.kind, channel=config.channel,
                     points=tuple(points))

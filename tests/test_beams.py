@@ -211,6 +211,22 @@ class TestFindComplementaryPair:
         assert found.variance <= 1e-10
         assert found.meta.method == "golay"
 
+    @pytest.mark.parametrize("read", ["variance", "member_powers"])
+    def test_golay_set_builds_no_table_until_read(self, monkeypatch, read):
+        # a cbf campaign's default pair reads neither its tables nor its
+        # variance, so building the set computes neither; the first read
+        # builds one table per member, and the variance is numpy's var of
+        # the composite, bit for bit
+        members = []
+        monkeypatch.setattr(beams, "subarray_gains", lambda w, geom, m, angles: (
+            members.append(m) or subarray_gains(w, geom, m, angles)))
+        found = find_complementary_set(ArrayGeometry(16, 2), 2, GRID, "golay")
+        assert members == []
+        getattr(found, read)
+        assert members == [0, 1]
+        assert found.variance.hex() == float(found.composite_power.var()).hex()
+        assert members == [0, 1]
+
     def test_golay_unsupported_length(self):
         with pytest.raises(ValueError):
             find_complementary_set(ArrayGeometry(6, 2), 2,
@@ -458,7 +474,9 @@ class TestFindComplementaryPair:
 
         monkeypatch.setattr(beams, "subarray_gains", counted)
         monkeypatch.setattr(beams, "_exact_scorer", blocks)
-        find_complementary_set(ArrayGeometry(elements, group_size), 2, GRID, "exhaustive")
+        found = find_complementary_set(ArrayGeometry(elements, group_size), 2, GRID,
+                                       "exhaustive")
+        found.variance          # the returned set's tables, which `cbfsim search` reads
         assert len(rows) == tables
         assert len(rows) - len(set(rows)) == group_size
         assert len(bases) <= len(missing) + group_size < tables
@@ -495,6 +513,36 @@ def test_climb_is_imported_only_when_a_search_climbs():
     out = subprocess.run([sys.executable, "-c", CLIMB_IMPORT], check=True, env=env,
                          capture_output=True, text=True).stdout
     assert out.split() == ["[False,", "False,", "True]"]
+
+
+LAZY_IMPORT = """
+import sys
+import cbfsim.cli
+cbfsim.cli.build_parser()
+print("cbfsim.simulate" in sys.modules, "hashlib" in sys.modules)
+import cbfsim
+print(cbfsim.run_ber is cbfsim.simulate.run_ber)
+print(*cbfsim.__all__)
+"""
+
+
+def test_simulate_and_hashlib_are_imported_only_when_used():
+    # in a fresh interpreter the command line's import and parser leave the
+    # BER simulator and hashlib unimported; the package resolves simulate's
+    # exports on first use, and its export list is unchanged
+    src = str(Path(beams.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", LAZY_IMPORT], check=True, env=env,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[:2] == ["False False", "True"]
+    assert out[2].split() == [
+        "AngleGrid", "ArrayGeometry", "BerCurve", "BerPoint", "ComplementaryBeamSet",
+        "SchemeConfig", "SearchCapacityError", "SimConfig", "arrays", "awgn_qpsk_ber",
+        "beams", "channel", "find_complementary_set", "golay_construct",
+        "noise_variance", "phase_levels", "qpsk_demodulate", "qpsk_modulate",
+        "rayleigh_qpsk_ber", "run_ber", "simulate", "transmit_cbf", "transmit_rbf",
+        "transmit_single"]
 
 
 def climb_draws(count=12, seed=20_241_019):

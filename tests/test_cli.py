@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cbfsim import simulate
+from cbfsim import cli, simulate
 from cbfsim.arrays import AngleGrid, ArrayGeometry, gain_power, subarray_gains
 from cbfsim.beams import DEFAULT_CANDIDATE_CEILING, DEFAULT_STOCHASTIC_BUDGET
 from cbfsim.channel import awgn_qpsk_ber
@@ -189,6 +189,19 @@ class TestBerCommand:
             digest = hashlib.sha256(
                 (tmp_path / entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
+
+    def test_campaign_runs_through_the_cli_run_ber(self, tmp_path, monkeypatch):
+        # cmd_ber looks run_ber up on the cli module when it runs, so a wrapper
+        # put there, as the benchmark's tracer puts one, sees every campaign
+        seen, run_ber = [], cli.run_ber
+        monkeypatch.setattr(cli, "run_ber",
+                            lambda config: seen.append(config) or run_ber(config))
+        assert main(self.BASE + ["--out", str(tmp_path / "s")]) == 0
+        (config,) = seen
+        assert isinstance(config, simulate.SimConfig)
+        assert (config.scheme.kind, config.channel, config.snr_db, config.angles,
+                config.min_bits, config.seed) == ("single", "awgn", (2.0, 4.0, 6.0),
+                                                  (0.0,), 20000, 11)
 
     def test_cbf_uses_constructed_beams_by_default(self, tmp_path):
         code = main(["ber", "--scheme", "cbf", "--channel", "awgn",

@@ -23,5 +23,6 @@ def __getattr__(name):  # PEP 562: simulate and its exports compile on first use
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
-    simulate = import_module(".simulate", __name__)
-    return simulate if name == "simulate" else getattr(simulate, name)
+    simulate = import_module(".simulate", __name__)    # binds cbfsim.simulate
+    globals().update((n, getattr(simulate, n)) for n in _LAZY - {"simulate"})
+    return globals()[name]

@@ -73,10 +73,9 @@ class ComplementaryBeamSet:
     """One unit-modulus weight vector per sub-array whose composite power
     pattern is (near-)flat over angle.
 
-    ``weights`` is read-only complex, one row per sub-array; the member and
-    composite powers on ``grid`` and the composite's ``variance`` are computed
-    when first read.  Given ``phase_indices`` pick each weight exactly from
-    ``phase_levels(accuracy)``."""
+    ``weights`` is read-only complex, one row per sub-array; the composite power on
+    ``grid`` and its ``variance`` are computed when first read.  Given
+    ``phase_indices`` pick each weight exactly from ``phase_levels(accuracy)``."""
 
     geometry: ArrayGeometry
     weights: np.ndarray

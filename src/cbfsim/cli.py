@@ -10,6 +10,7 @@ also writes a manifest with content digests.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -146,8 +147,7 @@ def _env_seed(parser, text: str) -> int:
     parser.error(f"{SEED_ENV_VAR} must be a non-negative integer, got {text!r}")
 
 
-def _parse_snr_grid(text: str) -> tuple[float, ...]:
-    from .simulate import MAX_LATTICE_POINTS
+def _parse_snr_grid(text: str, most: int) -> tuple[float, ...]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -158,9 +158,8 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         if step <= 0 or stop < start:
             raise ValueError("SNR range needs step > 0 and stop >= start")
         steps = (stop - start) / step
-        if not steps < MAX_LATTICE_POINTS:
-            raise ValueError(f"SNR range {text!r} has more than "
-                             f"{MAX_LATTICE_POINTS} points")
+        if not steps < most:
+            raise ValueError(f"SNR range {text!r} has more than {most} points")
         # the most points that do not pass stop, allowing for rounding in steps
         return tuple(start + i * step for i in range(math.floor(steps + 1e-9) + 1))
     return tuple(float(p) for p in text.split(","))
@@ -175,7 +174,6 @@ def _write(base: Path, suffix: str, lines: list[str]) -> Path:
 
 
 def _write_manifest(base: Path, command: str, config: dict, outputs: list[Path]):
-    import hashlib
     doc = {
         "tool": {"name": "cbfsim", "version": __version__},
         "command": command,
@@ -272,8 +270,9 @@ def run_ber(config):    # simulate.run_ber, compiled on first call; patchable he
 
 
 def cmd_ber(ns, parser) -> int:
-    from .simulate import DEFAULT_ANGLES_DEG, SchemeConfig, SimConfig
-    snr_grid = _parse_snr_grid(ns.snr_db)
+    from .simulate import (DEFAULT_ANGLES_DEG, MAX_LATTICE_POINTS, SchemeConfig, SimConfig,
+                           _keep_batch_memory, _pool_size)
+    snr_grid = _parse_snr_grid(ns.snr_db, MAX_LATTICE_POINTS)
     angles_deg = DEFAULT_ANGLES_DEG if ns.angles is None else tuple(
         float(tok) for tok in ns.angles.split(","))
 
@@ -298,6 +297,8 @@ def cmd_ber(ns, parser) -> int:
                        min_bits=ns.min_bits, target_errors=ns.target_errors,
                        max_bits=ns.max_bits, seed=ns.seed or 0, workers=ns.workers,
                        equal_subarrays=ns.fading == "equal")
+    if _pool_size(config) == 1:
+        _keep_batch_memory()    # the batches run in this process, which ends with them
     curve = run_ber(config)
     base = Path(ns.out)
     written = [_write_ber_csv(base, curve)]

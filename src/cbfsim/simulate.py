@@ -77,9 +77,8 @@ class SchemeConfig:
                 raise ValueError("cbf needs a complementary beam pair")
             if astuple(self.beams.geometry) != astuple(self.geometry):
                 raise ValueError("beam set geometry does not match the scheme geometry")
-        if self.kind == "rbf":
-            if self.rbf_block_symbols < 2 or self.rbf_block_symbols % 2:
-                raise ValueError("rbf block length must be even and >= 2")
+        if self.kind == "rbf" and (self.rbf_block_symbols < 2 or self.rbf_block_symbols % 2):
+            raise ValueError("rbf block length must be even and >= 2")
 
     @property
     def block_bits(self) -> int:
@@ -423,6 +422,12 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pool_size(config: SimConfig) -> int:
+    """Processes a campaign's batches run in: min(workers, available CPUs), or 1 without fork."""
+    nproc = _available_cpus()
+    return min(config.workers or nproc, nproc) if hasattr(os, "fork") else 1
+
+
 def _schedule(config: SimConfig, procs: int, submit) -> list[BerPoint]:
     """Fold every lattice point's batches into a BerPoint, in lattice order.
 
@@ -546,17 +551,12 @@ def run_ber(config: SimConfig) -> BerCurve:
     estimate, its 95% normal-approximation half-width and the exact 95%
     Clopper-Pearson bounds, which treat the bit count as fixed.  Batches run in a
     pool of min(workers, available CPUs) forked processes, or lazily in the
-    calling process, its allocator tuned for them, when that is one or fork
-    is missing; results do not depend on the worker count, and an error in a
-    batch reaches the caller.
+    calling process when that is one or fork is missing; results do not
+    depend on the worker count, and an error in a batch reaches the caller.
     """
-    nproc = _available_cpus()
-    procs = min(config.workers or nproc, nproc) if hasattr(os, "fork") else 1
+    procs = _pool_size(config)
     import numpy.random  # noqa: F401  (numpy loads it lazily; forked workers inherit it)
-    if procs > 1:
-        points = _run_pool(config, procs)
-    else:
-        _keep_batch_memory()
-        points = _schedule(config, 1, lambda *key: partial(_run_batch, config, *key))
+    points = (_run_pool(config, procs) if procs > 1 else
+              _schedule(config, 1, lambda *key: partial(_run_batch, config, *key)))
     return BerCurve(scheme=config.scheme.kind, channel=config.channel,
                     points=tuple(points))

@@ -350,6 +350,27 @@ class TestWorkers:
         manifest = json.loads((tmp_path / "default.manifest.json").read_text())
         assert manifest["config"]["workers"] is None
 
+    @pytest.mark.parametrize("extra, cpus, tuned", [
+        (["--workers", "1"], 2, 1), ([], 1, 1), ([], 2, 0), (["--workers", "2"], 2, 0)])
+    def test_allocator_is_tuned_only_where_batches_run(self, tmp_path, monkeypatch,
+                                                       extra, cpus, tuned):
+        # cmd_ber tunes its own process once when the batches run in it, and
+        # not when a pool's workers run them
+        calls = []
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(simulate, "_keep_batch_memory", lambda: calls.append(1))
+        assert main(self.ARGS + extra + ["--out", str(tmp_path / "m")]) == 0
+        assert len(calls) == tuned
+
+    def test_run_ber_leaves_the_callers_allocator_alone(self, monkeypatch):
+        # a library campaign run inline keeps the caller's process as it was
+        calls = []
+        monkeypatch.setattr(simulate, "_keep_batch_memory", lambda: calls.append(1))
+        scheme = simulate.SchemeConfig("single", ArrayGeometry(1, 1))
+        simulate.run_ber(simulate.SimConfig(scheme, "awgn", (0.0,), (4.0,),
+                                            min_bits=10_000, workers=1))
+        assert calls == []
+
     def test_too_many_workers_one_line_error(self, tmp_path, capsys):
         code = main(self.ARGS + ["--workers", "100000",
                                  "--out", str(tmp_path / "w")])

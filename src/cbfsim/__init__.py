@@ -17,6 +17,7 @@ from .channel import (awgn_qpsk_ber, noise_variance, qpsk_demodulate, qpsk_modul
 _LAZY = {"simulate", "BerCurve", "BerPoint", "SchemeConfig", "SimConfig", "run_ber",
          "transmit_cbf", "transmit_rbf", "transmit_single"}
 __all__ = sorted(_LAZY.union(name for name in dir() if not name.startswith("_")))
+__dir__ = __all__.copy  # PEP 562: dir() lists the lazy exports before their first use
 
 
 def __getattr__(name):  # PEP 562: simulate and its exports compile on first use

@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         return _DISPATCH[ns.command](ns, ns.parser)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (ValueError, OSError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

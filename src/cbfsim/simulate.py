@@ -5,7 +5,7 @@ single stream through a fresh random full-array pattern every block, and
 "single" is the one-element benchmark at the same power budget.  A batch is
 one pipeline for all three: draw bits, map them to QPSK symbols, transmit
 (rbf and single share one scalar path), meter the radiated energy against
-the budget, decode with the signal's own ``decode``, demap and count errors.
+the budget, decode (cbf by the unscaled Alamouti combine), demap and count errors.
 The batch is also the unit of parallel work: forked workers read the (angle,
 SNR, batch) keys of every point's batches, a lone point's too, from a pipe
 each and answer with error counts.  Campaigns are bit-identical for the same
@@ -197,27 +197,15 @@ class CbfSignal:
     gain2: np.ndarray
     energy_per_period: float
 
-    def decode(self, noise_variance: float) -> np.ndarray:
-        """MMSE soft estimates (H^H H + sigma^2 I)^-1 H^H [y1, y2*]^T of the
-        Alamouti codewords [[s1, -s2*], [s2, s1*]], re-interleaved into the
-        original symbol order.
-
-        With stream gains a and b, the restacked channel [[a, b], [b*, -a*]]
-        has orthogonal columns, so the 2x2 solve collapses to a division by
-        |a|^2 + |b|^2 + sigma^2; with sigma^2 = 0 this is exact zero forcing.
-        The matrix form is kept as a test oracle (``tests/oracles.py``).
-        """
-        if noise_variance < 0:
-            raise ValueError("noise variance must be >= 0")
+    def decode(self) -> np.ndarray:
+        """The Alamouti combine [a* y1 + b y2*, b* y1 - a y2*] of the codewords
+        [[s1, -s2*], [s2, s1*]] through stream gains a and b, in symbol order:
+        the MMSE estimate times 1/(|a|^2 + |b|^2 + sigma^2), a positive scale
+        that QPSK ignores.  The matrix form is a test oracle (``tests/oracles.py``)."""
         a, b, y1, y2c = self.gain1, self.gain2, self.y1, np.conj(self.y2)
-        scale = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2 + noise_variance
-        if np.any(scale == 0):
-            raise np.linalg.LinAlgError("zero channel with zero noise variance")
         out = np.empty((y1.size, 2), dtype=complex)
         np.add(np.conj(a) * y1, y2c * b, out=out[:, 0])
         np.subtract(np.conj(b) * y1, y2c * a, out=out[:, 1])
-        # numpy divides by a real s as (re, im) * (1/s); only a zero's sign differs
-        np.multiply(out.view(float), (1.0 / scale)[:, None], out=out.view(float))
         return out.ravel()
 
 
@@ -229,7 +217,7 @@ class ScalarSignal:
     gains: np.ndarray
     energy_per_period: float
 
-    def decode(self, noise_variance: float) -> np.ndarray:
+    def decode(self) -> np.ndarray:
         """Coherent de-rotation by the known effective gain; the positive
         scale left over is irrelevant to QPSK decisions."""
         g = np.conj(self.gains)
@@ -351,7 +339,7 @@ def _run_batch(config: SimConfig, ai: int, si: int, batch: int) -> int:
     if abs(sig.energy_per_period - 1.0) > POWER_TOL:
         raise RuntimeError(f"transmit power budget violated: radiated "
                            f"{sig.energy_per_period!r} per period vs budget 1.0")
-    decided = chan.qpsk_demodulate(sig.decode(noise_variance))
+    decided = chan.qpsk_demodulate(sig.decode())
     return int(np.count_nonzero(decided != bits))
 
 

@@ -2,8 +2,9 @@
 
 These are the textbook per-codeword forms of Alamouti encoding, the effective
 2x2 channel seen after conjugate restacking of the second receive sample,
-and the matrix MMSE/zero-forcing solve.  The simulator itself uses only
-``cbfsim.simulate.CbfSignal.decode``; the tests compare it against these.
+and the matrix MMSE/zero-forcing solve.  The simulator itself decodes with
+``cbfsim.simulate.CbfSignal.decode``, the Alamouti combine, which is the
+MMSE estimate times a positive scale; the tests compare it against these.
 ``fallback_pattern`` is the correlated-stream gain that motivates
 independent streams in the first place, and ``rbf_qpsk_ber`` is the expected
 bit error rate of random beamforming.  ``uniform_psi_grid`` and
@@ -272,7 +273,8 @@ def energy(s: np.ndarray, weights: np.ndarray | None = None, block: int = 1) -> 
 def cbf_decode(self, noise_variance: float) -> np.ndarray:
     """MMSE soft estimates (H^H H + sigma^2 I)^-1 H^H [y1, y2*]^T of the
     Alamouti codewords [[s1, -s2*], [s2, s1*]], re-interleaved into the
-    original symbol order (``CbfSignal.decode``'s arithmetic)."""
+    original symbol order (``CbfSignal.decode``'s arithmetic while it still
+    applied the MMSE scale)."""
     if noise_variance < 0:
         raise ValueError("noise variance must be >= 0")
     a, b, y1, y2 = self.gain1, self.gain2, self.y1, self.y2

@@ -227,9 +227,10 @@ def test_criterion_7_stbc_property_suite():
         y = receive(alamouti_encode(s1, s2), g1, g2, h1, h2)
         estimate = mmse_decode(y, channel, 0.0)
         worst_zf = max(worst_zf, float(np.max(np.abs(estimate - [s1, s2]))))
-        # the vectorised decoder the simulator runs, against the matrix oracle
+        # the simulator's Alamouti combine over rho, the zero-forcing scale,
+        # against the matrix oracle
         streams = CbfSignal(*(np.array([v]) for v in (*y, g1 * h1, g2 * h2)),
-                            energy_per_period=0.0).decode(0.0)
+                            energy_per_period=0.0).decode() / rho
         worst_streams = max(worst_streams,
                             float(np.max(np.abs(streams - estimate))))
 

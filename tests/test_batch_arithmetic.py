@@ -1,5 +1,7 @@
 """The batch arithmetic against its verbatim earlier form (``tests/oracles.py``):
-received samples, soft estimates and decisions bit for bit on full batches,
+received samples, soft estimates (cbf's Alamouti combine after the MMSE scale
+the package leaves out) and decisions bit for bit on full batches, the
+package's decisions from its own unscaled soft values against the oracle's,
 rbf's chunked weights bit for bit against one whole weight matrix at every
 batch size, error counts exactly, the energy meter to rounding level, and the
 demapper on edge-case inputs."""
@@ -66,6 +68,18 @@ def old_decode(sig, noise_variance):
     return decode(sig, noise_variance)
 
 
+def mmse_scaled(sig, soft, noise_variance):
+    """cbf's Alamouti combine times the MMSE scale 1/(|a|^2 + |b|^2 + sigma^2),
+    multiplied as the package once did, (re, im) * (1/scale), which rounds as
+    the oracle's division does; rbf and single soft values as they are."""
+    if not isinstance(sig, CbfSignal):
+        return soft
+    a, b = sig.gain1, sig.gain2
+    scale = a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2 + noise_variance
+    pairs = soft.reshape(-1, 2).view(float) * (1.0 / scale)[:, None]
+    return pairs.view(complex).ravel()
+
+
 CASES = [(scheme, kind, equal, 0.4, 0.3, 2, BEAMS)
          for scheme in ("cbf", "rbf", "single")
          for kind in ("awgn", "rayleigh")
@@ -103,9 +117,10 @@ def test_full_batch_is_bitwise_the_oracle(monkeypatch, scheme, kind, equal, angl
         assert np.array_equal(bits_of(np.repeat(new.gains, block)), bits_of(old.gains))
         assert new.energy_per_period == pytest.approx(old.energy_per_period,
                                                       rel=1e-12, abs=0)
-    soft_new, soft_old = new.decode(noise_variance), old_decode(old, noise_variance)
-    assert np.array_equal(bits_of(soft_new), bits_of(soft_old))
-    assert np.array_equal(chan.qpsk_demodulate(soft_new), oracles.qpsk_demodulate(soft_old))
+    combine, soft_old = new.decode(), old_decode(old, noise_variance)
+    assert np.array_equal(bits_of(mmse_scaled(new, combine, noise_variance)),
+                          bits_of(soft_old))
+    assert np.array_equal(chan.qpsk_demodulate(combine), oracles.qpsk_demodulate(soft_old))
 
 
 @pytest.mark.parametrize("scheme, kind, equal, angle, noise_variance, block, beams",
@@ -118,18 +133,22 @@ def test_short_batch_matches_the_oracle_to_rounding(monkeypatch, scheme, kind, e
     link = lambda: LinkChannel(kind, noise_variance, np.random.default_rng(64), equal)
     new = transmit(scheme, s, angle, link(), block, beams)
     old = old_transmit(monkeypatch, scheme, s, angle, link(), block, beams)
-    soft_new, soft_old = new.decode(noise_variance), old_decode(old, noise_variance)
-    assert np.allclose(soft_new, soft_old, rtol=1e-14, atol=1e-14)
-    assert np.array_equal(chan.qpsk_demodulate(soft_new), oracles.qpsk_demodulate(soft_old))
+    combine, soft_old = new.decode(), old_decode(old, noise_variance)
+    assert np.allclose(mmse_scaled(new, combine, noise_variance), soft_old,
+                       rtol=1e-14, atol=1e-14)
+    assert np.array_equal(chan.qpsk_demodulate(combine), oracles.qpsk_demodulate(soft_old))
 
 
-def old_arithmetic(monkeypatch):
-    """Route every batch through the oracle's transmit, decode and demap."""
+def old_arithmetic(monkeypatch, noise_variance):
+    """Route every batch through the oracle's transmit, decode and demap; cbf
+    decodes by the full MMSE form at ``noise_variance``, the batch's own."""
     monkeypatch.setattr(simulate, "transmit_cbf", oracles.transmit_cbf)
     monkeypatch.setattr(simulate, "transmit_rbf", oracles.transmit_rbf)
     monkeypatch.setattr(simulate, "_transmit_scalar", oracles.transmit_scalar)
-    monkeypatch.setattr(CbfSignal, "decode", oracles.cbf_decode)
-    monkeypatch.setattr(ScalarSignal, "decode", oracles.scalar_decode)
+    monkeypatch.setattr(CbfSignal, "decode",
+                        lambda sig: oracles.cbf_decode(sig, noise_variance))
+    monkeypatch.setattr(ScalarSignal, "decode",
+                        lambda sig: oracles.scalar_decode(sig, noise_variance))
     monkeypatch.setattr(chan, "qpsk_demodulate", oracles.qpsk_demodulate)
 
 
@@ -148,7 +167,7 @@ def test_run_batch_counts_are_the_oracle_counts(monkeypatch, scheme, kind, equal
                        max_bits=2 * BATCH_BITS + 10_000, seed=65, equal_subarrays=equal)
     keys = [(ai, 0, batch) for ai in range(2) for batch in range(3)]
     new = [simulate._run_batch(config, *key) for key in keys]
-    old_arithmetic(monkeypatch)
+    old_arithmetic(monkeypatch, chan.noise_variance(config.snr_db[0]))
     old = [simulate._run_batch(config, *key) for key in keys]
     assert new == old
     assert min(new) > 0
@@ -173,7 +192,7 @@ def test_rbf_chunks_are_bitwise_the_whole_matrix(elements, n_bits, block, kind):
     new = simulate.transmit_rbf(s, geometry, 0.4, link(), block)
     old = oracles.transmit_rbf(s, geometry, 0.4, link(), block)
     # both decoded by the package, so that only the transmit differs
-    soft_new, soft_old = new.decode(0.3), old.decode(0.3)
+    soft_new, soft_old = new.decode(), old.decode()
     for got, want in ((new.y, old.y), (np.repeat(new.gains, block), old.gains),
                       (soft_new, soft_old)):
         assert np.array_equal(bits_of(got), bits_of(want))

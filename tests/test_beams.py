@@ -504,15 +504,19 @@ print(seen)
 """
 
 
-def test_climb_is_imported_only_when_a_search_climbs():
-    # in a fresh interpreter the exhaustive and golay searches leave the climb's
-    # module unimported, so no start-up that does not climb compiles it
+def run_fresh(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this package."""
     src = str(Path(beams.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", CLIMB_IMPORT], check=True, env=env,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["[False,", "False,", "True]"]
+    return subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                          capture_output=True, text=True).stdout
+
+
+def test_climb_is_imported_only_when_a_search_climbs():
+    # in a fresh interpreter the exhaustive and golay searches leave the climb's
+    # module unimported, so no start-up that does not climb compiles it
+    assert run_fresh(CLIMB_IMPORT).split() == ["[False,", "False,", "True]"]
 
 
 LAZY_IMPORT = """
@@ -530,11 +534,7 @@ def test_simulate_is_imported_only_when_used():
     # in a fresh interpreter the command line's import and parser leave the
     # BER simulator unimported; the package resolves simulate's exports on
     # first use and keeps them, and its export list is unchanged
-    src = str(Path(beams.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", LAZY_IMPORT], check=True, env=env,
-                         capture_output=True, text=True).stdout.splitlines()
+    out = run_fresh(LAZY_IMPORT).splitlines()
     assert out[:2] == ["False", "True True"]
     assert out[2].split() == [
         "AngleGrid", "ArrayGeometry", "BerCurve", "BerPoint", "ComplementaryBeamSet",
@@ -543,6 +543,18 @@ def test_simulate_is_imported_only_when_used():
         "noise_variance", "phase_levels", "qpsk_demodulate", "qpsk_modulate",
         "rayleigh_qpsk_ber", "run_ber", "simulate", "transmit_cbf", "transmit_rbf",
         "transmit_single"]
+
+
+LAZY_DIR = """
+import sys
+import cbfsim
+print(sorted(set(cbfsim.__all__) - set(dir(cbfsim))), "cbfsim.simulate" in sys.modules)
+"""
+
+
+def test_dir_lists_the_lazy_exports_before_they_load():
+    # dir() names every export, simulate's too, and listing them loads nothing
+    assert run_fresh(LAZY_DIR).split() == ["[]", "False"]
 
 
 def climb_draws(count=12, seed=20_241_019):

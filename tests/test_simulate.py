@@ -72,6 +72,11 @@ def make_symbols(rng, n_bits):
     return qpsk_modulate(rng.integers(0, 2, n_bits))
 
 
+def stream_power(sig):
+    """|a|^2 + |b|^2, the zero-forcing scale of cbf's Alamouti combine."""
+    return np.abs(sig.gain1) ** 2 + np.abs(sig.gain2) ** 2
+
+
 def traced_batch_peak(scheme, channel):
     """The tracemalloc peak of one full batch, after a first one loads lazy imports."""
     config = SimConfig(scheme, channel, (0.3,), (4.0,), min_bits=simulate.BATCH_BITS,
@@ -165,7 +170,7 @@ class TestTransmitCbf:
         s = make_symbols(rng, 400)
         for angle_deg in DEFAULT_ANGLES_DEG:
             sig = transmit_cbf(s, BEAMS, math.radians(angle_deg), quiet_link())
-            assert np.max(np.abs(sig.decode(0.0) - s)) < 1e-9
+            assert np.max(np.abs(sig.decode() / stream_power(sig) - s)) < 1e-9
 
     def test_beam_null_still_decodes(self):
         # [1,1] nulls at endfire while [1,-1] peaks there: orthogonality
@@ -180,7 +185,7 @@ class TestTransmitCbf:
         rng = np.random.default_rng(22)
         s = make_symbols(rng, 400)
         sig = transmit_cbf(s, pair, angle, quiet_link())
-        assert np.max(np.abs(sig.decode(0.0) - s)) < 1e-9
+        assert np.max(np.abs(sig.decode() / stream_power(sig) - s)) < 1e-9
 
     def test_zero_symbols_give_noise_only_output(self):
         sig = transmit_cbf(np.zeros(4, dtype=complex), BEAMS, 0.0,
@@ -221,7 +226,7 @@ class TestTransmitRbf:
         bits = rng.integers(0, 2, 4 * 20_000)
         link = LinkChannel("awgn", 0.1, rng)  # about 7 dB Eb/N0
         sig = transmit_rbf(qpsk_modulate(bits), GEOM, 0.0, link)
-        bits_hat = qpsk_demodulate(sig.decode(0.1))
+        bits_hat = qpsk_demodulate(sig.decode())
         errors = (bits_hat != bits).reshape(-1, 4)  # bits per block
         block_ber = errors.mean(axis=1)
         faded = np.abs(sig.gains) < 0.1
@@ -268,7 +273,7 @@ class TestTransmitSingle:
         s = qpsk_modulate(bits)
         sig = transmit_single(s, quiet_link())
         assert np.array_equal(sig.y, s)
-        assert np.array_equal(qpsk_demodulate(sig.decode(0.0)), bits)
+        assert np.array_equal(qpsk_demodulate(sig.decode()), bits)
 
     def test_rayleigh_gain_applied_blockwise(self):
         rng = np.random.default_rng(42)
@@ -276,7 +281,7 @@ class TestTransmitSingle:
         link = LinkChannel("rayleigh", 0.0, rng)
         sig = transmit_single(s, link)
         assert sig.gains.shape == (s.size // 2,)      # one gain per two-symbol block
-        assert np.max(np.abs(sig.decode(0.0)
+        assert np.max(np.abs(sig.decode()
                              - np.repeat(np.abs(sig.gains) ** 2, 2) * s)) < 1e-12
 
     def test_batch_memory_holds_one_gain_per_block(self):
@@ -296,7 +301,7 @@ def test_block_gains_decode_as_the_same_gains_per_symbol(scheme, channel, block)
     shared = scheme == "single" and channel == "awgn"
     assert sig.gains.shape == ((1,) if shared else (s.size // block,))
     per_symbol = np.conj(np.repeat(sig.gains, s.size // sig.gains.size)) * sig.y
-    assert np.array_equal(sig.decode(0.3).view(np.uint64), per_symbol.view(np.uint64))
+    assert np.array_equal(sig.decode().view(np.uint64), per_symbol.view(np.uint64))
 
 
 @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
@@ -306,7 +311,7 @@ def test_no_symbols_transmit_and_decode_to_nothing(scheme, channel):
     sig = transmit_rbf(s, GEOM, 0.3, link) if scheme == "rbf" else transmit_single(s, link)
     assert sig.y.shape == (0,)
     assert sig.energy_per_period == 0.0
-    assert sig.decode(0.3).shape == (0,)
+    assert sig.decode().shape == (0,)
 
 
 class TestPowerFairness:

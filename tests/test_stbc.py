@@ -5,6 +5,7 @@ import pytest
 
 from cbfsim.arrays import AngleGrid, ArrayGeometry, gain_power, subarray_gains
 from cbfsim.beams import golay_construct
+from cbfsim.channel import qpsk_demodulate, qpsk_modulate
 from cbfsim.simulate import CbfSignal
 from oracles import (alamouti_encode, composite_channel, fallback_pattern,
                      mmse_decode, pattern_variance, receive)
@@ -14,10 +15,10 @@ def random_symbols(rng, n=1):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
-def decode_codeword(y1, y2, a, b, noise_variance):
-    """The simulator's decoder on one codeword with stream gains a and b."""
-    arrays = (np.array([v], dtype=complex) for v in (y1, y2, a, b))
-    return CbfSignal(*arrays, energy_per_period=0.0).decode(noise_variance)
+def decode_codewords(y1, y2, a, b):
+    """The simulator's Alamouti combine on codewords with stream gains a and b."""
+    arrays = (np.array(v, dtype=complex, ndmin=1) for v in (y1, y2, a, b))
+    return CbfSignal(*arrays, energy_per_period=0.0).decode()
 
 
 class TestAlamoutiEncode:
@@ -135,17 +136,36 @@ class TestMmseDecode:
             s1, s2, g1, g2, h1, h2, n1, n2 = random_symbols(rng, 8)
             y1, y2 = receive(alamouti_encode(s1, s2), g1, g2, h1, h2, (n1, n2))
             matrix = mmse_decode((y1, y2), composite_channel(g1, g2, h1, h2), sigma2)
-            e1, e2 = decode_codeword(y1, y2, g1 * h1, g2 * h2, sigma2)
+            rho = abs(g1 * h1) ** 2 + abs(g2 * h2) ** 2
+            e1, e2 = decode_codewords(y1, y2, g1 * h1, g2 * h2) / (rho + sigma2)
             assert abs(e1 - matrix[0]) < 1e-12
             assert abs(e2 - matrix[1]) < 1e-12
 
-    def test_stream_form_zero_channel_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            decode_codeword(1.0, 1.0, 0.0, 0.0, 0.0)
+    def test_stream_form_zero_channel_decodes_to_zeros(self):
+        # the matrix form has no solution here (test_singular_channel_raises);
+        # the combine, which needs none, gives zeros
+        est = decode_codewords(1.0, 1.0, 0.0, 0.0)
+        assert np.array_equal(est, np.zeros(2, dtype=complex))
 
-    def test_stream_form_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            decode_codeword(1.0, 1.0, 1.0, 1.0, -1.0)
+    def test_stream_form_decides_as_the_matrix_form(self):
+        # 10,000 random QPSK codewords over random stream gains: a quarter with
+        # one stream in a null, a quarter noiseless (sigma^2 = 0), and an
+        # eighth both
+        rng = np.random.default_rng(9)
+        n = 10_000
+        s = qpsk_modulate(rng.integers(0, 2, 4 * n)).reshape(n, 2)
+        a, b = random_symbols(rng, n), random_symbols(rng, n)
+        a[:n // 8], b[n // 8:n // 4] = 0.0, 0.0
+        sigma2 = rng.uniform(0.01, 2.0, n)
+        sigma2[n // 8:3 * n // 8] = 0.0
+        y1 = a * s[:, 0] + b * s[:, 1]
+        y2 = -a * np.conj(s[:, 1]) + b * np.conj(s[:, 0])
+        y1 += np.sqrt(sigma2 / 2) * random_symbols(rng, n)
+        y2 += np.sqrt(sigma2 / 2) * random_symbols(rng, n)
+        matrix = [mmse_decode((y1[i], y2[i]), composite_channel(a[i], b[i], 1, 1), sigma2[i])
+                  for i in range(n)]
+        assert np.array_equal(qpsk_demodulate(decode_codewords(y1, y2, a, b)),
+                              qpsk_demodulate(np.ravel(matrix)))
 
 
 class TestFallbackPattern:
